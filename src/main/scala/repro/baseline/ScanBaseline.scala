@@ -74,18 +74,8 @@ object ScanBaseline {
       catalog: DataFrame,
       value: GroupValue,
       store: MaskStore,
-  ): Array[(Long, Double)] = {
-    val spark = catalog.sparkSession
-    import spark.implicits._
-    catalog
-      .as[CatalogRow]
-      .groupByKey(_.image_id)
-      .mapGroups { (img, it) =>
-        val rows = it.toSeq.sortBy(_.mask_id)
-        (img, value.exact(rows, r => store.loadPath(r.path)))
-      }
-      .collect()
-  }
+  ): Array[(Long, Double)] =
+    ImageGroups(catalog).map((img, rows) => (img, value.exact(rows, r => store.loadPath(r.path))))
 
   /** Group filter: `GROUP BY image_id HAVING value op T`. */
   def filterGroups(

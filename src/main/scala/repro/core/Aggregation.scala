@@ -121,46 +121,25 @@ final case class GroupTopKResult(groups: Array[(Long, Double)], stats: QueryStat
   */
 object Aggregation {
 
-  /** Per-group bounds via a distributed group-by over the catalog. */
+  /** Per-group bounds from the index alone (no loads). */
   private def groupBounds(
-      catalog: DataFrame,
+      groups: ImageGroups,
       value: GroupValue,
       chi: Broadcast[ChiRegistry],
-  ): Array[(Long, Double, Double, Int)] = {
-    val spark = catalog.sparkSession
-    import spark.implicits._
-    catalog
-      .as[CatalogRow]
-      .groupByKey(_.image_id)
-      .mapGroups { (img, it) =>
-        val rows = it.toSeq.sortBy(_.mask_id)
-        val (lo, hi) = value.bounds(rows, chi.value)
-        (img, lo, hi, rows.size)
-      }
-      .collect()
-  }
+  ): Array[(Long, Double, Double, Int)] =
+    groups.map { (img, rows) =>
+      val (lo, hi) = value.bounds(rows, chi.value)
+      (img, lo, hi, rows.size)
+    }
 
   /** Exact group values for the given group ids (loads every member mask). */
   private def verifyGroups(
-      catalog: DataFrame,
+      groups: ImageGroups,
       value: GroupValue,
       groupIds: Set[Long],
       store: MaskStore,
-  ): Array[(Long, Double)] = {
-    if (groupIds.isEmpty) return Array.empty
-    val spark = catalog.sparkSession
-    import spark.implicits._
-    val idsBc = spark.sparkContext.broadcast(groupIds)
-    catalog
-      .as[CatalogRow]
-      .filter(r => idsBc.value.contains(r.image_id))
-      .groupByKey(_.image_id)
-      .mapGroups { (img, it) =>
-        val rows = it.toSeq.sortBy(_.mask_id)
-        (img, value.exact(rows, r => store.loadPath(r.path)))
-      }
-      .collect()
-  }
+  ): Array[(Long, Double)] =
+    groups.filter(groupIds).map((img, rows) => (img, value.exact(rows, r => store.loadPath(r.path))))
 
   /** `HAVING value op T` over groups. Returns the qualifying image ids. */
   def filterGroups(
@@ -174,13 +153,14 @@ object Aggregation {
     val loadsBefore = store.loads.value
     val t0 = System.nanoTime()
     val pred = Predicate(CpExpr.term(FullRoi, 0, 1), op, threshold) // classify() only
-    val gb = groupBounds(catalog, value, chi)
+    val groups = ImageGroups(catalog)
+    val gb = groupBounds(groups, value, chi)
 
     val direct = gb.collect { case (g, lo, hi, _) if pred.classify(lo, hi) == FilterOutcome.Pass => g }
     val uncertain = gb.collect { case (g, lo, hi, _) if pred.classify(lo, hi) == FilterOutcome.Uncertain => g }
     val nPruned = gb.length - direct.length - uncertain.length
 
-    val verified = verifyGroups(catalog, value, uncertain.toSet, store).collect {
+    val verified = verifyGroups(groups, value, uncertain.toSet, store).collect {
       case (g, v) if (op == Gt && v > threshold) || (op == Lt && v < threshold) => g
     }
 
@@ -211,12 +191,13 @@ object Aggregation {
   ): GroupTopKResult = {
     val loadsBefore = store.loads.value
     val t0 = System.nanoTime()
-    val gb = groupBounds(catalog, value, chi)
+    val groups = ImageGroups(catalog)
+    val gb = groupBounds(groups, value, chi)
 
     // Point bounds pin a group's exact value from the index alone — no load.
-    def resolve(groups: Array[(Long, Double, Double, Int)]): Array[(Long, Double)] = {
-      val (known, unknown) = groups.partition(g => g._2 == g._3)
-      known.map(g => (g._1, g._2)) ++ verifyGroups(catalog, value, unknown.map(_._1).toSet, store)
+    def resolve(bounded: Array[(Long, Double, Double, Int)]): Array[(Long, Double)] = {
+      val (known, unknown) = bounded.partition(g => g._2 == g._3)
+      known.map(g => (g._1, g._2)) ++ verifyGroups(groups, value, unknown.map(_._1).toSet, store)
     }
 
     val exact: Array[(Long, Double)] =

@@ -60,7 +60,8 @@ object ChiRegistry {
   /** Like [[build]], but additionally indexes the per-image INTERSECT
     * (pixel-wise minimum) aggregated mask under `AggIdBase + image_id`,
     * loading each mask only once per group. Used by mask-aggregation queries
-    * (the paper's Q5) so their filter stage has first-class bounds.
+    * (the paper's Q5) so their filter stage has first-class bounds. The
+    * groups are built in parallel through [[ImageGroups]].
     */
   def buildWithAggregates(
       spark: SparkSession,
@@ -68,21 +69,15 @@ object ChiRegistry {
       store: MaskStore,
       cfg: ChiConfig,
   ): ChiRegistry = {
-    import spark.implicits._
-    val built = catalog
-      .as[CatalogRow]
-      .groupByKey(_.image_id)
-      .flatMapGroups { (img, it) =>
-        val rows = it.toSeq.sortBy(_.mask_id)
-        val masks = rows.map(r => store.loadPath(r.path))
-        val per = masks.map(m => ChiIndex.build(m, cfg))
-        val agg = ChiIndex.build(Mask.intersect(masks).copy(id = AggIdBase + img), cfg)
-        (per :+ agg).map(i => (i.maskId, i.w, i.h, i.counts))
-      }
-      .collect()
+    val built = ImageGroups(catalog).map { (img, rows) =>
+      val masks = rows.map(r => store.loadPath(r.path))
+      val per = masks.map(m => ChiIndex.build(m, cfg))
+      val agg = ChiIndex.build(Mask.intersect(masks).copy(id = AggIdBase + img), cfg)
+      (per :+ agg).map(i => (i.maskId, i.w, i.h, i.counts))
+    }
     new ChiRegistry(
       cfg,
-      built.map { case (id, w, h, counts) => id -> new ChiIndex(id, w, h, cfg, counts) }.toMap,
+      built.flatten.map { case (id, w, h, counts) => id -> new ChiIndex(id, w, h, cfg, counts) }.toMap,
     )
   }
 

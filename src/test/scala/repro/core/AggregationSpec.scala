@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{SparkSpec, TestData}
+import repro.{SparkSpec, StageTasks, TestData}
 import repro.baseline.ScanBaseline
 
 /** Integration tests for scalar aggregation and mask aggregation (§3.4):
@@ -100,6 +100,14 @@ class AggregationSpec extends SparkSpec {
   test("group verification loads all masks of uncertain groups only") {
     val ms = Aggregation.filterGroups(catalog, meanCp, Gt, 30, store, chiBc)
     assert(ms.stats.masksLoaded == ms.stats.nUncertain * ds.nModels)
+  }
+
+  test("group verification loads masks in more than one task (no stage collapsed by AQE)") {
+    val s2 = repro.store.MaskStore(spark, "target/testdata/unit")
+    val (ms, tasks) = StageTasks.updating(spark, s2.loads)(Aggregation.filterGroups(catalog, meanCp, Gt, 30, s2, chiBc))
+    assert(ms.stats.nUncertain > 1, "the query must leave several groups to verify")
+    assert(tasks.nonEmpty, "no stage loaded masks")
+    assert(tasks.forall(_ > 1), s"mask-loading stages ran ${tasks.mkString(", ")} task(s)")
   }
 
   test("group stats bookkeeping: groups = pruned + direct + uncertain") {

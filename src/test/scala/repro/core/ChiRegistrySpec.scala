@@ -1,6 +1,9 @@
 package repro.core
 
-import repro.{SparkSpec, TestData}
+import org.apache.spark.sql.functions.rand
+
+import repro.{SparkSpec, StageTasks, TestData}
+import repro.store.MaskStore
 
 /** Tests for the dataset-wide CHI registry: distributed build, size
   * accounting (the paper's ~5% rule), persistence, broadcast.
@@ -48,6 +51,34 @@ class ChiRegistrySpec extends SparkSpec {
     val before = s2.loads.value
     ChiRegistry.buildWithAggregates(spark, catalog, s2, cfg)
     assert(s2.loads.value - before == ds.nMasks)
+  }
+
+  test("buildWithAggregates loads masks in more than one task (no stage collapsed by AQE)") {
+    val s2 = MaskStore(spark, "target/testdata/unit")
+    val (_, tasks) = StageTasks.updating(spark, s2.loads)(ChiRegistry.buildWithAggregates(spark, catalog, s2, cfg))
+    assert(tasks.nonEmpty, "no stage loaded masks")
+    assert(tasks.forall(_ > 1), s"mask-loading stages ran ${tasks.mkString(", ")} task(s)")
+  }
+
+  test("buildWithAggregates is independent of catalog row order and partitioning") {
+    val shuffled = catalog.orderBy(rand(17)).repartition(7)
+    val s2 = MaskStore(spark, "target/testdata/unit")
+    val before = s2.loads.value
+    val r = ChiRegistry.buildWithAggregates(spark, shuffled, s2, cfg)
+    assert(s2.loads.value - before == ds.nMasks)
+    assert(r.size == ds.nMasks + ds.nImages)
+
+    def sameIndex(id: Long, local: ChiIndex): Unit = {
+      val got = r.get(id).getOrElse(fail(s"no index for $id"))
+      assert(got.w == local.w && got.h == local.h, s"shape of $id")
+      assert(got.counts.toSeq == local.counts.toSeq, s"counts of $id")
+    }
+    val rows = MaskStore.asRows(catalog).collect()
+    rows.foreach(row => sameIndex(row.mask_id, ChiIndex.build(store.loadPath(row.path), cfg)))
+    rows.groupBy(_.image_id).foreach { case (img, group) =>
+      val inter = Mask.intersect(group.toSeq.sortBy(_.mask_id).map(row => store.loadPath(row.path)))
+      sameIndex(ChiRegistry.AggIdBase + img, ChiIndex.build(inter, cfg))
+    }
   }
 
   test("building loads each mask exactly once") {
