@@ -7,7 +7,7 @@ import repro.bench._
 /** Shared SparkSession factory for the spark-submit entrypoints. */
 object JobSession {
   def create(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

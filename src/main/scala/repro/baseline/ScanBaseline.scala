@@ -11,6 +11,10 @@ import repro.store.{CatalogRow, MaskStore}
   * of them are bottlenecked on mask loading and load the full targeted set
   * (Table 2); this engine reproduces exactly that behaviour as a distributed
   * scan, with loads counted by the store.
+  *
+  * It is the reference every engine test and the benchmark check answers
+  * against, so it does not run on the [[repro.core.Kernel]]: a reference
+  * that shares the code it checks would hide that code's bugs.
   */
 object ScanBaseline {
 
@@ -23,29 +27,17 @@ object ScanBaseline {
     import spark.implicits._
     catalog
       .as[CatalogRow]
-      .mapPartitions { rows =>
-        rows.map { r =>
-          val m = store.loadPath(r.path)
-          (r, expr.eval(t => m.cp(t.roi.resolve(r), t.range)))
-        }
-      }
+      .map(r => (r, expr.exact(r, store.loadPath(r.path))))
       .collect()
   }
 
   /** Mask selection: `WHERE pred`. */
   def filterMasks(catalog: DataFrame, pred: Predicate, store: MaskStore): FilterVerifyResult = {
-    val spark = catalog.sparkSession
-    import spark.implicits._
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
-    val rows = catalog
-      .as[CatalogRow]
-      .mapPartitions(rs => rs.filter(r => pred.evalExact(r, store.loadPath(r.path))))
-      .collect()
-    val n = catalog.count()
+    val meter = new Meter(store)
+    val vals = exactValues(catalog, pred.expr, store)
     FilterVerifyResult(
-      rows.sortBy(_.mask_id),
-      QueryStats(n, 0, 0, n, store.loads.value - loadsBefore, (System.nanoTime() - t0) / 1_000_000),
+      vals.collect { case (r, v) if pred.op.holds(v, pred.threshold) => r }.sortBy(_.mask_id),
+      meter.stats(vals.length, 0, vals.length),
     )
   }
 
@@ -57,17 +49,12 @@ object ScanBaseline {
       descending: Boolean,
       store: MaskStore,
   ): TopKResult = {
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
+    val meter = new Meter(store)
     val vals = exactValues(catalog, expr, store)
     val ordered =
       if (descending) vals.sortBy { case (r, v) => (-v, r.mask_id) }
       else vals.sortBy { case (r, v) => (v, r.mask_id) }
-    TopKResult(
-      ordered.take(k),
-      QueryStats(vals.length, 0, 0, vals.length, store.loads.value - loadsBefore,
-        (System.nanoTime() - t0) / 1_000_000),
-    )
+    TopKResult(ordered.take(k), meter.stats(vals.length, 0, vals.length))
   }
 
   private def exactGroupValues(
@@ -85,16 +72,11 @@ object ScanBaseline {
       threshold: Double,
       store: MaskStore,
   ): GroupFilterResult = {
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
+    val meter = new Meter(store)
     val vals = exactGroupValues(catalog, value, store)
-    val pass = vals.collect {
-      case (g, v) if (op == Gt && v > threshold) || (op == Lt && v < threshold) => g
-    }
     GroupFilterResult(
-      pass.sorted,
-      QueryStats(vals.length, 0, 0, vals.length, store.loads.value - loadsBefore,
-        (System.nanoTime() - t0) / 1_000_000),
+      vals.collect { case (g, v) if op.holds(v, threshold) => g }.sorted,
+      meter.stats(vals.length, 0, vals.length),
     )
   }
 
@@ -106,16 +88,11 @@ object ScanBaseline {
       descending: Boolean,
       store: MaskStore,
   ): GroupTopKResult = {
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
+    val meter = new Meter(store)
     val vals = exactGroupValues(catalog, value, store)
     val ordered =
       if (descending) vals.sortBy { case (g, v) => (-v, g) }
       else vals.sortBy { case (g, v) => (v, g) }
-    GroupTopKResult(
-      ordered.take(k),
-      QueryStats(vals.length, 0, 0, vals.length, store.loads.value - loadsBefore,
-        (System.nanoTime() - t0) / 1_000_000),
-    )
+    GroupTopKResult(ordered.take(k), meter.stats(vals.length, 0, vals.length))
   }
 }

@@ -45,16 +45,25 @@ sealed trait GroupValue extends Serializable {
   def exact(rows: Seq[CatalogRow], load: CatalogRow => Mask): Double
 }
 
+/** `expr` over a group of one mask: a per-mask query as a group query. An
+  * unindexed mask gets the trivial bounds `[0, |roi|]` per term.
+  */
+final case class MaskValue(expr: CpExpr) extends GroupValue {
+  def bounds(rows: Seq[CatalogRow], chi: ChiRegistry): (Double, Double) =
+    Predicate.rowBounds(expr, rows.head, chi.get(rows.head.mask_id))
+
+  def exact(rows: Seq[CatalogRow], load: CatalogRow => Mask): Double = expr.exact(rows.head, load(rows.head))
+}
+
 /** `SCALAR_AGG(expr over each mask of the group)`. */
 final case class ScalarAggValue(agg: ScalarAgg, expr: CpExpr) extends GroupValue {
+  private val mask = MaskValue(expr)
+
   def bounds(rows: Seq[CatalogRow], chi: ChiRegistry): (Double, Double) =
-    agg.bounds(rows.map(r => Predicate.rowBounds(expr, r, chi.get(r.mask_id))))
+    agg.bounds(rows.map(r => mask.bounds(Seq(r), chi)))
 
   def exact(rows: Seq[CatalogRow], load: CatalogRow => Mask): Double =
-    agg.exact(rows.map { r =>
-      val m = load(r)
-      expr.eval(t => m.cp(t.roi.resolve(r), t.range))
-    })
+    agg.exact(rows.map(r => mask.exact(Seq(r), load)))
 }
 
 /** `CP(INTERSECT(masks of the group), roi, range)` where INTERSECT is the
@@ -115,33 +124,15 @@ final case class GroupTopKResult(groups: Array[(Long, Double)], stats: QueryStat
 }
 
 /** Filter–verification execution for group-by-image queries (§3.4): the
-  * filter stage classifies whole groups from index-only group bounds; the
-  * verification stage loads *all* masks of the surviving groups (the exact
-  * group value needs every member, matching the paper's Q4/Q5 load counts).
+  * [[Kernel]]'s policies with every image a unit. A group's bounds come from
+  * the index alone; verifying a group loads *all* its masks (the exact group
+  * value needs every member, matching the paper's Q4/Q5 load counts).
   */
 object Aggregation {
 
-  /** Per-group bounds from the index alone (no loads). */
-  private def groupBounds(
-      groups: ImageGroups,
-      value: GroupValue,
-      chi: Broadcast[ChiRegistry],
-  ): Array[(Long, Double, Double, Int)] =
-    groups.map { (img, rows) =>
-      val (lo, hi) = value.bounds(rows, chi.value)
-      (img, lo, hi, rows.size)
-    }
-
-  /** Exact group values for the given group ids (loads every member mask). */
-  private def verifyGroups(
-      groups: ImageGroups,
-      value: GroupValue,
-      groupIds: Set[Long],
-      store: MaskStore,
-  ): Array[(Long, Double)] =
-    groups.filter(groupIds).map((img, rows) => (img, value.exact(rows, r => store.loadPath(r.path))))
-
-  /** `HAVING value op T` over groups. Returns the qualifying image ids. */
+  /** `HAVING value op T` over groups, bounds and verification fused in one
+    * job. Returns the qualifying image ids.
+    */
   def filterGroups(
       catalog: DataFrame,
       value: GroupValue,
@@ -150,36 +141,17 @@ object Aggregation {
       store: MaskStore,
       chi: Broadcast[ChiRegistry],
   ): GroupFilterResult = {
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
-    val pred = Predicate(CpExpr.term(FullRoi, 0, 1), op, threshold) // classify() only
-    val groups = ImageGroups(catalog)
-    val gb = groupBounds(groups, value, chi)
-
-    val direct = gb.collect { case (g, lo, hi, _) if pred.classify(lo, hi) == FilterOutcome.Pass => g }
-    val uncertain = gb.collect { case (g, lo, hi, _) if pred.classify(lo, hi) == FilterOutcome.Uncertain => g }
-    val nPruned = gb.length - direct.length - uncertain.length
-
-    val verified = verifyGroups(groups, value, uncertain.toSet, store).collect {
-      case (g, v) if (op == Gt && v > threshold) || (op == Lt && v < threshold) => g
+    val meter = new Meter(store)
+    val verdicts = ImageGroups(catalog).map { (img, rows) =>
+      val (c, passed) = Kernel.threshold(op, threshold, Some(value.bounds(rows, chi.value)))(
+        value.exact(rows, r => store.loadPath(r.path)))
+      (img, c, passed)
     }
-
-    GroupFilterResult(
-      (direct ++ verified).sorted,
-      QueryStats(
-        nTargeted = gb.length,
-        nPruned = nPruned,
-        nDirect = direct.length,
-        nUncertain = uncertain.length,
-        masksLoaded = store.loads.value - loadsBefore,
-        elapsedMs = (System.nanoTime() - t0) / 1_000_000,
-      ),
-    )
+    GroupFilterResult(verdicts.collect { case (g, _, true) => g }.sorted, meter.stats(verdicts.map(_._2)))
   }
 
-  /** Top-k groups by `value` (two-phase variant of §3.5, as in [[TopK]]:
-    * seed with the k groups ranked best by bound, take τ from their exact
-    * values, prune the rest against τ).
+  /** Top-k groups by `value`: the bounds in one job, then each verification
+    * round in another over the groups it loads.
     */
   def topKGroups(
       catalog: DataFrame,
@@ -189,48 +161,15 @@ object Aggregation {
       store: MaskStore,
       chi: Broadcast[ChiRegistry],
   ): GroupTopKResult = {
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
+    val meter = new Meter(store)
     val groups = ImageGroups(catalog)
-    val gb = groupBounds(groups, value, chi)
-
-    // Point bounds pin a group's exact value from the index alone — no load.
-    def resolve(bounded: Array[(Long, Double, Double, Int)]): Array[(Long, Double)] = {
-      val (known, unknown) = bounded.partition(g => g._2 == g._3)
-      known.map(g => (g._1, g._2)) ++ verifyGroups(groups, value, unknown.map(_._1).toSet, store)
+    val bounded = groups.map { (img, rows) =>
+      val (lo, hi) = value.bounds(rows, chi.value)
+      (img, lo, hi)
     }
-
-    val exact: Array[(Long, Double)] =
-      if (gb.length <= k) resolve(gb)
-      else {
-        val ranked =
-          if (descending) gb.sortBy { case (g, _, hi, _) => (-hi, g) }
-          else gb.sortBy { case (g, lo, _, _) => (lo, g) }
-        val seed = resolve(ranked.take(k))
-        val tau =
-          if (descending) seed.map(_._2).sorted(Ordering[Double].reverse).apply(k - 1)
-          else seed.map(_._2).sorted.apply(k - 1)
-        val rest = ranked.drop(k)
-        val candidates =
-          if (descending) rest.filter { case (_, _, hi, _) => hi >= tau }
-          else rest.filter { case (_, lo, _, _) => lo <= tau }
-        seed ++ resolve(candidates)
-      }
-
-    val ordered =
-      if (descending) exact.sortBy { case (g, v) => (-v, g) }
-      else exact.sortBy { case (g, v) => (v, g) }
-
-    GroupTopKResult(
-      ordered.take(k),
-      QueryStats(
-        nTargeted = gb.length,
-        nPruned = gb.length - exact.length,
-        nDirect = 0,
-        nUncertain = exact.length,
-        masksLoaded = store.loads.value - loadsBefore,
-        elapsedMs = (System.nanoTime() - t0) / 1_000_000,
-      ),
-    )
+    val (top, stats) = Kernel.topK(bounded, identity[Long], k, descending, meter) { ids =>
+      groups.filter(ids.toSet).map((img, rows) => (img, value.exact(rows, r => store.loadPath(r.path))))
+    }
+    GroupTopKResult(top, stats)
   }
 }

@@ -5,21 +5,6 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.store.{CatalogRow, MaskStore}
 
-/** Per-query execution statistics — the quantities the paper reports: the
-  * number of masks loaded from disk (Table 2) and the fraction of masks
-  * loaded, FML (§4.4), plus the Case 1/2/3 split of the filter stage.
-  */
-final case class QueryStats(
-    nTargeted: Long,
-    nPruned: Long,
-    nDirect: Long,
-    nUncertain: Long,
-    masksLoaded: Long,
-    elapsedMs: Long,
-) {
-  def fml: Double = if (nTargeted == 0) 0.0 else masksLoaded.toDouble / nTargeted
-}
-
 /** Result of a mask-selection query: the catalog rows of the masks that
   * satisfy the predicate, plus execution statistics.
   */
@@ -32,7 +17,8 @@ final case class FilterVerifyResult(rows: Array[CatalogRow], stats: QueryStats) 
 }
 
 /** The paper's filter–verification query execution framework (§3.2) for
-  * mask-selection predicates.
+  * mask-selection predicates: the [[Kernel]]'s threshold policy with every
+  * mask its own unit.
   *
   * Filter stage: a distributed DataFrame scan over the *catalog only* (no
   * mask bytes) classifies every targeted mask via its CHI bounds into
@@ -50,43 +36,26 @@ object FilterVerify {
   ): FilterVerifyResult = {
     val spark = catalog.sparkSession
     import spark.implicits._
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
+    val meter = new Meter(store)
+    val value = MaskValue(pred.expr)
 
     // Both stages fused in one distributed pass: every task classifies its
     // masks from the broadcast CHI (no disk) and immediately verifies the
     // uncertain ones by loading them — the mask-level parallelism of §3.2.1
     // with a single job's scheduling overhead.
-    val classified = catalog
+    val verdicts = catalog
       .as[CatalogRow]
       .mapPartitions { rows =>
         rows.map { r =>
-          val outcome = pred.classifyRow(r, chi.value.get(r.mask_id))
-          val passed = outcome match {
-            case FilterOutcome.Pass      => true
-            case FilterOutcome.Fail      => false
-            case FilterOutcome.Uncertain => pred.evalExact(r, store.loadPath(r.path))
-          }
-          (r, outcome, passed)
+          val unit = Seq(r)
+          val (c, passed) = Kernel.threshold(pred.op, pred.threshold, Some(value.bounds(unit, chi.value)))(
+            value.exact(unit, u => store.loadPath(u.path)))
+          (r, c, passed)
         }
       }
       .collect() // catalog metadata only — small relative to mask bytes
 
-    val nDirect = classified.count(_._2 == FilterOutcome.Pass)
-    val nUncertain = classified.count(_._2 == FilterOutcome.Uncertain)
-
-    val elapsed = (System.nanoTime() - t0) / 1_000_000
-    FilterVerifyResult(
-      classified.collect { case (r, _, true) => r }.sortBy(_.mask_id),
-      QueryStats(
-        nTargeted = classified.length,
-        nPruned = classified.length - nDirect - nUncertain,
-        nDirect = nDirect,
-        nUncertain = nUncertain,
-        masksLoaded = store.loads.value - loadsBefore,
-        elapsedMs = elapsed,
-      ),
-    )
+    FilterVerifyResult(verdicts.collect { case (r, _, true) => r }.sortBy(_.mask_id), meter.stats(verdicts.map(_._2)))
   }
 
   /** Bounds of `expr` for every targeted mask — used by the bench that

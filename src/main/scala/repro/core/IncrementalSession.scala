@@ -1,21 +1,17 @@
 package repro.core
 
-import scala.collection.mutable
-
 import org.apache.spark.sql.SparkSession
 
 import repro.store.{CatalogRow, MaskStore}
 
 /** A MaskSearch session with incremental indexing (§3.6) — the paper's MS-II.
   *
-  * The session starts with an empty (or previously persisted) registry. Each
-  * query splits its targeted masks into indexed and unindexed:
-  *
-  *  - indexed masks go through the normal filter–verification path (bounds on
-  *    the driver-held registry, uncertain ones loaded and verified);
-  *  - unindexed masks are answered the baseline way — loaded from disk and
-  *    evaluated exactly — and their CHI is built as a side effect of the load
-  *    and merged into the registry for future queries.
+  * The session starts with an empty (or previously persisted) registry and
+  * runs the [[Kernel]]'s threshold policy with every mask its own unit. An
+  * indexed mask is classified from its bounds on the driver; a mask the
+  * session has not indexed yet is always Case 3, answered the baseline way
+  * — loaded from disk and evaluated exactly — and its CHI is built as a side
+  * effect of that load and added to the registry for future queries.
   *
   * So the cost of indexing a mask is paid at most once, and only if some
   * query actually touches the mask. `persist` saves the registry for future
@@ -27,72 +23,45 @@ final class IncrementalSession(
     val cfg: ChiConfig,
 ) {
 
-  private val registry = mutable.Map.empty[Long, ChiIndex]
+  private var registry = ChiRegistry.empty(cfg)
 
   def indexedCount: Int = registry.size
 
-  def preload(r: ChiRegistry): Unit = registry ++= r.indexes
+  def preload(r: ChiRegistry): Unit = registry = registry ++ r.indexes.values
 
-  /** A snapshot of the current registry. */
-  def snapshot: ChiRegistry = new ChiRegistry(cfg, registry.toMap)
+  /** The current registry (immutable: later queries do not change it). */
+  def snapshot: ChiRegistry = registry
 
   /** Execute a Filter query over the given targeted catalog rows. */
   def runFilter(target: Seq[CatalogRow], pred: Predicate): FilterVerifyResult = {
-    import spark.implicits._
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
+    val meter = new Meter(store)
+    val value = MaskValue(pred.expr)
+    val reg = registry
+    val cases = target.map { r =>
+      (r, Kernel.classify(pred.op, pred.threshold, Option.when(reg.contains(r.mask_id))(value.bounds(Seq(r), reg))))
+    }
+    val open = cases.collect { case (r, FilterOutcome.Uncertain) => (r, reg.contains(r.mask_id)) }
 
-    val (indexed, unindexed) = target.partition(r => registry.contains(r.mask_id))
-
-    // Local copies so task closures don't capture `this` (holds SparkSession).
-    val cfgLocal = cfg
-    val storeLocal = store
-    val predLocal = pred
-
-    // Indexed masks: standard filter stage on the driver-held registry.
-    val classified = indexed.map(r => (r, pred.classifyRow(r, registry.get(r.mask_id))))
-    val direct = classified.collect { case (r, s) if s == FilterOutcome.Pass => r }
-    val uncertain = classified.collect { case (r, s) if s == FilterOutcome.Uncertain => r }
-    val nPruned = indexed.size - direct.size - uncertain.size
-
-    val verified: Array[CatalogRow] =
-      if (uncertain.isEmpty) Array.empty
+    // One job loads every Case 3 mask, verifies it, and indexes the ones
+    // the session has not indexed yet. Local copies keep the task closure
+    // from capturing `this`, which holds the SparkSession.
+    val (storeLocal, cfgLocal) = (store, cfg)
+    val checked =
+      if (open.isEmpty) Array.empty[(CatalogRow, Boolean, Option[ChiIndex])]
       else
-        spark
-          .createDataset(uncertain.toIndexedSeq)
-          .mapPartitions(rows => rows.filter(r => predLocal.evalExact(r, storeLocal.loadPath(r.path))))
-          .collect()
-
-    // Unindexed masks: load, evaluate exactly, and build their CHI en route.
-    val fresh: Array[(CatalogRow, Boolean, Long, Int, Int, Array[Int])] =
-      if (unindexed.isEmpty) Array.empty
-      else
-        spark
-          .createDataset(unindexed.toIndexedSeq)
-          .mapPartitions { rows =>
-            rows.map { r =>
-              val m = storeLocal.loadPath(r.path)
-              val idx = ChiIndex.build(m, cfgLocal)
-              (r, predLocal.evalExact(r, m), idx.maskId, idx.w, idx.h, idx.counts)
-            }
+        spark.sparkContext
+          .parallelize(open)
+          .map { case (r, indexed) =>
+            val m = storeLocal.loadPath(r.path)
+            (r, pred.op.holds(value.exact(Seq(r), _ => m), pred.threshold), Option.unless(indexed)(ChiIndex.build(m, cfgLocal)))
           }
           .collect()
-
-    fresh.foreach { case (_, _, id, w, h, counts) =>
-      registry.update(id, new ChiIndex(id, w, h, cfg, counts))
-    }
-    val freshPass = fresh.collect { case (r, true, _, _, _, _) => r }
+    registry = registry ++ checked.flatMap(_._3)
 
     FilterVerifyResult(
-      (direct ++ verified ++ freshPass).sortBy(_.mask_id).toArray,
-      QueryStats(
-        nTargeted = target.size,
-        nPruned = nPruned,
-        nDirect = direct.size,
-        nUncertain = uncertain.size + unindexed.size,
-        masksLoaded = store.loads.value - loadsBefore,
-        elapsedMs = (System.nanoTime() - t0) / 1_000_000,
-      ),
+      (cases.collect { case (r, FilterOutcome.Pass) => r } ++ checked.collect { case (r, true, _) => r })
+        .sortBy(_.mask_id).toArray,
+      meter.stats(cases.map(_._2)),
     )
   }
 

@@ -44,6 +44,9 @@ sealed trait CpExpr extends Serializable {
     case CpScale(c, e) => c * e.eval(cp)
   }
 
+  /** Exact value for one loaded mask and its catalog row. */
+  def exact(row: CatalogRow, mask: Mask): Double = eval(t => mask.cp(t.roi.resolve(row), t.range))
+
   /** Interval bounds given per-term bounds. */
   def bounds(cp: CpTerm => CpBounds): (Double, Double) = this match {
     case CpTermExpr(t) =>
@@ -70,7 +73,29 @@ object CpExpr {
 }
 
 /** Comparison operator of a one-sided predicate. */
-sealed trait CmpOp extends Serializable
+sealed trait CmpOp extends Serializable {
+
+  /** `v op t` for an exact value. */
+  def holds(v: Double, t: Double): Boolean = this match {
+    case Gt => v > t
+    case Lt => v < t
+  }
+
+  /** Filter-stage case of a value known to lie in `[lower, upper]`
+    * (§3.2.1 step 2 and its §3.3 mirror for `<`). Conservative on ties,
+    * matching the strict inequalities of the paper's three cases.
+    */
+  def classify(lower: Double, upper: Double, t: Double): Int = this match {
+    case Gt =>
+      if (upper <= t) FilterOutcome.Fail
+      else if (lower > t) FilterOutcome.Pass
+      else FilterOutcome.Uncertain
+    case Lt =>
+      if (lower >= t) FilterOutcome.Fail
+      else if (upper < t) FilterOutcome.Pass
+      else FilterOutcome.Uncertain
+  }
+}
 case object Gt extends CmpOp
 case object Lt extends CmpOp
 
@@ -85,28 +110,10 @@ object FilterOutcome {
 final case class Predicate(expr: CpExpr, op: CmpOp, threshold: Double) {
 
   /** Exact evaluation for a loaded mask. */
-  def evalExact(row: CatalogRow, mask: Mask): Boolean = {
-    val v = expr.eval(t => mask.cp(t.roi.resolve(row), t.range))
-    op match {
-      case Gt => v > threshold
-      case Lt => v < threshold
-    }
-  }
+  def evalExact(row: CatalogRow, mask: Mask): Boolean = op.holds(expr.exact(row, mask), threshold)
 
-  /** Filter-stage classification from CHI bounds (§3.2.1 step 2 and its §3.3
-    * mirror for `<`). Conservative on ties, matching the strict inequalities
-    * of the paper's three cases.
-    */
-  def classify(lower: Double, upper: Double): Int = op match {
-    case Gt =>
-      if (upper <= threshold) FilterOutcome.Fail
-      else if (lower > threshold) FilterOutcome.Pass
-      else FilterOutcome.Uncertain
-    case Lt =>
-      if (lower >= threshold) FilterOutcome.Fail
-      else if (upper < threshold) FilterOutcome.Pass
-      else FilterOutcome.Uncertain
-  }
+  /** Filter-stage classification from CHI bounds ([[CmpOp.classify]]). */
+  def classify(lower: Double, upper: Double): Int = op.classify(lower, upper, threshold)
 
   /** Classification for one catalog row via its CHI (absent index ⇒ trivially
     * uncertain bounds `[0, |roi|]`).

@@ -10,20 +10,11 @@ final case class TopKResult(rows: Array[(CatalogRow, Double)], stats: QueryStats
   def maskIds: Array[Long] = rows.map(_._1.mask_id)
 }
 
-/** Bound-pruned top-k execution (§3.5).
-  *
-  * The paper processes masks sequentially: the running top-k set R holds
-  * *exact* CP values of loaded masks, and a mask is pruned when its upper
-  * bound cannot beat min(R). The dataflow-friendly two-phase equivalent used
-  * here: (1) compute index-only bounds for every mask, seed R with the k
-  * masks ranked best by upper bound and compute their exact values — giving
-  * the same exact threshold τ = k-th best value the sequential pass would
-  * converge to; (2) prune every remaining mask whose upper bound is strictly
-  * worse than τ and verify the survivors. Identical guarantees: a pruned
-  * mask is strictly worse than k masks with exact value ≥ τ.
-  *
-  * Ties are broken by ascending `mask_id` (mirrored in the baseline so result
-  * sets are comparable).
+/** Bound-pruned top-k over masks (§3.5): the [[Kernel]]'s top-k policy with
+  * every mask its own unit. The filter stage computes index-only bounds for
+  * every targeted mask in one Spark job; each verification round loads its
+  * masks in another. Ties are broken by ascending `mask_id` (mirrored in the
+  * baseline so result sets are comparable).
   */
 object TopK {
 
@@ -37,74 +28,21 @@ object TopK {
   ): TopKResult = {
     val spark = catalog.sparkSession
     import spark.implicits._
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
+    val meter = new Meter(store)
+    val value = MaskValue(expr)
 
-    // Filter stage: index-only bounds for every targeted mask.
-    val bounds = catalog
+    val bounded = catalog
       .as[CatalogRow]
       .map { r =>
-        val (lo, hi) = Predicate.rowBounds(expr, r, chi.value.get(r.mask_id))
+        val (lo, hi) = value.bounds(Seq(r), chi.value)
         (r, lo, hi)
       }
       .collect()
 
-    def verify(rows: Array[CatalogRow]): Array[(CatalogRow, Double)] =
+    val (top, stats) = Kernel.topK(bounded, (r: CatalogRow) => r.mask_id, k, descending, meter) { rows =>
       if (rows.isEmpty) Array.empty
-      else
-        spark
-          .createDataset(rows.toIndexedSeq)
-          .mapPartitions { rs =>
-            rs.map { r =>
-              val m = store.loadPath(r.path)
-              (r, expr.eval(t => m.cp(t.roi.resolve(r), t.range)))
-            }
-          }
-          .collect()
-
-    // Point bounds (lower == upper) pin the exact value from the index alone
-    // — the top-k analogue of the filter stage's Case 1/2: no load needed.
-    def resolve(rows: Array[(CatalogRow, Double, Double)]): Array[(CatalogRow, Double)] = {
-      val (known, unknown) = rows.partition(t => t._2 == t._3)
-      known.map(t => (t._1, t._2)) ++ verify(unknown.map(_._1))
+      else spark.createDataset(rows.toIndexedSeq).map(r => (r, value.exact(Seq(r), u => store.loadPath(u.path)))).collect()
     }
-
-    val exact: Array[(CatalogRow, Double)] =
-      if (bounds.length <= k) resolve(bounds)
-      else {
-        // Phase 1: seed with the k most promising masks (by upper bound for
-        // descending order, lower bound for ascending) and get exact values.
-        val ranked =
-          if (descending) bounds.sortBy { case (r, _, hi) => (-hi, r.mask_id) }
-          else bounds.sortBy { case (r, lo, _) => (lo, r.mask_id) }
-        val seed = resolve(ranked.take(k))
-        val tau =
-          if (descending) seed.map(_._2).sorted(Ordering[Double].reverse).apply(k - 1)
-          else seed.map(_._2).sorted.apply(k - 1)
-        // Phase 2: a remaining mask survives only if its bound can meet τ.
-        val rest = ranked.drop(k)
-        val candidates =
-          if (descending) rest.filter { case (_, _, hi) => hi >= tau }
-          else rest.filter { case (_, lo, _) => lo <= tau }
-        seed ++ resolve(candidates)
-      }
-
-    val ordered =
-      if (descending) exact.sortBy { case (r, v) => (-v, r.mask_id) }
-      else exact.sortBy { case (r, v) => (v, r.mask_id) }
-    val top = ordered.take(k)
-
-    val elapsed = (System.nanoTime() - t0) / 1_000_000
-    TopKResult(
-      top,
-      QueryStats(
-        nTargeted = bounds.length,
-        nPruned = bounds.length - exact.length,
-        nDirect = 0,
-        nUncertain = exact.length,
-        masksLoaded = store.loads.value - loadsBefore,
-        elapsedMs = elapsed,
-      ),
-    )
+    TopKResult(top, stats)
   }
 }

@@ -26,6 +26,7 @@ class AggregationSpec extends SparkSpec {
     assert(ms.groupIds.toSeq == base.groupIds.toSeq, s"group top-$k mismatch ($value)")
     assert(ms.groups.map(_._2).toSeq == base.groups.map(_._2).toSeq)
     assert(ms.stats.masksLoaded <= base.stats.masksLoaded)
+    assert(ms.stats.masksLoaded == ms.stats.nUncertain * ds.nModels, "only verified groups are loaded")
     ms
   }
 

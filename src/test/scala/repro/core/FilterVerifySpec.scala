@@ -55,7 +55,7 @@ class FilterVerifySpec extends SparkSpec {
 
   test("trivially-false predicate prunes everything with zero loads") {
     val area = ds.w.toLong * ds.h
-    val res = FilterVerify.execute(catalogM1, Predicate(CpExpr.term(FullRoi, 0.0, 1.0), Gt, area + 1), store, chiBc)
+    val res = FilterVerify.execute(catalogM1, Predicate(CpExpr.term(FullRoi, 0.0, 1.0), Gt, (area + 1).toDouble), store, chiBc)
     assert(res.rows.isEmpty && res.stats.masksLoaded == 0)
   }
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{SparkSpec, TestData}
+import repro.{SparkSpec, StageTasks, TestData}
 import repro.baseline.ScanBaseline
 import repro.store.CatalogRow
 
@@ -82,5 +82,14 @@ class IncrementalSessionSpec extends SparkSpec {
     assert(st.nTargeted == 45)
     // 15 unindexed masks were loaded + however many indexed ones were uncertain.
     assert(st.masksLoaded >= 15 && st.masksLoaded <= 45)
+  }
+
+  test("one stage loads, verifies and indexes a query's masks") {
+    val s = new IncrementalSession(spark, store, cfg)
+    s.runFilter(allRows.take(30), pred(30))
+    val (res, stages) = StageTasks.updating(spark, store.loads)(s.runFilter(allRows, pred(35)))
+    assert(res.stats.masksLoaded >= allRows.size - 30)
+    assert(s.indexedCount == allRows.size)
+    assert(stages.size == 1, s"mask-loading stages ran ${stages.mkString(", ")} task(s)")
   }
 }

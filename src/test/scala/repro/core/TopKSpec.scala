@@ -13,6 +13,7 @@ class TopKSpec extends SparkSpec {
     assert(ms.maskIds.toSeq == base.maskIds.toSeq, s"top-$k desc=$descending mismatch")
     assert(ms.rows.map(_._2).toSeq == base.rows.map(_._2).toSeq, "values mismatch")
     assert(ms.stats.masksLoaded <= base.stats.masksLoaded)
+    assert(ms.stats.masksLoaded == ms.stats.nUncertain, "only verified masks are loaded")
     ms
   }
 
