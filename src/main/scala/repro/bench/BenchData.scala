@@ -71,6 +71,20 @@ object BenchData {
 
   private val cache = scala.collection.mutable.Map.empty[String, Loaded]
 
+  /** The registry persisted at `path` when it is current
+    * ([[ChiRegistry.isCurrent]]), with build time 0; otherwise `build` it,
+    * persist it there and return it with its build time in ms.
+    */
+  def cachedRegistry(spark: SparkSession, path: String)(build: => ChiRegistry): (ChiRegistry, Long) =
+    if (Files.exists(Paths.get(path)) && ChiRegistry.isCurrent(spark, path)) (ChiRegistry.load(spark, path), 0L)
+    else {
+      val t0 = System.nanoTime()
+      val r = build
+      val ms = (System.nanoTime() - t0) / 1_000_000
+      ChiRegistry.save(spark, r, path)
+      (r, ms)
+    }
+
   /** Materialise masks and build (or reload) the CHI registry. The registry
     * is persisted next to the data so repeated bench suites skip the build;
     * `buildMs` always reports the cost of a fresh build when one happened,
@@ -84,14 +98,7 @@ object BenchData {
       catalog.count()
       val chiPath = s"${bd.baseDir}/chi-${bd.cfg.cellW}x${bd.cfg.cellH}x${bd.cfg.bins}"
       val (registry, buildMs) =
-        if (Files.exists(Paths.get(chiPath))) (ChiRegistry.load(spark, chiPath), 0L)
-        else {
-          val t0 = System.nanoTime()
-          val r = ChiRegistry.buildWithAggregates(spark, catalog, store, bd.cfg)
-          val ms = (System.nanoTime() - t0) / 1_000_000
-          ChiRegistry.save(spark, r, chiPath)
-          (r, ms)
-        }
+        cachedRegistry(spark, chiPath)(ChiRegistry.buildWithAggregates(spark, catalog, store, bd.cfg))
       store.resetLoads()
       Loaded(bd, store, catalog, registry, ChiRegistry.broadcast(spark, registry), buildMs)
     })

@@ -5,7 +5,7 @@ import org.apache.spark.sql.catalyst.expressions._
 import org.apache.spark.sql.catalyst.plans.logical.{Filter, LogicalPlan}
 import org.apache.spark.sql.catalyst.rules.Rule
 
-import repro.core.ChiRegistry
+import repro.core.{ChiRegistry, CmpOp, Gt, Lt}
 
 /** The filter–verification framework (§3.2) expressed as Catalyst predicate
   * pushdown: a logical-plan rule that rewrites
@@ -38,33 +38,27 @@ final case class ChiPushdownRule(registry: Broadcast[ChiRegistry]) extends Rule[
 
   private def rewritable(cp: CpMaskExpr): Boolean = !cp.verifyOnly
 
-  private def gt(cp: CpMaskExpr, t: Expression): Expression = {
-    val lower = ChiBoundExpr(boundChildren(cp), registry, upper = false)
-    val upper = ChiBoundExpr(boundChildren(cp), registry, upper = true)
-    Or(
-      GreaterThan(lower, t),
-      And(GreaterThan(upper, t), GreaterThan(cp.copy(verifyOnly = true), t)),
-    )
-  }
-
-  private def lt(cp: CpMaskExpr, t: Expression): Expression = {
-    val lower = ChiBoundExpr(boundChildren(cp), registry, upper = false)
-    val upper = ChiBoundExpr(boundChildren(cp), registry, upper = true)
-    Or(
-      LessThan(upper, t),
-      And(LessThan(lower, t), LessThan(cp.copy(verifyOnly = true), t)),
-    )
+  /** `cp op t` as filter–verification: one bound passes the row (Case 2), the
+    * other fails it (Case 1), and only the band between loads the mask (Case 3).
+    */
+  private def rewrite(cp: CpMaskExpr, op: CmpOp, t: Expression): Expression = {
+    def cmp(e: Expression): Expression = op match {
+      case Gt => GreaterThan(e, t)
+      case Lt => LessThan(e, t)
+    }
+    def bound(upper: Boolean) = ChiBoundExpr(boundChildren(cp), registry, upper)
+    Or(cmp(bound(upper = op == Lt)), And(cmp(bound(upper = op == Gt)), cmp(cp.copy(verifyOnly = true))))
   }
 
   override def apply(plan: LogicalPlan): LogicalPlan = plan.transform {
     case f @ Filter(cond, _) =>
       val rewritten = cond.transformUp {
         // cp > T  /  T < cp
-        case GreaterThan(cp: CpMaskExpr, t) if rewritable(cp) && t.deterministic => gt(cp, t)
-        case LessThan(t, cp: CpMaskExpr) if rewritable(cp) && t.deterministic   => gt(cp, t)
+        case GreaterThan(cp: CpMaskExpr, t) if rewritable(cp) && t.deterministic => rewrite(cp, Gt, t)
+        case LessThan(t, cp: CpMaskExpr) if rewritable(cp) && t.deterministic   => rewrite(cp, Gt, t)
         // cp < T  /  T > cp
-        case LessThan(cp: CpMaskExpr, t) if rewritable(cp) && t.deterministic   => lt(cp, t)
-        case GreaterThan(t, cp: CpMaskExpr) if rewritable(cp) && t.deterministic => lt(cp, t)
+        case LessThan(cp: CpMaskExpr, t) if rewritable(cp) && t.deterministic   => rewrite(cp, Lt, t)
+        case GreaterThan(t, cp: CpMaskExpr) if rewritable(cp) && t.deterministic => rewrite(cp, Lt, t)
       }
       if (rewritten fastEquals cond) f else f.copy(condition = rewritten)
   }

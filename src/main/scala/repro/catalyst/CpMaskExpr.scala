@@ -7,7 +7,7 @@ import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 
-import repro.core.{ChiRegistry, Roi, ValueRange}
+import repro.core.{ChiIndex, ChiRegistry, Roi, ValueRange}
 import repro.store.MaskStore
 
 /** Numeric coercion for expression arguments: SQL literals arrive as
@@ -83,7 +83,8 @@ final case class CpMaskExpr(
 /** Catalyst expression returning the CHI lower or upper bound of a CP call:
   * `chi_bound(mask_id, x1, y1, x2, y2, lv, uv) → BIGINT`. Index lookups only
   * — never touches mask files; masks absent from the registry fall back to
-  * the trivial bounds `[0, |roi|]` so the rewrite stays correct.
+  * the trivial bounds ([[ChiIndex.boundsOrTrivial]]) so the rewrite stays
+  * correct.
   */
 final case class ChiBoundExpr(
     children: Seq[Expression],
@@ -111,13 +112,8 @@ final case class ChiBoundExpr(
       toDoubleVal(children(5).eval(input)),
       toDoubleVal(children(6).eval(input)),
     )
-    registry.value.get(maskId) match {
-      case Some(idx) =>
-        val b = idx.bounds(roi, range)
-        if (upper) b.upper else b.lower
-      case None =>
-        if (upper) roi.area else 0L
-    }
+    val b = ChiIndex.boundsOrTrivial(registry.value.get(maskId), roi, range)
+    if (upper) b.upper else b.lower
   }
 
   override protected def withNewChildrenInternal(newChildren: IndexedSeq[Expression]): Expression =

@@ -85,13 +85,7 @@ final case class IntersectCpValue(roi: RoiSpec, range: ValueRange) extends Group
     val r0 = roi.resolve(rows.head)
     val area = r0.area
     if (t >= 1.0) return (0L, 0L)
-    val per = rows.map { row =>
-      val rr = roi.resolve(row)
-      chi.get(row.mask_id) match {
-        case Some(idx) => idx.bounds(rr, ValueRange(t, 1.0))
-        case None      => CpBounds(0L, rr.area)
-      }
-    }
+    val per = rows.map(row => ChiIndex.boundsOrTrivial(chi.get(row.mask_id), roi.resolve(row), ValueRange(t, 1.0)))
     val hi = per.map(_.upper).min
     val lo = math.max(0L, per.map(_.lower).sum - (rows.size - 1) * area)
     (math.min(lo, hi), hi)

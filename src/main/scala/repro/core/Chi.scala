@@ -9,8 +9,32 @@ package repro.core
 final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
   require(cellW >= 1 && cellH >= 1 && bins >= 1, s"bad CHI config $this")
 
-  /** Bucket width Δ. */
-  def delta: Double = 1.0 / bins
+  /** Lower edge of bin `b`; `boundary(bins) == 1.0` closes the last bin. The
+    * only definition of a bin edge: [[binOf]] and the two range selectors
+    * below decide against it, so the index build and the bounds agree.
+    */
+  def boundary(b: Int): Double = b.toDouble / bins
+
+  /** Every `boundary`, so the per-pixel [[binOf]] does no division. */
+  private val edges: Array[Double] = Array.tabulate(bins + 1)(boundary)
+
+  /** The `b` with `boundary(b) ≤ x < boundary(b + 1)`, for `x` in [0, 1). `x · bins`
+    * lands within one bin of it; one comparison with each neighbouring edge settles which.
+    */
+  private def bin(x: Double): Int = {
+    val b = (x * bins).toInt
+    if (x < edges(b)) b - 1 else if (x >= edges(b + 1)) b + 1 else b
+  }
+
+  /** The bin of a pixel value `v` in [0, 1) ([[Mask.checkDomain]]). */
+  def binOf(v: Float): Int = bin(v.toDouble)
+
+  /** Largest `b` with `boundary(b) ≤ x`, clamped to [0, bins]. */
+  def binAtOrBelow(x: Double): Int = if (x < 0) 0 else if (x >= 1) bins else bin(x)
+
+  /** Smallest `b` with `boundary(b) ≥ x`, clamped to [0, bins]. */
+  def binAtOrAbove(x: Double): Int =
+    if (x <= 0) 0 else if (x > 1) bins else { val b = binAtOrBelow(x); if (edges(b) == x) b else b + 1 }
 
   /** Uncompressed index size in bytes for one `w × h` mask (4 bytes/count,
     * interior corner cells only — the zero border row/column is implicit).
@@ -23,7 +47,7 @@ final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
   *
   * `H(cx, cy)(bin)` — stored flat in [[counts]] — is the number of pixels in
   * the top-left rectangle `((1,1), (xb(cx), yb(cy)))` whose value is at least
-  * `bin · Δ` (the paper's reverse cumulative sum, Eq. 1). Grid boundary
+  * `boundary(bin)` (the paper's reverse cumulative sum, Eq. 1). Grid boundary
   * coordinates are multiples of the cell size, with a final partial cell when
   * the mask dimension is not a multiple (`xb.last == w`). Index `cx = 0` /
   * `cy = 0` denotes the empty rectangle, so 2-D inclusion–exclusion (Eq. 2)
@@ -64,7 +88,8 @@ final class ChiIndex(
   /** `C(mask, r)` (Eq. 2): the reverse-cumulative histogram of the available
     * region `r`, computed by 2-D inclusion–exclusion over four index entries.
     * The returned array has `bins + 1` entries with `C(bins) == 0` so that the
-    * count of pixels with values in `[i·Δ, j·Δ)` is `C(i) - C(j)`.
+    * count of pixels with values in `[boundary(i), boundary(j))` is
+    * `C(i) - C(j)`.
     */
   def cHist(r: Roi): Array[Int] = {
     val cx1 = ChiIndex.boundaryIndex(xb, r.x1 - 1)
@@ -112,12 +137,11 @@ final class ChiIndex(
     * `range` align with cell/bin boundaries the bounds are exact.
     */
   def bounds(roi: Roi, range: ValueRange): CpBounds = {
-    val d = cfg.delta
-    // Outer value range [⌊lv/Δ⌋·Δ, ⌈uv/Δ⌉·Δ) ⊇ [lv, uv); inner ⊆ [lv, uv).
-    val binLoOuter = math.min(cfg.bins, math.max(0, math.floor(range.lv / d).toInt))
-    val binHiOuter = math.min(cfg.bins, math.max(0, math.ceil(range.uv / d).toInt))
-    val binLoInner = math.min(cfg.bins, math.max(0, math.ceil(range.lv / d).toInt))
-    val binHiInner = math.min(cfg.bins, math.max(0, math.floor(range.uv / d).toInt))
+    // Bins of the outer value range ⊇ [lv, uv) and of the inner one ⊆ [lv, uv).
+    val binLoOuter = cfg.binAtOrBelow(range.lv)
+    val binHiOuter = cfg.binAtOrAbove(range.uv)
+    val binLoInner = cfg.binAtOrAbove(range.lv)
+    val binHiInner = cfg.binAtOrBelow(range.uv)
 
     def outerCount(c: Array[Int]): Long = (c(binLoOuter) - c(binHiOuter)).toLong
     def innerCount(c: Array[Int]): Long =
@@ -149,21 +173,22 @@ final class ChiIndex(
 }
 
 /** A `[lower, upper]` interval that is guaranteed to contain the exact CP
-  * value. Supports the interval arithmetic used for generic monotone
-  * predicates (§3.3) and scalar aggregation (§3.4).
+  * value.
   */
 final case class CpBounds(lower: Long, upper: Long) {
   require(lower <= upper, s"inverted bounds [$lower, $upper]")
-  def +(o: CpBounds): CpBounds = CpBounds(lower + o.lower, upper + o.upper)
-  def -(o: CpBounds): CpBounds = CpBounds(lower - o.upper, upper - o.lower)
   def exact: Boolean = lower == upper
 }
 
-object CpBounds {
-  def point(v: Long): CpBounds = CpBounds(v, v)
-}
-
 object ChiIndex {
+
+  /** Bounds on `CP(mask, roi, range)` from the mask's index, or the trivial
+    * `[0, |roi|]` when the registry has none for it.
+    */
+  def boundsOrTrivial(chi: Option[ChiIndex], roi: Roi, range: ValueRange): CpBounds = chi match {
+    case Some(idx) => idx.bounds(roi, range)
+    case None      => CpBounds(0L, roi.area)
+  }
 
   /** Number of grid cells along a dimension of `dim` pixels (last may be partial). */
   def nCells(dim: Int, cell: Int): Int = (dim + cell - 1) / cell
@@ -197,6 +222,7 @@ object ChiIndex {
     * prefix sum along the spatial axes. O(w·h + cells·bins).
     */
   def build(mask: Mask, cfg: ChiConfig): ChiIndex = {
+    mask.checkDomain()
     val nCx = nCells(mask.w, cfg.cellW)
     val nCy = nCells(mask.h, cfg.cellH)
     val bins = cfg.bins
@@ -211,17 +237,13 @@ object ChiIndex {
       val rowBase = x * mask.h
       var y = 0
       while (y < mask.h) {
-        val v = mask.data(rowBase + y)
-        var bin = (v * bins).toInt
-        if (bin >= bins) bin = bins - 1
-        if (bin < 0) bin = 0
-        counts(off(cx, y / cfg.cellH) + bin) += 1
+        counts(off(cx, y / cfg.cellH) + cfg.binOf(mask.data(rowBase + y))) += 1
         y += 1
       }
       x += 1
     }
 
-    // 2. Suffix sum over bins: entry b becomes "count of pixels with value ≥ b·Δ".
+    // 2. Suffix sum over bins: entry b becomes "count of pixels with value ≥ boundary(b)".
     var cx = 0
     while (cx < nCx) {
       var cy = 0

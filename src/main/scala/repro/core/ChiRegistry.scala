@@ -81,27 +81,47 @@ object ChiRegistry {
     )
   }
 
-  /** Persist a registry as Parquet (`mask_id, w, h, counts` + config columns)
-    * — the paper's "persisted to disk for future sessions" (§3.6).
+  /** Version of the value-to-bin rule ([[ChiConfig.binOf]]) that persisted
+    * counts were built with. Registries saved before the rule was defined
+    * once in [[ChiConfig]] have no `binning` column: their counts put some
+    * boundary values one bin too high, so [[load]] rejects them.
+    */
+  val BinningVersion: Int = 2
+
+  /** Persist a registry as Parquet (`mask_id, w, h, counts` + config and
+    * `binning` columns) — the paper's "persisted to disk for future
+    * sessions" (§3.6).
     */
   def save(spark: SparkSession, registry: ChiRegistry, path: String): Unit = {
     import spark.implicits._
+    val cfg = registry.cfg
     registry.indexes.values.toSeq
-      .map(i => (i.maskId, i.w, i.h, registry.cfg.cellW, registry.cfg.cellH, registry.cfg.bins, i.counts))
-      .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "counts")
+      .map(i => (i.maskId, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, BinningVersion, i.counts))
+      .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts")
       .write.mode("overwrite").parquet(path)
   }
+
+  /** True iff the registry persisted at `path` carries a binning version,
+    * i.e. was saved since the value-to-bin rule was defined once.
+    */
+  def isCurrent(spark: SparkSession, path: String): Boolean =
+    spark.read.parquet(path).columns.contains("binning")
 
   /** Load a previously persisted registry. */
   def load(spark: SparkSession, path: String): ChiRegistry = {
     import spark.implicits._
+    require(isCurrent(spark, path),
+      s"CHI registry at $path has no binning version: it was built with an older value-to-bin rule; rebuild it")
     val rows = spark.read.parquet(path)
-      .select("mask_id", "w", "h", "cell_w", "cell_h", "bins", "counts")
-      .as[(Long, Int, Int, Int, Int, Int, Array[Int])]
+      .select("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts")
+      .as[(Long, Int, Int, Int, Int, Int, Int, Array[Int])]
       .collect()
     require(rows.nonEmpty, s"empty CHI registry at $path")
+    val versions = rows.map(_._7).distinct
+    require(versions.sameElements(Seq(BinningVersion)),
+      s"CHI registry at $path has binning version ${versions.mkString(", ")}, expected $BinningVersion; rebuild it")
     val cfg = ChiConfig(rows.head._4, rows.head._5, rows.head._6)
-    new ChiRegistry(cfg, rows.map { case (id, w, h, _, _, _, c) => id -> new ChiIndex(id, w, h, cfg, c) }.toMap)
+    new ChiRegistry(cfg, rows.map { case (id, w, h, _, _, _, _, c) => id -> new ChiIndex(id, w, h, cfg, c) }.toMap)
   }
 
   /** Broadcast helper. */

@@ -35,6 +35,15 @@ final case class ValueRange(lv: Double, uv: Double) {
 final case class Mask(id: Long, w: Int, h: Int, data: Array[Float]) {
   require(data.length == w * h, s"mask $id: ${data.length} pixels for ${w}x$h")
 
+  /** Fails unless every pixel lies in the domain [0, 1), which excludes NaN.
+    * A pixel outside it has no CHI bin and is never counted by [[cp]], so an
+    * index built over it would give unsound bounds.
+    */
+  def checkDomain(): Unit = {
+    val i = data.indexWhere(v => !(v >= 0f && v < 1f))
+    require(i < 0, s"mask $id: pixel value ${data(i)} at index $i is outside [0, 1)")
+  }
+
   /** Pixel value at 1-indexed coordinates. */
   def apply(x: Int, y: Int): Float = data((x - 1) * h + (y - 1))
 

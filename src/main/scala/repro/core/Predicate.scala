@@ -127,11 +127,5 @@ final case class Predicate(expr: CpExpr, op: CmpOp, threshold: Double) {
 object Predicate {
   /** Interval bounds of `expr` for one catalog row. */
   def rowBounds(expr: CpExpr, row: CatalogRow, chi: Option[ChiIndex]): (Double, Double) =
-    expr.bounds { t =>
-      val roi = t.roi.resolve(row)
-      chi match {
-        case Some(idx) => idx.bounds(roi, t.range)
-        case None      => CpBounds(0L, roi.area)
-      }
-    }
+    expr.bounds(t => ChiIndex.boundsOrTrivial(chi, t.roi.resolve(row), t.range))
 }

@@ -42,8 +42,9 @@ final class MaskStore(val base: String, val loads: LongAccumulator) extends Seri
     Mask(id, w, h, data)
   }
 
-  /** Write one mask (no load counted). */
+  /** Write one mask (no load counted); its pixels must lie in [0, 1). */
   def write(mask: Mask): Unit = {
+    mask.checkDomain()
     val f = new File(pathFor(mask.id))
     f.getParentFile.mkdirs()
     val buf = ByteBuffer.allocate(16 + 4 * mask.data.length).order(ByteOrder.LITTLE_ENDIAN)

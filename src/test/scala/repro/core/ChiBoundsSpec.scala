@@ -54,12 +54,21 @@ class ChiBoundsSpec extends AnyFunSuite {
     assert(b.lower == 0)
   }
 
-  test("CpBounds interval arithmetic") {
-    val a = CpBounds(2, 5); val b = CpBounds(1, 3)
-    assert(a + b == CpBounds(3, 8))
-    assert(a - b == CpBounds(-1, 4))
-    assert(CpBounds.point(7).exact)
+  test("CpBounds rejects an inverted interval") {
     intercept[IllegalArgumentException](CpBounds(3, 2))
+  }
+
+  test("a pixel of 0.7f is binned below the 0.7 edge, as CP counts it (b=10)") {
+    // 0.7f is 0.69999998 as a double: in [0.6, 0.7), not in [0.7, 0.8).
+    val m = Mask(5, 16, 16, Array.fill(256)(0.7f))
+    val idx = ChiIndex.build(m, ChiConfig(16, 16, 10))
+    for (range <- Seq(ValueRange(0.7, 0.8), ValueRange(0.0, 0.7), ValueRange(0.6, 0.7))) {
+      val exact = m.cp(Roi.full(16, 16), range)
+      val b = idx.bounds(Roi.full(16, 16), range)
+      assert(b.lower <= exact && exact <= b.upper, s"range=$range exact=$exact bounds=$b")
+    }
+    assert(m.cp(Roi.full(16, 16), ValueRange(0.7, 0.8)) == 0)
+    assert(m.cp(Roi.full(16, 16), ValueRange(0.0, 0.7)) == 256)
   }
 
   // Soundness: lower ≤ exact ≤ upper for randomized masks/configs/queries.
@@ -83,7 +92,7 @@ class ChiBoundsSpec extends AnyFunSuite {
   }
 
   // Exactness when everything aligns with cells and bins.
-  for ((w, cw, bins) <- Seq((16, 4, 4), (24, 8, 8), (32, 8, 16), (12, 4, 2))) {
+  for ((w, cw, bins) <- Seq((16, 4, 4), (24, 8, 8), (32, 8, 16), (12, 4, 2), (20, 4, 10), (24, 6, 20))) {
     test(s"aligned queries are exact: mask ${w}x$w cell $cw b=$bins") {
       val r = new java.util.Random(w + bins)
       val m = randomMask(2, w, w, w * 7L)
@@ -97,6 +106,44 @@ class ChiBoundsSpec extends AnyFunSuite {
         val range = ValueRange(b1.toDouble / bins, b2.toDouble / bins)
         val bnd = idx.bounds(roi, range)
         assert(bnd.exact && bnd.lower == m.cp(roi, range), s"roi=$roi range=$range")
+      }
+    }
+  }
+
+  // Every float within ±64 ulps of every bin edge: the adversarial pixels for
+  // a value-to-bin rule. Aligned ranges must give exact bounds over them, and
+  // ranges with an edge at one of them must still contain the exact CP.
+  for (bins <- Seq(5, 10, 16, 20)) {
+    test(s"bin-edge sweep: ±64 ulps of every edge b=$bins") {
+      val cfg = ChiConfig(4, 4, bins)
+      val vs = ((0 to bins).flatMap { k =>
+        val e = cfg.boundary(k).toFloat
+        Iterator.iterate(e)(Math.nextDown).take(65) ++ Iterator.iterate(e)(Math.nextUp).slice(1, 65)
+      } :+ -0.0f).filter(v => v >= 0f && v < 1f).distinct.toArray
+      for (v <- vs) {
+        val b = cfg.binOf(v)
+        assert(cfg.boundary(b) <= v && v < cfg.boundary(b + 1), s"binOf($v) = $b")
+      }
+      val h = 16
+      val w = (vs.length + h - 1) / h
+      val m = Mask(6, w, h, Array.tabulate(w * h)(i => vs(i % vs.length)))
+      val idx = ChiIndex.build(m, cfg)
+      val aligned = Seq(Roi.full(w, h), Roi(5, 5, 8, 12), Roi(1, 9, 4 * (w / 4), 16))
+      val unaligned = Seq(Roi(2, 3, w - 1, 14), Roi(3, 1, 3, 16))
+      def check(roi: Roi, range: ValueRange, exact: Boolean): Unit = {
+        val cp = m.cp(roi, range)
+        val b = idx.bounds(roi, range)
+        assert(b.lower <= cp && cp <= b.upper, s"roi=$roi range=$range exact=$cp bounds=$b")
+        if (exact) assert(b.exact, s"roi=$roi range=$range exact=$cp bounds=$b")
+      }
+      for (i <- 0 until bins; j <- i + 1 to bins) {
+        val range = ValueRange(cfg.boundary(i), cfg.boundary(j))
+        aligned.foreach(check(_, range, exact = true))
+        unaligned.foreach(check(_, range, exact = false))
+      }
+      for (v <- vs) {
+        check(Roi.full(w, h), ValueRange(v.toDouble, 1.0), exact = false)
+        check(Roi.full(w, h), ValueRange(0.0, v.toDouble), exact = false)
       }
     }
   }

@@ -135,4 +135,12 @@ class ChiIndexSpec extends AnyFunSuite {
     assert(idx.hLookup(1, 1, 1) == 2) // 0.5 and 0.999
     assert(idx.hLookup(1, 1, 0) == 4)
   }
+
+  test("build rejects NaN and pixel values outside [0, 1)") {
+    for (bad <- Seq(Float.NaN, 1.0f, 1.5f, -0.1f)) {
+      val m = Mask(3, 2, 2, Array(0.2f, bad, 0.4f, 0.6f))
+      val e = intercept[IllegalArgumentException](ChiIndex.build(m, ChiConfig(2, 2, 4)))
+      assert(e.getMessage.contains("outside [0, 1)"), e.getMessage)
+    }
+  }
 }

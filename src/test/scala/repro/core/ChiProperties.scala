@@ -17,6 +17,23 @@ object ChiProperties extends Properties("CHI") {
     seed <- Gen.choose(0L, 1_000_000L)
   } yield (Fixtures.randomMask(seed, w, h, seed), ChiConfig(cw, ch, bins))
 
+  /** A quantised mask ([[Fixtures.quantisedMask]]) with an index of the
+    * same bin count, including the b = 10 and b = 20 of the benchmarks.
+    */
+  private val genQuantised: Gen[(Mask, ChiConfig)] = for {
+    w <- Gen.choose(4, 28)
+    h <- Gen.choose(4, 28)
+    cw <- Gen.choose(2, 10)
+    ch <- Gen.choose(2, 10)
+    bins <- Gen.oneOf(Gen.choose(2, 20), Gen.oneOf(10, 20))
+    seed <- Gen.choose(0L, 1_000_000L)
+  } yield (Fixtures.quantisedMask(seed, w, h, bins, seed), ChiConfig(cw, ch, bins))
+
+  /** A range whose edges are bin edges `i / bins`. */
+  private def genBinRange(bins: Int): Gen[ValueRange] = for {
+    i <- Gen.choose(0, bins); j <- Gen.choose(i, bins)
+  } yield ValueRange(i.toDouble / bins, j.toDouble / bins)
+
   private def genRoi(w: Int, h: Int): Gen[Roi] = for {
     x1 <- Gen.choose(1, w); x2 <- Gen.choose(x1, w)
     y1 <- Gen.choose(1, h); y2 <- Gen.choose(y1, h)
@@ -35,6 +52,16 @@ object ChiProperties extends Properties("CHI") {
         b.lower <= exact && exact <= b.upper
       }
   }
+
+  property("bounds contain the exact CP value on quantised masks and bin-edge ranges") =
+    Prop.forAll(genQuantised) { case (mask, cfg) =>
+      val idx = ChiIndex.build(mask, cfg)
+      Prop.forAll(genRoi(mask.w, mask.h), genBinRange(cfg.bins)) { (roi, range) =>
+        val exact = mask.cp(roi, range)
+        val b = idx.bounds(roi, range)
+        (b.lower <= exact && exact <= b.upper) :| s"range=$range exact=$exact bounds=$b"
+      }
+    }
 
   property("CP is additive over horizontal splits") = Prop.forAll(genMaskAndCfg) {
     case (mask, _) =>

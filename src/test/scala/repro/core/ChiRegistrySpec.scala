@@ -97,6 +97,43 @@ class ChiRegistrySpec extends SparkSpec {
     assert(loaded.get(9L).get.counts.toSeq == registry.get(9L).get.counts.toSeq)
   }
 
+  /** `registry` persisted the way it was before the binning version existed. */
+  private def saveUnversioned(path: String): Unit = {
+    val spark0 = spark
+    import spark0.implicits._
+    registry.indexes.values.toSeq
+      .map(i => (i.maskId, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, i.counts))
+      .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "counts")
+      .write.mode("overwrite").parquet(path)
+  }
+
+  test("save writes the binning version of every index") {
+    val path = "target/testdata/chi-binning"
+    ChiRegistry.save(spark, registry, path)
+    val versions = spark.read.parquet(path).select("binning").distinct().collect().map(_.getInt(0))
+    assert(versions.toSeq == Seq(ChiRegistry.BinningVersion))
+  }
+
+  test("load rejects a registry saved without a binning version") {
+    val path = "target/testdata/chi-unversioned"
+    saveUnversioned(path)
+    val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
+    assert(e.getMessage.contains("no binning version"), e.getMessage)
+  }
+
+  test("the bench cache rebuilds a registry saved without a binning version") {
+    val path = "target/testdata/chi-bench-cache"
+    saveUnversioned(path)
+    var builds = 0
+    def build = { builds += 1; registry }
+    val (first, _) = repro.bench.BenchData.cachedRegistry(spark, path)(build)
+    assert(builds == 1 && (first eq registry))
+    val (second, ms) = repro.bench.BenchData.cachedRegistry(spark, path)(build)
+    assert(builds == 1 && ms == 0L)
+    assert(second.size == registry.size)
+    assert(second.get(9L).get.counts.toSeq == registry.get(9L).get.counts.toSeq)
+  }
+
   test("load of an empty registry path fails loudly") {
     intercept[Exception](ChiRegistry.load(spark, "target/testdata/nonexistent-chi"))
   }

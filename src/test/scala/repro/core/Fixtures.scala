@@ -27,6 +27,14 @@ object Fixtures {
     Mask(id, w, h, Array.fill(w * h)(r.nextFloat() * 0.999f))
   }
 
+  /** Deterministic random mask of quantised pixels `(k / bins).toFloat`:
+    * every pixel sits on a bin edge, where float and double disagree.
+    */
+  def quantisedMask(id: Long, w: Int, h: Int, bins: Int, seed: Long): Mask = {
+    val r = new java.util.Random(seed)
+    Mask(id, w, h, Array.fill(w * h)((r.nextInt(bins).toDouble / bins).toFloat))
+  }
+
   /** Brute-force CP, independent of Mask.cp's loop structure. */
   def bruteCp(m: Mask, roi: Roi, range: ValueRange): Long =
     (for {

@@ -119,4 +119,14 @@ class MaskStoreSpec extends SparkSpec {
     store.resetLoads()
     assert(store.loads.value == 0)
   }
+
+  test("write rejects NaN and pixel values outside [0, 1)") {
+    val s = MaskStore(spark, "target/testdata/domain")
+    for ((bad, id) <- Seq(Float.NaN, 1.0f, 1.5f, -0.1f).zipWithIndex) {
+      val m = repro.core.Mask(id.toLong, 2, 2, Array(0.2f, 0.4f, bad, 0.6f))
+      val e = intercept[IllegalArgumentException](s.write(m))
+      assert(e.getMessage.contains("outside [0, 1)"), e.getMessage)
+      assert(!new java.io.File(s.pathFor(id.toLong)).exists)
+    }
+  }
 }
