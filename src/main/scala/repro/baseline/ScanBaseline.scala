@@ -62,7 +62,7 @@ object ScanBaseline {
       value: GroupValue,
       store: MaskStore,
   ): Array[(Long, Double)] =
-    ImageGroups(catalog).map((img, rows) => (img, value.exact(rows, r => store.loadPath(r.path))))
+    Units.images(catalog).map((img, rows) => (img, value.exact(rows, r => store.loadPath(r.path))))
 
   /** Group filter: `GROUP BY image_id HAVING value op T`. */
   def filterGroups(

@@ -274,15 +274,13 @@ object Harness {
     val configs = Seq(("coarse", coarse), ("default", bd.cfg), ("fine", fine))
     val ranges = Seq((0.6, 1.0), (0.8, 1.0))
 
+    val areas = sample.as[CatalogRow].collect().map(r => r.mask_id -> ObjectRoi.resolve(r).area).toMap
+
     configs.flatMap { case (label, cfg) =>
       val reg = ChiRegistry.broadcast(spark, ChiRegistry.build(spark, sample, loaded.store, cfg))
       ranges.map { case (lv, uv) =>
-        val expr = CpExpr.term(ObjectRoi, lv, uv)
-        val rows = sample.as[CatalogRow].map { r =>
-          val (lo, hi) = Predicate.rowBounds(expr, r, reg.value.get(r.mask_id))
-          val area = Roi(r.ox1, r.oy1, r.ox2, r.oy2).area
-          (lo, hi, area)
-        }.collect()
+        val rows = FilterVerify.boundsPerMask(sample, CpExpr.term(ObjectRoi, lv, uv), reg)
+          .map { case (id, lo, hi) => (lo, hi, areas(id)) }
         // Exact values to place the example thresholds at the quartiles.
         val store = loaded.store
         val exacts = sample.as[CatalogRow].map { r =>

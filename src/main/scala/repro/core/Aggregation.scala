@@ -135,13 +135,8 @@ object Aggregation {
       store: MaskStore,
       chi: Broadcast[ChiRegistry],
   ): GroupFilterResult = {
-    val meter = new Meter(store)
-    val verdicts = ImageGroups(catalog).map { (img, rows) =>
-      val (c, passed) = Kernel.threshold(op, threshold, Some(value.bounds(rows, chi.value)))(
-        value.exact(rows, r => store.loadPath(r.path)))
-      (img, c, passed)
-    }
-    GroupFilterResult(verdicts.collect { case (g, _, true) => g }.sorted, meter.stats(verdicts.map(_._2)))
+    val (passed, stats) = Kernel.filter(Units.images(catalog), value, op, threshold, store, chi)
+    GroupFilterResult(passed.map(_._1), stats)
   }
 
   /** Top-k groups by `value`: the bounds in one job, then each verification
@@ -155,15 +150,7 @@ object Aggregation {
       store: MaskStore,
       chi: Broadcast[ChiRegistry],
   ): GroupTopKResult = {
-    val meter = new Meter(store)
-    val groups = ImageGroups(catalog)
-    val bounded = groups.map { (img, rows) =>
-      val (lo, hi) = value.bounds(rows, chi.value)
-      (img, lo, hi)
-    }
-    val (top, stats) = Kernel.topK(bounded, identity[Long], k, descending, meter) { ids =>
-      groups.filter(ids.toSet).map((img, rows) => (img, value.exact(rows, r => store.loadPath(r.path))))
-    }
-    GroupTopKResult(top, stats)
+    val (top, stats) = Kernel.topK(Units.images(catalog), value, k, descending, store, chi)
+    GroupTopKResult(top.map { case ((img, _), v) => (img, v) }, stats)
   }
 }

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import repro.store.{CatalogRow, MaskStore}
+import repro.store.MaskStore
 
 /** The CHI of a whole dataset: `mask_id → ChiIndex`, one shared [[ChiConfig]].
   *
@@ -18,9 +18,16 @@ final class ChiRegistry(val cfg: ChiConfig, val indexes: Map[Long, ChiIndex]) ex
   def size: Int = indexes.size
   def totalBytes: Long = indexes.valuesIterator.map(_.sizeBytes).sum
 
-  /** A copy extended with additional indexes (used by incremental indexing). */
+  /** A copy extended with additional indexes (incremental indexing, and the
+    * one step that assembles a built registry). Each must have been built
+    * with this registry's config, and is pointed at this `cfg` instance:
+    * indexes built in tasks arrive with a copy of the config per task.
+    */
   def ++(more: Iterable[ChiIndex]): ChiRegistry =
-    new ChiRegistry(cfg, indexes ++ more.map(i => i.maskId -> i))
+    new ChiRegistry(cfg, indexes ++ more.map { i =>
+      require(i.cfg == cfg, s"CHI of mask ${i.maskId} was built with ${i.cfg}, not the registry's $cfg")
+      i.maskId -> (if (i.cfg eq cfg) i else new ChiIndex(i.maskId, i.w, i.h, cfg, i.counts))
+    })
 }
 
 object ChiRegistry {
@@ -33,35 +40,21 @@ object ChiRegistry {
 
   def empty(cfg: ChiConfig): ChiRegistry = new ChiRegistry(cfg, Map.empty)
 
-  /** Build the CHI for every mask in `catalog` with a distributed DataFrame
-    * scan: each partition loads its masks from the store and computes their
-    * indexes (O(w·h) per mask, §3.1). Index-build loads go through the store
-    * and are therefore counted by its accumulator — benchmarks reset the
-    * counter after the build so per-query numbers match the paper's Table 2
+  /** Build the CHI for every mask in `catalog` in one pass over it: each
+    * task loads its masks from the store and computes their indexes (O(w·h)
+    * per mask, §3.1). Index-build loads go through the store and are
+    * therefore counted by its accumulator — benchmarks reset the counter
+    * after the build so per-query numbers match the paper's Table 2
     * semantics ("masks loaded during query execution").
     */
-  def build(spark: SparkSession, catalog: DataFrame, store: MaskStore, cfg: ChiConfig): ChiRegistry = {
-    import spark.implicits._
-    val built = catalog
-      .as[CatalogRow]
-      .mapPartitions { rows =>
-        rows.map { r =>
-          val idx = ChiIndex.build(store.loadPath(r.path), cfg)
-          (idx.maskId, idx.w, idx.h, idx.counts)
-        }
-      }
-      .collect()
-    new ChiRegistry(
-      cfg,
-      built.map { case (id, w, h, counts) => id -> new ChiIndex(id, w, h, cfg, counts) }.toMap,
-    )
-  }
+  def build(spark: SparkSession, catalog: DataFrame, store: MaskStore, cfg: ChiConfig): ChiRegistry =
+    empty(cfg) ++ Units.masks(catalog).map((_, rows) => ChiIndex.build(store.loadPath(rows.head.path), cfg))
 
   /** Like [[build]], but additionally indexes the per-image INTERSECT
     * (pixel-wise minimum) aggregated mask under `AggIdBase + image_id`,
     * loading each mask only once per group. Used by mask-aggregation queries
     * (the paper's Q5) so their filter stage has first-class bounds. The
-    * groups are built in parallel through [[ImageGroups]].
+    * groups are built in parallel over [[Units.images]].
     */
   def buildWithAggregates(
       spark: SparkSession,
@@ -69,16 +62,11 @@ object ChiRegistry {
       store: MaskStore,
       cfg: ChiConfig,
   ): ChiRegistry = {
-    val built = ImageGroups(catalog).map { (img, rows) =>
+    val built = Units.images(catalog).map { (img, rows) =>
       val masks = rows.map(r => store.loadPath(r.path))
-      val per = masks.map(m => ChiIndex.build(m, cfg))
-      val agg = ChiIndex.build(Mask.intersect(masks).copy(id = AggIdBase + img), cfg)
-      (per :+ agg).map(i => (i.maskId, i.w, i.h, i.counts))
+      masks.map(m => ChiIndex.build(m, cfg)) :+ ChiIndex.build(Mask.intersect(masks).copy(id = AggIdBase + img), cfg)
     }
-    new ChiRegistry(
-      cfg,
-      built.flatten.map { case (id, w, h, counts) => id -> new ChiIndex(id, w, h, cfg, counts) }.toMap,
-    )
+    empty(cfg) ++ built.toSeq.flatten
   }
 
   /** Version of the value-to-bin rule ([[ChiConfig.binOf]]) that persisted

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 
 import repro.store.{CatalogRow, MaskStore}
 
@@ -10,21 +10,18 @@ import repro.store.{CatalogRow, MaskStore}
   */
 final case class FilterVerifyResult(rows: Array[CatalogRow], stats: QueryStats) {
   def maskIds: Array[Long] = rows.map(_.mask_id).sorted
-  def toDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    rows.toSeq.toDF()
-  }
 }
 
 /** The paper's filter–verification query execution framework (§3.2) for
   * mask-selection predicates: the [[Kernel]]'s threshold policy with every
   * mask its own unit.
   *
-  * Filter stage: a distributed DataFrame scan over the *catalog only* (no
-  * mask bytes) classifies every targeted mask via its CHI bounds into
-  * guaranteed-fail / guaranteed-pass / uncertain. Verification stage: only
-  * the uncertain masks are loaded from disk (counted by the store) and the
-  * exact predicate is applied. Results are exact by construction.
+  * Filter stage: a distributed scan over the *catalog only* (no mask bytes)
+  * classifies every targeted mask via its CHI bounds into guaranteed-fail /
+  * guaranteed-pass / uncertain. Verification stage: only the uncertain masks
+  * are loaded from disk (counted by the store) and the exact predicate is
+  * applied. Both stages run fused in one job, so results are exact by
+  * construction at a single job's scheduling cost.
   */
 object FilterVerify {
 
@@ -34,28 +31,8 @@ object FilterVerify {
       store: MaskStore,
       chi: Broadcast[ChiRegistry],
   ): FilterVerifyResult = {
-    val spark = catalog.sparkSession
-    import spark.implicits._
-    val meter = new Meter(store)
-    val value = MaskValue(pred.expr)
-
-    // Both stages fused in one distributed pass: every task classifies its
-    // masks from the broadcast CHI (no disk) and immediately verifies the
-    // uncertain ones by loading them — the mask-level parallelism of §3.2.1
-    // with a single job's scheduling overhead.
-    val verdicts = catalog
-      .as[CatalogRow]
-      .mapPartitions { rows =>
-        rows.map { r =>
-          val unit = Seq(r)
-          val (c, passed) = Kernel.threshold(pred.op, pred.threshold, Some(value.bounds(unit, chi.value)))(
-            value.exact(unit, u => store.loadPath(u.path)))
-          (r, c, passed)
-        }
-      }
-      .collect() // catalog metadata only — small relative to mask bytes
-
-    FilterVerifyResult(verdicts.collect { case (r, _, true) => r }.sortBy(_.mask_id), meter.stats(verdicts.map(_._2)))
+    val (passed, stats) = Kernel.filter(Units.masks(catalog), MaskValue(pred.expr), pred.op, pred.threshold, store, chi)
+    FilterVerifyResult(passed.map(_._2.head), stats)
   }
 
   /** Bounds of `expr` for every targeted mask — used by the bench that
@@ -65,15 +42,9 @@ object FilterVerify {
       catalog: DataFrame,
       expr: CpExpr,
       chi: Broadcast[ChiRegistry],
-  ): Array[(Long, Double, Double)] = {
-    val spark = catalog.sparkSession
-    import spark.implicits._
-    catalog
-      .as[CatalogRow]
-      .map { r =>
-        val (lo, hi) = Predicate.rowBounds(expr, r, chi.value.get(r.mask_id))
-        (r.mask_id, lo, hi)
-      }
-      .collect()
-  }
+  ): Array[(Long, Double, Double)] =
+    Units.masks(catalog).map { (id, rows) =>
+      val (lo, hi) = Predicate.rowBounds(expr, rows.head, chi.value.get(id))
+      (id, lo, hi)
+    }
 }

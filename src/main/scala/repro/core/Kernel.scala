@@ -1,8 +1,8 @@
 package repro.core
 
-import scala.reflect.ClassTag
+import org.apache.spark.broadcast.Broadcast
 
-import repro.store.MaskStore
+import repro.store.{CatalogRow, MaskStore}
 
 /** Per-query execution statistics — the quantities the paper reports: the
   * number of masks loaded from disk (Table 2) and the fraction of masks
@@ -41,6 +41,7 @@ final class Meter(store: MaskStore) {
 /** The filter–verification kernel shared by every engine: bound each unit
   * from the CHI, load only the units the bounds cannot decide. A unit is one
   * mask, or the masks of one image (§3.4), and its value a [[GroupValue]].
+  * The Spark jobs run through [[Units]].
   */
 object Kernel {
 
@@ -50,50 +51,71 @@ object Kernel {
   def classify(op: CmpOp, t: Double, bounds: Option[(Double, Double)]): Int =
     bounds.fold(FilterOutcome.Uncertain) { case (lo, hi) => op.classify(lo, hi, t) }
 
-  /** Threshold policy for one unit (§3.2 / §3.3): Case 1 and 2 from the
-    * bounds, Case 3 by `exact`, which loads the unit. Returns the case and
-    * whether the unit satisfies `value op t`.
+  /** Threshold policy (§3.2 / §3.3) in one fused job: each task classifies
+    * its units from the broadcast CHI (Case 1 and 2, no disk) and loads and
+    * tests only the Case 3 units. Returns the units with `value op t`, by key.
     */
-  def threshold(op: CmpOp, t: Double, bounds: Option[(Double, Double)])(exact: => Double): (Int, Boolean) = {
-    val c = classify(op, t, bounds)
-    (c, c == FilterOutcome.Pass || (c == FilterOutcome.Uncertain && op.holds(exact, t)))
+  def filter(
+      units: Units,
+      value: GroupValue,
+      op: CmpOp,
+      t: Double,
+      store: MaskStore,
+      chi: Broadcast[ChiRegistry],
+  ): (Array[(Long, Seq[CatalogRow])], QueryStats) = {
+    val meter = new Meter(store)
+    val verdicts = units.map { (key, rows) =>
+      val c = classify(op, t, Some(value.bounds(rows, chi.value)))
+      val passed = c == FilterOutcome.Pass ||
+        (c == FilterOutcome.Uncertain && op.holds(value.exact(rows, r => store.loadPath(r.path)), t))
+      (c, Option.when(passed)((key, rows)))
+    }
+    (verdicts.flatMap(_._2).sortBy(_._1), meter.stats(verdicts.map(_._1)))
   }
 
   /** Top-k policy (§3.5): Fagin–Lotem–Naor's threshold algorithm over
-    * interval bounds, in two phases that suit a dataflow engine. Seed with
-    * the k units ranked best by bound and take τ, the k-th best of their
-    * exact values; every other unit whose bound cannot meet τ is strictly
-    * worse than k units and is pruned. Units with point bounds take their
-    * value from the index; `verify` loads the rest and returns their exact
-    * values. Ties go to the smaller `key`.
+    * interval bounds, in two phases that suit a dataflow engine. One job
+    * bounds every unit. Seed with the k units ranked best by bound and take
+    * τ, the k-th best of their exact values; every other unit whose bound
+    * cannot meet τ is strictly worse than k units and is pruned. Units with
+    * point bounds take their value from the index; each round loads the rest
+    * in one job. Returns the best k units with their exact values, ties going
+    * to the smaller key; `k <= 0` selects nothing.
     */
-  def topK[U: ClassTag](
-      bounded: Array[(U, Double, Double)],
-      key: U => Long,
+  def topK(
+      units: Units,
+      value: GroupValue,
       k: Int,
       descending: Boolean,
-      meter: Meter,
-  )(verify: Array[U] => Array[(U, Double)]): (Array[(U, Double)], QueryStats) = {
+      store: MaskStore,
+      chi: Broadcast[ChiRegistry],
+  ): (Array[((Long, Seq[CatalogRow]), Double)], QueryStats) = {
+    val meter = new Meter(store)
+    val bounded = units.map { (key, rows) =>
+      val (lo, hi) = value.bounds(rows, chi.value)
+      ((key, rows), lo, hi)
+    }
     var nDirect, nVerified = 0
-    def resolve(us: Array[(U, Double, Double)]): Array[(U, Double)] = {
+    def resolve(us: Array[((Long, Seq[CatalogRow]), Double, Double)]): Array[((Long, Seq[CatalogRow]), Double)] = {
       val (known, open) = us.partition(u => u._2 == u._3)
       nDirect += known.length
       nVerified += open.length
-      known.map(u => (u._1, u._2)) ++ verify(open.map(_._1))
+      known.map(u => (u._1, u._2)) ++
+        Units.run(units.spark, open.map(_._1))((key, rows) => ((key, rows), value.exact(rows, r => store.loadPath(r.path))))
     }
     // Scores order both directions alike: lower is better.
     def score(v: Double): Double = if (descending) -v else v
-    def bestScore(u: (U, Double, Double)): Double = score(if (descending) u._3 else u._2)
+    def bestScore(u: ((Long, Seq[CatalogRow]), Double, Double)): Double = score(if (descending) u._3 else u._2)
 
-    val ranked = bounded.sortBy(u => (bestScore(u), key(u._1)))
+    val ranked = bounded.sortBy(u => (bestScore(u), u._1._1))
     val seed = resolve(ranked.take(k))
     val rest = ranked.drop(k)
     val exact =
-      if (rest.isEmpty) seed
+      if (k <= 0 || rest.isEmpty) seed
       else {
         val tau = seed.map(u => score(u._2)).sorted.apply(k - 1)
         seed ++ resolve(rest.filter(bestScore(_) <= tau))
       }
-    (exact.sortBy(u => (score(u._2), key(u._1))).take(k), meter.stats(bounded.length, nDirect, nVerified))
+    (exact.sortBy(u => (score(u._2), u._1._1)).take(k), meter.stats(bounded.length, nDirect, nVerified))
   }
 }

@@ -26,23 +26,7 @@ object TopK {
       store: MaskStore,
       chi: Broadcast[ChiRegistry],
   ): TopKResult = {
-    val spark = catalog.sparkSession
-    import spark.implicits._
-    val meter = new Meter(store)
-    val value = MaskValue(expr)
-
-    val bounded = catalog
-      .as[CatalogRow]
-      .map { r =>
-        val (lo, hi) = value.bounds(Seq(r), chi.value)
-        (r, lo, hi)
-      }
-      .collect()
-
-    val (top, stats) = Kernel.topK(bounded, (r: CatalogRow) => r.mask_id, k, descending, meter) { rows =>
-      if (rows.isEmpty) Array.empty
-      else spark.createDataset(rows.toIndexedSeq).map(r => (r, value.exact(Seq(r), u => store.loadPath(u.path)))).collect()
-    }
-    TopKResult(top, stats)
+    val (top, stats) = Kernel.topK(Units.masks(catalog), MaskValue(expr), k, descending, store, chi)
+    TopKResult(top.map { case ((_, rows), v) => (rows.head, v) }, stats)
   }
 }

@@ -69,6 +69,11 @@ class AggregationSpec extends SparkSpec {
     checkTopK(meanCp, 25, desc = false)
   }
 
+  test("top-k groups with k = 0 returns nothing and loads nothing") {
+    val ms = checkTopK(meanCp, 0, desc = true)
+    assert(ms.groups.isEmpty && ms.stats.masksLoaded == 0)
+  }
+
   test("intersect-CP group bounds are sound (aggregate index and fallback)") {
     val noAgg = new ChiRegistry(cfg, registry.indexes.filter(_._1 < ChiRegistry.AggIdBase))
     val rows = repro.store.MaskStore.asRows(catalog).collect().groupBy(_.image_id)

@@ -145,6 +145,12 @@ class ChiRegistrySpec extends SparkSpec {
     assert(ext.size == 2 && ext.contains(0L) && ext.contains(1L) && !ext.contains(2L))
   }
 
+  test("a registry rejects an index built with another config") {
+    val other = ChiIndex.build(store.load(0L), ChiConfig(16, 16, 4))
+    val e = intercept[IllegalArgumentException](ChiRegistry.empty(cfg) ++ Seq(other))
+    assert(e.getMessage.contains("ChiConfig(16,16,4)"), e.getMessage)
+  }
+
   test("broadcast registry resolves indexes inside tasks") {
     val spark0 = spark
     import spark0.implicits._

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{SparkSpec, TestData}
+import repro.{SparkSpec, StageTasks, TestData}
 import repro.baseline.ScanBaseline
 
 /** Integration tests for the filter–verification executor (§3.2): result
@@ -84,6 +84,19 @@ class FilterVerifySpec extends SparkSpec {
       val pred = repro.workload.Workloads.randomFilterPredicate(r, ds.w.toLong * ds.h)
       check(pred)
     }
+  }
+
+  test("per-mask units load their masks in one job, in one stage of several tasks") {
+    val s2 = repro.store.MaskStore(spark, "target/testdata/unit")
+    val pred = Predicate(CpExpr.term(ObjectRoi, 0.8, 1.0), Gt, 40)
+    val sc = spark.sparkContext
+    sc.setJobGroup("filter-verify-stages", "FilterVerify.execute")
+    val (ms, tasks) =
+      try StageTasks.updating(spark, s2.loads)(FilterVerify.execute(catalogM1, pred, s2, chiBc))
+      finally sc.clearJobGroup()
+    assert(ms.stats.masksLoaded > 1, "the query must leave several masks to verify")
+    assert(tasks.size == 1 && tasks.head > 1, s"mask-loading stages ran ${tasks.mkString(", ")} task(s)")
+    assert(sc.statusTracker.getJobIdsForGroup("filter-verify-stages").length == 1, "one job per query")
   }
 
   test("boundsPerMask covers every targeted mask and is sound") {

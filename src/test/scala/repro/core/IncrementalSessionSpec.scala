@@ -75,6 +75,19 @@ class IncrementalSessionSpec extends SparkSpec {
     assert(res.stats.masksLoaded < 20)
   }
 
+  test("preloading a registry built with another config is rejected") {
+    val other = ChiConfig(16, 16, 4)
+    val s = new IncrementalSession(spark, store, cfg)
+    intercept[IllegalArgumentException](s.preload(ChiRegistry.empty(other) ++ Seq(ChiIndex.build(store.load(0L), other))))
+    assert(s.indexedCount == 0)
+  }
+
+  test("indexes built by queries share the session's config instance") {
+    val s = new IncrementalSession(spark, store, cfg)
+    s.runFilter(allRows.take(20), pred(30))
+    assert(s.snapshot.indexes.valuesIterator.forall(_.cfg eq s.snapshot.cfg))
+  }
+
   test("stats bookkeeping on a mixed query") {
     val s = new IncrementalSession(spark, store, cfg)
     s.runFilter(allRows.take(30), pred(30))

@@ -34,6 +34,11 @@ class TopKSpec extends SparkSpec {
     check(CpExpr.term(ObjectRoi, 0.5, 1.0), 1, descending = true)
   }
 
+  test("top-k with k = 0 returns nothing and loads nothing") {
+    val ms = check(CpExpr.term(ObjectRoi, 0.5, 1.0), 0, descending = true)
+    assert(ms.rows.isEmpty && ms.stats.masksLoaded == 0)
+  }
+
   test("k larger than the dataset returns everything, ordered") {
     val ms = check(CpExpr.term(FullRoi, 0.6, 1.0), ds.nImages + 50, descending = true)
     assert(ms.rows.length == ds.nImages)
