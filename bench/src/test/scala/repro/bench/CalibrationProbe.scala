@@ -3,39 +3,34 @@ package repro.bench
 import org.scalatest.Ignore
 
 import repro.SparkSpec
-import repro.core._
 import repro.store.CatalogRow
 
 /** One-off probe (ignored by default) used to calibrate Q1/Q2 thresholds:
-  * prints quantiles of the exact CP distributions behind Q1 and Q2.
+  * prints quantiles of the exact CP distributions behind Q1 and Q2, with the
+  * ROIs and ranges those queries use.
   */
 @Ignore
 class CalibrationProbe extends SparkSpec {
 
   test("print CP quantiles for Q1/Q2 on both datasets") {
-    repro.store.DiskThrottle.setBandwidthMiBps(0)
     BenchData.all.foreach { bd =>
       val loaded = BenchData.load(spark, bd)
       repro.store.DiskThrottle.setBandwidthMiBps(0)
       import spark.implicits._
-      val m1 = loaded.catalog.filter("model_id = 1")
-      val side = bd.ds.w
-      def s(v: Int): Int = math.max(1, math.round(v.toDouble * side / Queries.paperSideFor(bd)).toInt)
-      val roi1 = Roi(s(50), s(50), math.min(side, s(200)), math.min(side, s(200)))
+      val filters = Queries.forDataset(bd, Queries.paperSideFor(bd)).collect { case q: Queries.FilterQuery => q }
+      val exprs = filters.map(_.pred.expr)
       val store = loaded.store
-      val vals = m1.as[CatalogRow].mapPartitions { rows =>
-        rows.map { r =>
-          val m = store.loadPath(r.path)
-          (m.cp(roi1, ValueRange(0.6, 1.0)), m.cp(Roi(r.ox1, r.oy1, r.ox2, r.oy2), ValueRange(0.8, 1.0)))
-        }
+      val vals = loaded.catalog.filter("model_id = 1").as[CatalogRow].map { r =>
+        val m = store.loadPath(r.path)
+        exprs.map(_.exact(r, m))
       }.collect()
-      def q(xs: Seq[Long]): String = {
+      def q(xs: Seq[Double]): String = {
         val ss = xs.sorted
-        Seq(0.5, 0.8, 0.9, 0.95, 0.99).map(p => f"p${(p * 100).toInt}=${ss(((ss.size - 1) * p).toInt)}").mkString(" ")
+        Seq(0.5, 0.8, 0.9, 0.95, 0.99).map(p => f"p${(p * 100).toInt}=${ss(((ss.size - 1) * p).toInt)}%.0f").mkString(" ")
       }
-      println(s"### ${bd.name} roi1=$roi1 area=${roi1.area}")
-      println(s"### Q1 cp(roi1, 0.6..1.0): ${q(vals.map(_._1).toSeq)}")
-      println(s"### Q2 cp(object, 0.8..1.0): ${q(vals.map(_._2).toSeq)}")
+      filters.zipWithIndex.foreach { case (f, i) =>
+        println(s"### ${bd.name} ${f.id} ${f.description}: ${q(vals.map(_(i)).toSeq)}")
+      }
     }
   }
 }

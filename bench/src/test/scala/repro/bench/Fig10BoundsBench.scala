@@ -4,7 +4,8 @@ import repro.SparkSpec
 
 /** Reproduces the paper's Figure 10 (as a table): the distribution of CHI
   * bounds — and the FML they induce at example thresholds — across datasets,
-  * index granularities, and pixel-value ranges (§4.4).
+  * index granularities, and pixel-value ranges (§4.4). Writes the rows to
+  * bench/results/fig10.json.
   */
 class Fig10BoundsBench extends SparkSpec {
 
@@ -13,7 +14,7 @@ class Fig10BoundsBench extends SparkSpec {
       val loaded = BenchData.load(spark, bd)
       Harness.runFig10(spark, loaded, sampleSize = 500)
     }
-    Harness.printFig10(rows)
+    Harness.writeJson(spark, "results/fig10.json", rows)
 
     // Paper finding: larger (finer) indexes ⇒ tighter bounds ⇒ lower FML.
     for (ds <- rows.map(_.dataset).distinct; (lv, uv) <- Seq((0.6, 1.0), (0.8, 1.0))) {

@@ -7,7 +7,8 @@ import repro.SparkSpec
   * with ahead-of-time indexing (MS), and MaskSearch with incremental
   * indexing (MS-II). Cumulative total time includes index building (§4.5).
   * The paper runs 200 queries per workload; this scaled run uses 40 on
-  * WILDS-lite and 15 on ImageNet-lite.
+  * WILDS-lite and 15 on ImageNet-lite. Writes the cumulative-time curves to
+  * bench/results/fig11.json.
   */
 class Fig11WorkloadBench extends SparkSpec {
 
@@ -20,7 +21,7 @@ class Fig11WorkloadBench extends SparkSpec {
       } ++ pSeens.map { p =>
         Harness.runWorkload(spark, BenchData.load(spark, BenchData.imagenet), nQueries = 15, pSeen = p, seed = 12)
       }
-    Harness.printFig11(curves)
+    Harness.writeJson(spark, "results/fig11.json", curves)
 
     curves.foreach { c =>
       // Paper shape: the scan baseline's cumulative time eventually overtakes

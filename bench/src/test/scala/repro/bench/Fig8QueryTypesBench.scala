@@ -4,7 +4,8 @@ import repro.SparkSpec
 
 /** Reproduces the paper's Figure 8 (as a table): MaskSearch query-time
   * distributions for randomized Filter / Top-K / Aggregation queries (§4.3).
-  * The paper runs 500 per type; this scaled run uses 15 per type.
+  * The paper runs 500 per type; this scaled run uses 15 per type. Writes one
+  * box per (dataset, query type) to bench/results/fig8.json.
   */
 class Fig8QueryTypesBench extends SparkSpec {
 
@@ -13,7 +14,7 @@ class Fig8QueryTypesBench extends SparkSpec {
       val loaded = BenchData.load(spark, bd)
       Harness.runFig8(spark, loaded, nPerType = 15, seed = 8)
     }
-    Harness.printFig8(runs)
+    Harness.writeJson(spark, "results/fig8.json", Harness.boxes(runs))
 
     // Paper finding: MaskSearch handles all query types with low FML; even
     // worst-case queries stay far below a full scan.

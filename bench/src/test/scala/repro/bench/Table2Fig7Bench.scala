@@ -5,21 +5,13 @@ import repro.SparkSpec
 /** Reproduces the paper's Table 2 (number of masks loaded during query
   * execution, MaskSearch vs the load-everything baselines) and Figure 7
   * (end-to-end individual query time) on WILDS-lite and ImageNet-lite.
-  * Prints both tables; rows are also written to target/bench-results/.
+  * Writes one row per (dataset, query, system) to bench/results/table2_fig7.json.
   */
 class Table2Fig7Bench extends SparkSpec {
 
   test("Table 2 + Figure 7: individual query performance, both datasets") {
-    val runs = BenchData.all.flatMap { bd =>
-      val loaded = BenchData.load(spark, bd)
-      println(s"-- ${bd.name}: ${bd.ds.nMasks} masks ${bd.ds.w}x${bd.ds.h}, " +
-        f"index ratio ${bd.indexRatio * 100}%.1f%% (CHI build ${loaded.buildMs} ms)")
-      Queries.forDataset(bd, Queries.paperSideFor(bd)).foreach(q =>
-        println(s"   ${q.id}: ${q.description}"))
-      Harness.runTable2Fig7(spark, loaded)
-    }
-    val buildMs = BenchData.all.map(bd => bd.name -> BenchData.load(spark, bd).buildMs).toMap
-    Harness.printTable2Fig7(runs, buildMs)
+    val runs = BenchData.all.flatMap(bd => Harness.runTable2Fig7(spark, BenchData.load(spark, bd)))
+    Harness.writeJson(spark, "results/table2_fig7.json", runs)
 
     // Shape assertions mirroring the paper's findings.
     for (ds <- runs.map(_.dataset).distinct; q <- Seq("Q1", "Q2", "Q3", "Q4", "Q5")) {

@@ -1,19 +1,22 @@
 package repro.bench
 
-import java.nio.file.{Files, Paths, StandardOpenOption}
+import java.nio.file.{Files, Paths}
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import scala.reflect.runtime.universe.TypeTag
+
+import org.apache.spark.sql.{Encoders, SparkSession}
+import org.apache.spark.sql.functions.lit
 
 import repro.baseline.ScanBaseline
 import repro.core._
-import repro.store.CatalogRow
+import repro.store.{CatalogRow, DiskThrottle}
 import repro.workload.Workloads
 
 /** Shared benchmark harness: runs the experiments behind the paper's Table 2
-  * and Figures 7–11 and prints their rows. Used both by the `bench/` test
-  * suites and the `jobs/` spark-submit entrypoints. Each runner also
-  * cross-checks MaskSearch results against the scan baseline, so a bench run
-  * doubles as an integration test at benchmark scale.
+  * and Figures 7–11 for the `bench/` suites, which write their rows with
+  * [[writeJson]]. Each runner also cross-checks MaskSearch results against
+  * the scan baseline, so a bench run doubles as an integration test at
+  * benchmark scale.
   */
 object Harness {
 
@@ -27,13 +30,18 @@ object Harness {
       resultSize: Int,
   )
 
-  private val resultsDir = "target/bench-results"
-
-  def appendTsv(file: String, header: String, lines: Seq[String]): Unit = {
-    Files.createDirectories(Paths.get(resultsDir))
-    val p = Paths.get(resultsDir, file)
-    val content = (header +: lines).mkString("", "\n", "\n")
-    Files.write(p, content.getBytes, StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
+  /** Write `rows` to `path` as JSON lines, one object per row with the row's
+    * fields plus the run's core count (`cores`, Spark's default parallelism)
+    * and simulated disk bandwidth (`diskMiBps`, 0 when unthrottled).
+    */
+  def writeJson[T <: Product: TypeTag](spark: SparkSession, path: String, rows: Seq[T]): Unit = {
+    val lines = spark.createDataset(rows)(Encoders.product[T])
+      .withColumn("cores", lit(spark.sparkContext.defaultParallelism))
+      .withColumn("diskMiBps", lit(DiskThrottle.bandwidthMiBps))
+      .toJSON.collect()
+    val p = Paths.get(path)
+    Option(p.getParent).foreach(Files.createDirectories(_))
+    Files.write(p, lines.mkString("", "\n", "\n").getBytes("UTF-8"))
   }
 
   // ---------------------------------------------------------------- Table 2 / Fig 7
@@ -46,7 +54,7 @@ object Harness {
     val bd = loaded.bd
     val queries = Queries.forDataset(bd, Queries.paperSideFor(bd))
     val m1 = loaded.catalog.filter("model_id = 1").cache()
-    m1.count()
+    val nM1 = m1.count()
 
     // Warm up codegen/JIT on both engines so the first timed query is not
     // inflated by one-time compilation cost.
@@ -54,77 +62,29 @@ object Harness {
     FilterVerify.execute(warm, Predicate(CpExpr.term(FullRoi, 0.0, 1.0), Gt, Double.MaxValue), loaded.store, loaded.chiBc)
     ScanBaseline.filterMasks(warm, Predicate(CpExpr.term(FullRoi, 0.0, 1.0), Gt, 1.0), loaded.store)
     warm.unpersist()
-    loaded.store.resetLoads()
 
-    queries.flatMap {
-      case Queries.FilterQuery(id, _, pred) =>
-        loaded.store.resetLoads()
-        val ms = FilterVerify.execute(m1, pred, loaded.store, loaded.chiBc)
-        loaded.store.resetLoads()
-        val base = ScanBaseline.filterMasks(m1, pred, loaded.store)
-        require(ms.maskIds.toSeq == base.maskIds.toSeq, s"$id result mismatch")
-        Seq(
-          QueryRun(bd.name, id, "MaskSearch", ms.stats.masksLoaded, ms.stats.nTargeted, ms.stats.elapsedMs, ms.rows.length),
-          QueryRun(bd.name, id, "Scan(PG/TDB/NP)", base.stats.masksLoaded, base.stats.nTargeted, base.stats.elapsedMs, base.rows.length),
-        )
-      case Queries.TopKQuery(id, _, expr, k, desc) =>
-        loaded.store.resetLoads()
-        val ms = TopK.masks(m1, expr, k, desc, loaded.store, loaded.chiBc)
-        loaded.store.resetLoads()
-        val base = ScanBaseline.topKMasks(m1, expr, k, desc, loaded.store)
-        require(ms.maskIds.toSeq == base.maskIds.toSeq, s"$id result mismatch")
-        Seq(
-          QueryRun(bd.name, id, "MaskSearch", ms.stats.masksLoaded, ms.stats.nTargeted, ms.stats.elapsedMs, ms.rows.length),
-          QueryRun(bd.name, id, "Scan(PG/TDB/NP)", base.stats.masksLoaded, base.stats.nTargeted, base.stats.elapsedMs, base.rows.length),
-        )
-      case Queries.GroupTopKQuery(id, _, value, k, desc) =>
-        loaded.store.resetLoads()
-        val ms = Aggregation.topKGroups(loaded.catalog, value, k, desc, loaded.store, loaded.chiBc)
-        loaded.store.resetLoads()
-        val base = ScanBaseline.topKGroups(loaded.catalog, value, k, desc, loaded.store)
-        require(ms.groupIds.toSeq == base.groupIds.toSeq, s"$id result mismatch")
-        // Group queries target all masks of the dataset (2 per image).
-        val targeted = bd.ds.nMasks.toLong
-        Seq(
-          QueryRun(bd.name, id, "MaskSearch", ms.stats.masksLoaded, targeted, ms.stats.elapsedMs, ms.groups.length),
-          QueryRun(bd.name, id, "Scan(PG/TDB/NP)", base.stats.masksLoaded, targeted, base.stats.elapsedMs, base.groups.length),
-        )
-    }
-  }
-
-  def printTable2Fig7(runs: Seq[QueryRun], buildMsByDataset: Map[String, Long]): Unit = {
-    println()
-    println("== Table 2: number of masks loaded during query execution ==")
-    println(f"${"dataset"}%-14s ${"system"}%-16s ${"Q1"}%9s ${"Q2"}%9s ${"Q3"}%9s ${"Q4"}%9s ${"Q5"}%9s")
-    for {
-      ds <- runs.map(_.dataset).distinct
-      sys <- Seq("MaskSearch", "Scan(PG/TDB/NP)")
-    } {
-      val row = Seq("Q1", "Q2", "Q3", "Q4", "Q5").map { q =>
-        runs.find(r => r.dataset == ds && r.query == q && r.system == sys).map(_.masksLoaded).getOrElse(-1L)
+    queries.flatMap { q =>
+      // The masks the query targets, then MaskSearch's and the scan's (answer, stats).
+      val (nTargeted, ms, base) = q match {
+        case Queries.FilterQuery(_, _, pred) =>
+          val ms = FilterVerify.execute(m1, pred, loaded.store, loaded.chiBc)
+          val base = ScanBaseline.filterMasks(m1, pred, loaded.store)
+          (nM1, (ms.maskIds.toSeq, ms.stats), (base.maskIds.toSeq, base.stats))
+        case Queries.TopKQuery(_, _, expr, k, desc) =>
+          val ms = TopK.masks(m1, expr, k, desc, loaded.store, loaded.chiBc)
+          val base = ScanBaseline.topKMasks(m1, expr, k, desc, loaded.store)
+          (nM1, (ms.maskIds.toSeq, ms.stats), (base.maskIds.toSeq, base.stats))
+        case Queries.GroupTopKQuery(_, _, value, k, desc) =>
+          val ms = Aggregation.topKGroups(loaded.catalog, value, k, desc, loaded.store, loaded.chiBc)
+          val base = ScanBaseline.topKGroups(loaded.catalog, value, k, desc, loaded.store)
+          // Group queries target all masks of the dataset (2 per image).
+          (bd.ds.nMasks.toLong, (ms.groupIds.toSeq, ms.stats), (base.groupIds.toSeq, base.stats))
       }
-      println(f"$ds%-14s $sys%-16s ${row(0)}%9d ${row(1)}%9d ${row(2)}%9d ${row(3)}%9d ${row(4)}%9d")
-    }
-    println()
-    println("== Figure 7 (as table): end-to-end individual query time (ms) ==")
-    println(f"${"dataset"}%-14s ${"system"}%-16s ${"Q1"}%9s ${"Q2"}%9s ${"Q3"}%9s ${"Q4"}%9s ${"Q5"}%9s")
-    for {
-      ds <- runs.map(_.dataset).distinct
-      sys <- Seq("MaskSearch", "Scan(PG/TDB/NP)")
-    } {
-      val row = Seq("Q1", "Q2", "Q3", "Q4", "Q5").map { q =>
-        runs.find(r => r.dataset == ds && r.query == q && r.system == sys).map(_.timeMs).getOrElse(-1L)
+      require(ms._1 == base._1, s"${q.id} result mismatch")
+      Seq("MaskSearch" -> ms, "Scan(PG/TDB/NP)" -> base).map { case (system, (ids, stats)) =>
+        QueryRun(bd.name, q.id, system, stats.masksLoaded, nTargeted, stats.elapsedMs, ids.size)
       }
-      println(f"$ds%-14s $sys%-16s ${row(0)}%9d ${row(1)}%9d ${row(2)}%9d ${row(3)}%9d ${row(4)}%9d")
     }
-    buildMsByDataset.foreach { case (ds, ms) =>
-      println(f"  (one-time CHI build for $ds: ${ms} ms — excluded from query times, as in the paper)")
-    }
-    appendTsv(
-      "table2_fig7.tsv",
-      "dataset\tquery\tsystem\tmasks_loaded\tn_targeted\ttime_ms\tresult_size",
-      runs.map(r => s"${r.dataset}\t${r.query}\t${r.system}\t${r.masksLoaded}\t${r.nTargeted}\t${r.timeMs}\t${r.resultSize}"),
-    )
   }
 
   // ---------------------------------------------------------------- Fig 8 / Fig 9
@@ -143,11 +103,6 @@ object Harness {
     val side = bd.ds.w
     val maskPixels = side.toLong * bd.ds.h
 
-    def randRange(): (Double, Double) = {
-      val lv = (1 + r.nextInt(8)) / 10.0
-      val uv = (math.round(lv * 10).toInt + 1 + r.nextInt(9 - math.round(lv * 10).toInt)) / 10.0
-      (lv, uv)
-    }
     // Random ROI with sides of at least two index cells. The paper draws
     // "any rectangle"; at lite mask sizes a sub-cell rectangle carries no
     // index information at all, so the draw is floored at the analyst-scale
@@ -164,20 +119,17 @@ object Harness {
 
     val filter = (0 until nPerType).map { _ =>
       val pred = Workloads.randomFilterPredicate(r, maskPixels)
-      loaded.store.resetLoads()
       val res = FilterVerify.execute(m1, pred, loaded.store, loaded.chiBc)
       TypedQueryRun(bd.name, "Filter", res.stats.elapsedMs, res.stats.fml)
     }
     val topk = (0 until nPerType).map { _ =>
-      val (lv, uv) = randRange()
-      loaded.store.resetLoads()
+      val (lv, uv) = Workloads.randomRange(r)
       val res = TopK.masks(m1, CpExpr.term(ConstRoi(randRoi()), lv, uv), 25, r.nextBoolean(), loaded.store, loaded.chiBc)
       TypedQueryRun(bd.name, "Top-K", res.stats.elapsedMs, res.stats.fml)
     }
     val agg = (0 until nPerType).map { _ =>
-      val (lv, uv) = randRange()
+      val (lv, uv) = Workloads.randomRange(r)
       val value = ScalarAggValue(AvgAgg, CpExpr.term(ConstRoi(randRoi()), lv, uv))
-      loaded.store.resetLoads()
       val res = Aggregation.topKGroups(loaded.catalog, value, 25, r.nextBoolean(), loaded.store, loaded.chiBc)
       // FML relative to all masks of the dataset.
       TypedQueryRun(bd.name, "Aggregation", res.stats.elapsedMs, res.stats.masksLoaded.toDouble / bd.ds.nMasks)
@@ -193,22 +145,17 @@ object Harness {
     Dist(s.head, q(0.25), q(0.5), q(0.75), s.last)
   }
 
-  def printFig8(runs: Seq[TypedQueryRun]): Unit = {
-    println()
-    println("== Figure 8 (as table): MaskSearch query-time distribution (ms) per query type ==")
-    println(f"${"dataset"}%-14s ${"type"}%-12s ${"min"}%7s ${"p25"}%7s ${"median"}%7s ${"p75"}%7s ${"max"}%7s   ${"medFML"}%8s")
-    for (ds <- runs.map(_.dataset).distinct; t <- Seq("Filter", "Top-K", "Aggregation")) {
-      val sel = runs.filter(x => x.dataset == ds && x.qtype == t)
-      val d = dist(sel.map(_.timeMs))
+  /** One box of Figure 8: the time distribution of one query type's runs on
+    * one dataset, and their median FML.
+    */
+  final case class TypeBox(dataset: String, qtype: String, nQueries: Int, timeMs: Dist, medianFml: Double)
+
+  def boxes(runs: Seq[TypedQueryRun]): Seq[TypeBox] =
+    runs.map(r => (r.dataset, r.qtype)).distinct.map { case (ds, t) =>
+      val sel = runs.filter(r => r.dataset == ds && r.qtype == t)
       val fmls = sel.map(_.fml).sorted
-      println(f"$ds%-14s $t%-12s ${d.min}%7d ${d.p25}%7d ${d.median}%7d ${d.p75}%7d ${d.max}%7d   ${fmls(fmls.size / 2)}%8.4f")
+      TypeBox(ds, t, sel.size, dist(sel.map(_.timeMs)), fmls(fmls.size / 2))
     }
-    appendTsv(
-      "fig8.tsv",
-      "dataset\tqtype\ttime_ms\tfml",
-      runs.map(r => s"${r.dataset}\t${r.qtype}\t${r.timeMs}\t${r.fml}"),
-    )
-  }
 
   /** Pearson correlation coefficient. */
   def pearson(xs: Seq[Double], ys: Seq[Double]): Double = {
@@ -220,30 +167,23 @@ object Harness {
     if (sx == 0 || sy == 0) 0.0 else cov / (sx * sy)
   }
 
+  /** Figure 9 on one dataset: each Filter query's FML and time, and their
+    * Pearson r.
+    */
+  final case class FmlScatter(dataset: String, pearsonR: Double, fml: Seq[Double], timeMs: Seq[Long])
+
   /** §4.4 / Fig 9: query time vs fraction of masks loaded for Filter queries. */
-  def runFig9(spark: SparkSession, loaded: BenchData.Loaded, nQueries: Int, seed: Long): (Seq[(Double, Long)], Double) = {
+  def runFig9(spark: SparkSession, loaded: BenchData.Loaded, nQueries: Int, seed: Long): FmlScatter = {
     val r = new scala.util.Random(seed)
     val m1 = loaded.catalog.filter("model_id = 1").cache()
     m1.count()
     val maskPixels = loaded.bd.ds.w.toLong * loaded.bd.ds.h
-    val pts = (0 until nQueries).map { _ =>
+    val stats = (0 until nQueries).map { _ =>
       val pred = Workloads.randomFilterPredicate(r, maskPixels)
-      loaded.store.resetLoads()
-      val res = FilterVerify.execute(m1, pred, loaded.store, loaded.chiBc)
-      (res.stats.fml, res.stats.elapsedMs)
+      FilterVerify.execute(m1, pred, loaded.store, loaded.chiBc).stats
     }
-    (pts, pearson(pts.map(_._1), pts.map(_._2.toDouble)))
-  }
-
-  def printFig9(dataset: String, pts: Seq[(Double, Long)], r: Double): Unit = {
-    println()
-    println(s"== Figure 9 (as table): query time vs FML on $dataset ==")
-    println(f"  Pearson r(FML, time) = $r%.3f over ${pts.size} Filter queries")
-    val byBucket = pts.groupBy(p => (p._1 * 10).toInt / 10.0)
-    byBucket.toSeq.sortBy(_._1).foreach { case (b, ps) =>
-      println(f"  FML ∈ [$b%.1f, ${b + 0.1}%.1f): n=${ps.size}%3d  mean time ${ps.map(_._2).sum / ps.size}%6d ms")
-    }
-    appendTsv(s"fig9_$dataset.tsv", "fml\ttime_ms", pts.map(p => s"${p._1}\t${p._2}"))
+    val (fml, timeMs) = (stats.map(_.fml), stats.map(_.elapsedMs))
+    FmlScatter(loaded.bd.name, pearson(fml, timeMs.map(_.toDouble)), fml, timeMs)
   }
 
   // ---------------------------------------------------------------- Fig 10
@@ -275,18 +215,21 @@ object Harness {
     val ranges = Seq((0.6, 1.0), (0.8, 1.0))
 
     val areas = sample.as[CatalogRow].collect().map(r => r.mask_id -> ObjectRoi.resolve(r).area).toMap
+    // Exact values, per range, to place the example thresholds at the quartiles.
+    val store = loaded.store
+    val exactsOf = ranges.map { case (lv, uv) =>
+      (lv, uv) -> sample.as[CatalogRow].map { r =>
+        val m = store.loadPath(r.path)
+        m.cp(Roi(r.ox1, r.oy1, r.ox2, r.oy2), ValueRange(lv, uv)).toDouble
+      }.collect().sorted
+    }.toMap
 
     configs.flatMap { case (label, cfg) =>
       val reg = ChiRegistry.broadcast(spark, ChiRegistry.build(spark, sample, loaded.store, cfg))
       ranges.map { case (lv, uv) =>
         val rows = FilterVerify.boundsPerMask(sample, CpExpr.term(ObjectRoi, lv, uv), reg)
           .map { case (id, lo, hi) => (lo, hi, areas(id)) }
-        // Exact values to place the example thresholds at the quartiles.
-        val store = loaded.store
-        val exacts = sample.as[CatalogRow].map { r =>
-          val m = store.loadPath(r.path)
-          m.cp(Roi(r.ox1, r.oy1, r.ox2, r.oy2), ValueRange(lv, uv)).toDouble
-        }.collect().sorted
+        val exacts = exactsOf((lv, uv))
         def fmlAt(t: Double): Double =
           rows.count { case (lo, hi, _) => lo <= t && t < hi }.toDouble / rows.length
         val relWidths = rows.map { case (lo, hi, area) => (hi - lo) / math.max(1.0, area.toDouble) }
@@ -302,20 +245,6 @@ object Harness {
     }
   }
 
-  def printFig10(rows: Seq[BoundsRow]): Unit = {
-    println()
-    println("== Figure 10 (as table): CHI bound tightness and induced FML ==")
-    println(f"${"dataset"}%-14s ${"index"}%-8s ${"size%"}%6s ${"(lv,uv)"}%-10s ${"relWidth"}%9s ${"FML@q1"}%8s ${"FML@med"}%8s ${"FML@q3"}%8s")
-    rows.foreach { r =>
-      println(f"${r.dataset}%-14s ${r.cfgLabel}%-8s ${r.indexRatio * 100}%5.1f%% (${r.lv}%.1f,${r.uv}%.1f)  ${r.meanRelWidth}%9.4f ${r.fmlAtQ1}%8.4f ${r.fmlAtMedian}%8.4f ${r.fmlAtQ3}%8.4f")
-    }
-    appendTsv(
-      "fig10.tsv",
-      "dataset\tcfg\tindex_ratio\tlv\tuv\tmean_rel_width\tfml_q1\tfml_med\tfml_q3",
-      rows.map(r => s"${r.dataset}\t${r.cfgLabel}\t${r.indexRatio}\t${r.lv}\t${r.uv}\t${r.meanRelWidth}\t${r.fmlAtQ1}\t${r.fmlAtMedian}\t${r.fmlAtQ3}"),
-    )
-  }
-
   // ---------------------------------------------------------------- Fig 11
 
   final case class WorkloadCurves(
@@ -325,10 +254,7 @@ object Harness {
       cumScan: Seq[Long],
       cumMs: Seq[Long],   // index build charged before query 1
       cumMsii: Seq[Long],
-  ) {
-    def ratioMsiiOverMs: Seq[Double] =
-      cumMsii.zip(cumMs).map { case (a, b) => a.toDouble / math.max(1L, b) }
-  }
+  )
 
   /** §4.5: one multi-query workload executed by the scan baseline (NumPy
     * stand-in), MaskSearch with ahead-of-time indexing (MS), and MaskSearch
@@ -378,28 +304,5 @@ object Harness {
       cumScan :+= accScan; cumMs :+= accMs; cumMsii :+= accMsii
     }
     WorkloadCurves(loaded.bd.name, pSeen, nQueries, cumScan, cumMs, cumMsii)
-  }
-
-  def printFig11(curves: Seq[WorkloadCurves]): Unit = {
-    println()
-    println("== Figure 11 (as table): multi-query workloads — cumulative total time (ms) ==")
-    curves.foreach { c =>
-      val checkpoints = Seq(1, 5, 10, 20, c.nQueries).distinct.filter(_ <= c.nQueries)
-      println(f"-- ${c.dataset} workload p_seen=${c.pSeen}%.1f (${c.nQueries} Filter queries) --")
-      println(f"   ${"after query"}%-12s ${checkpoints.map(q => f"$q%8d").mkString}")
-      def row(name: String, xs: Seq[Long]): Unit =
-        println(f"   $name%-12s ${checkpoints.map(q => f"${xs(q - 1)}%8d").mkString}")
-      row("Scan(NumPy)", c.cumScan)
-      row("MS", c.cumMs)
-      row("MS-II", c.cumMsii)
-      val ratios = c.ratioMsiiOverMs
-      println(f"   MS-II/MS ratio: peak ${ratios.max}%.2f at query ${ratios.indexOf(ratios.max) + 1}, final ${ratios.last}%.2f")
-    }
-    appendTsv(
-      "fig11.tsv",
-      "dataset\tp_seen\tquery\tcum_scan_ms\tcum_ms_ms\tcum_msii_ms",
-      curves.flatMap(c => (0 until c.nQueries).map(i =>
-        s"${c.dataset}\t${c.pSeen}\t${i + 1}\t${c.cumScan(i)}\t${c.cumMs(i)}\t${c.cumMsii(i)}")),
-    )
   }
 }

@@ -6,29 +6,28 @@ import org.apache.spark.sql.DataFrame
 import repro.store.{CatalogRow, MaskStore}
 
 /** A scalar aggregation function over the CP values of a group of masks
-  * (§3.4, `SCALAR_AGG`): SUM / AVG / MIN / MAX — all monotone in each input,
-  * so group bounds follow from per-mask bounds.
+  * (§3.4, `SCALAR_AGG`): SUM / AVG / MIN / MAX — all monotone non-decreasing
+  * in each input, so group bounds follow from per-mask bounds.
   */
 sealed trait ScalarAgg extends Serializable {
   def exact(vs: Seq[Double]): Double
-  def bounds(bs: Seq[(Double, Double)]): (Double, Double)
+
+  /** The aggregate of the lower and of the upper bounds: exact because every
+    * aggregate is monotone non-decreasing in each input.
+    */
+  final def bounds(bs: Seq[(Double, Double)]): (Double, Double) = (exact(bs.map(_._1)), exact(bs.map(_._2)))
 }
 case object SumAgg extends ScalarAgg {
   def exact(vs: Seq[Double]): Double = vs.sum
-  def bounds(bs: Seq[(Double, Double)]): (Double, Double) = (bs.map(_._1).sum, bs.map(_._2).sum)
 }
 case object AvgAgg extends ScalarAgg {
   def exact(vs: Seq[Double]): Double = vs.sum / vs.size
-  def bounds(bs: Seq[(Double, Double)]): (Double, Double) =
-    (bs.map(_._1).sum / bs.size, bs.map(_._2).sum / bs.size)
 }
 case object MinAgg extends ScalarAgg {
   def exact(vs: Seq[Double]): Double = vs.min
-  def bounds(bs: Seq[(Double, Double)]): (Double, Double) = (bs.map(_._1).min, bs.map(_._2).min)
 }
 case object MaxAgg extends ScalarAgg {
   def exact(vs: Seq[Double]): Double = vs.max
-  def bounds(bs: Seq[(Double, Double)]): (Double, Double) = (bs.map(_._1).max, bs.map(_._2).max)
 }
 
 /** The value a group-level query computes per group (per image): either a

@@ -26,6 +26,9 @@ object DiskThrottle {
   def setBandwidthMiBps(mbps: Double): Unit =
     bytesPerSec = if (mbps <= 0) 0L else (mbps * 1024 * 1024).toLong
 
+  /** The simulated bandwidth in MiB/s; 0 when throttling is off. */
+  def bandwidthMiBps: Double = bytesPerSec.toDouble / (1024 * 1024)
+
   def isEnabled: Boolean = bytesPerSec > 0
 
   /** Account a read of `bytes` and block until the shared disk would have
