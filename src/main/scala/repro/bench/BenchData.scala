@@ -38,7 +38,8 @@ object BenchData {
   /** WILDS-lite: 1,500 images × 2 models, 112×112 masks (~150 MB raw).
     * CHI: cell 16×16 (7×7 grid — the paper's WILDS granularity, 448/64),
     * b = 20 (Δ = 0.05, so the 0.05-multiple value ranges used throughout the
-    * evaluation are bin-aligned) ⇒ 3.8 KiB/mask = 7.8% of raw.
+    * evaluation are bin-aligned) ⇒ 7×7×20 16-bit counts, 1.9 KiB/mask =
+    * 3.9% of raw.
     */
   val wilds: BenchDataset = BenchDataset(
     MaskDatasetDef("wilds-lite", nImages = 1500, nModels = 2, w = 112, h = 112, seed = 101),
@@ -49,7 +50,8 @@ object BenchData {
   /** ImageNet-lite: 20,000 images × 2 models, 56×56 masks (~500 MB raw).
     * CHI: cell 8×8 (7×7 grid), b = 10 (Δ = 0.1 — at 56² the value
     * dimension prunes far more than the spatial one, and 0.1-aligned bins
-    * put the index at 1.9 KiB/mask = 15.6% of raw; see EXPERIMENTS.md).
+    * put the index at 7×7×10 16-bit counts, 980 B/mask = 7.8% of raw; see
+    * EXPERIMENTS.md).
     */
   val imagenet: BenchDataset = BenchDataset(
     MaskDatasetDef("imagenet-lite", nImages = 20000, nModels = 2, w = 56, h = 56, seed = 202),
@@ -66,29 +68,24 @@ object BenchData {
       catalog: DataFrame,
       registry: ChiRegistry,
       chiBc: Broadcast[ChiRegistry],
-      buildMs: Long,
   )
 
   private val cache = scala.collection.mutable.Map.empty[String, Loaded]
 
   /** The registry persisted at `path` when it is current
-    * ([[ChiRegistry.isCurrent]]), with build time 0; otherwise `build` it,
-    * persist it there and return it with its build time in ms.
+    * ([[ChiRegistry.isCurrent]]); otherwise `build` it, persist it there and
+    * return it.
     */
-  def cachedRegistry(spark: SparkSession, path: String)(build: => ChiRegistry): (ChiRegistry, Long) =
-    if (Files.exists(Paths.get(path)) && ChiRegistry.isCurrent(spark, path)) (ChiRegistry.load(spark, path), 0L)
+  def cachedRegistry(spark: SparkSession, path: String)(build: => ChiRegistry): ChiRegistry =
+    if (Files.exists(Paths.get(path)) && ChiRegistry.isCurrent(spark, path)) ChiRegistry.load(spark, path)
     else {
-      val t0 = System.nanoTime()
       val r = build
-      val ms = (System.nanoTime() - t0) / 1_000_000
       ChiRegistry.save(spark, r, path)
-      (r, ms)
+      r
     }
 
   /** Materialise masks and build (or reload) the CHI registry. The registry
-    * is persisted next to the data so repeated bench suites skip the build;
-    * `buildMs` always reports the cost of a fresh build when one happened,
-    * else 0.
+    * is persisted next to the data so repeated bench suites skip the build.
     */
   def load(spark: SparkSession, bd: BenchDataset): Loaded = synchronized {
     cache.getOrElseUpdate(bd.name, {
@@ -97,10 +94,9 @@ object BenchData {
       val catalog = catalog0.cache()
       catalog.count()
       val chiPath = s"${bd.baseDir}/chi-${bd.cfg.cellW}x${bd.cfg.cellH}x${bd.cfg.bins}"
-      val (registry, buildMs) =
-        cachedRegistry(spark, chiPath)(ChiRegistry.buildWithAggregates(spark, catalog, store, bd.cfg))
+      val registry = cachedRegistry(spark, chiPath)(ChiRegistry.buildWithAggregates(spark, catalog, store, bd.cfg))
       store.resetLoads()
-      Loaded(bd, store, catalog, registry, ChiRegistry.broadcast(spark, registry), buildMs)
+      Loaded(bd, store, catalog, registry, ChiRegistry.broadcast(spark, registry))
     })
   }
 }

@@ -7,7 +7,7 @@ package repro.core
   * @param bins  number of equi-width pixel-value buckets `b` over [0, 1)
   */
 final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
-  require(cellW >= 1 && cellH >= 1 && bins >= 1, s"bad CHI config $this")
+  require(cellW >= 1 && cellH >= 1 && bins >= 1 && bins <= (1 << 19), s"bad CHI config $this")
 
   /** Lower edge of bin `b`; `boundary(bins) == 1.0` closes the last bin. The
     * only definition of a bin edge: [[binOf]] and the two range selectors
@@ -15,8 +15,24 @@ final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
     */
   def boundary(b: Int): Double = b.toDouble / bins
 
-  /** Every `boundary`, so the per-pixel [[binOf]] does no division. */
+  /** Every `boundary`, so the range selectors do no division. */
   private val edges: Array[Double] = Array.tabulate(bins + 1)(boundary)
+
+  /** The smallest float at or above each `boundary`. Float → double is
+    * monotone, so a float pixel `v` has `v ≥ boundary(b)` iff
+    * `v ≥ floatEdges(b)`.
+    */
+  private val floatEdges: Array[Float] = Array.tabulate(bins + 1) { b =>
+    val f = boundary(b).toFloat
+    if (f.toDouble < boundary(b)) Math.nextUp(f) else f
+  }
+
+  /** `bins` shrunk by 2⁻²⁰. With at most 2¹⁹ bins, `(v · binsDown).toInt` is
+    * the bin of `v` or the one below it: three float roundings (2⁻²⁴ each) and
+    * the edges' double rounding cannot undo a relative shrink of 2⁻²⁰, which
+    * moves `v · bins` by less than one bin.
+    */
+  private val binsDown: Float = (bins * (1.0 - 1.0 / (1 << 20))).toFloat
 
   /** The `b` with `boundary(b) ≤ x < boundary(b + 1)`, for `x` in [0, 1). `x · bins`
     * lands within one bin of it; one comparison with each neighbouring edge settles which.
@@ -26,8 +42,14 @@ final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
     if (x < edges(b)) b - 1 else if (x >= edges(b + 1)) b + 1 else b
   }
 
-  /** The bin of a pixel value `v` in [0, 1) ([[Mask.checkDomain]]). */
-  def binOf(v: Float): Int = bin(v.toDouble)
+  /** The bin of a pixel value `v` in [0, 1) ([[Mask.inDomain]]): the `b` with
+    * `boundary(b) ≤ v < boundary(b + 1)`, decided in float arithmetic by one
+    * comparison with the edge above an estimate that is never too high.
+    */
+  def binOf(v: Float): Int = {
+    val b = (v * binsDown).toInt
+    if (v >= floatEdges(b + 1)) b + 1 else b
+  }
 
   /** Largest `b` with `boundary(b) ≤ x`, clamped to [0, bins]. */
   def binAtOrBelow(x: Double): Int = if (x < 0) 0 else if (x >= 1) bins else bin(x)
@@ -36,74 +58,87 @@ final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
   def binAtOrAbove(x: Double): Int =
     if (x <= 0) 0 else if (x > 1) bins else { val b = binAtOrBelow(x); if (edges(b) == x) b else b + 1 }
 
-  /** Uncompressed index size in bytes for one `w × h` mask (4 bytes/count,
-    * interior corner cells only — the zero border row/column is implicit).
+  /** Uncompressed index size in bytes for one `w × h` mask: interior corner
+    * cells only (the zero border row/column is implicit), at
+    * [[ChiIndex.countBytes]] per count — 2 bytes when `w·h ≤ 65,535` (both
+    * lite datasets, and the paper's 224² ImageNet masks), 4 bytes above
+    * (the paper's 448² WILDS masks).
     */
   def sizeBytes(w: Int, h: Int): Long =
-    4L * bins * ChiIndex.nCells(w, cellW) * ChiIndex.nCells(h, cellH)
+    ChiIndex.countBytes(w, h).toLong * bins * ChiIndex.nCells(w, cellW) * ChiIndex.nCells(h, cellH)
 }
 
 /** The Cumulative Histogram Index of a single mask (§3.1).
   *
-  * `H(cx, cy)(bin)` — stored flat in [[counts]] — is the number of pixels in
-  * the top-left rectangle `((1,1), (xb(cx), yb(cy)))` whose value is at least
-  * `boundary(bin)` (the paper's reverse cumulative sum, Eq. 1). Grid boundary
-  * coordinates are multiples of the cell size, with a final partial cell when
-  * the mask dimension is not a multiple (`xb.last == w`). Index `cx = 0` /
-  * `cy = 0` denotes the empty rectangle, so 2-D inclusion–exclusion (Eq. 2)
-  * needs no special cases.
+  * `H(cx, cy)(bin)` is the number of pixels in the top-left rectangle up to
+  * grid lines `cx`, `cy` whose value is at least `boundary(bin)` (the paper's
+  * reverse cumulative sum, Eq. 1). Grid lines lie at multiples of the cell
+  * size, with a final partial cell when the mask dimension is not a multiple
+  * ([[ChiIndex.line]]). Line `0` bounds the empty rectangle, so 2-D
+  * inclusion–exclusion (Eq. 2) needs no special cases.
   *
   * The flat-array layout with `(cx, cy, bin)` acting as offsets mirrors the
   * paper's optimized index structure: no keys are stored and lookups are O(1)
-  * with no pointer chasing.
+  * with no pointer chasing. A count never exceeds `w·h`, so [[counts]] holds
+  * its low 16 bits, and [[high]] its high 16 bits only when `w·h > 65,535`
+  * (empty otherwise); `count` is the one place that joins them.
   */
 final class ChiIndex(
     val maskId: Long,
     val w: Int,
     val h: Int,
     val cfg: ChiConfig,
-    val counts: Array[Int],
+    val counts: Array[Char],
+    val high: Array[Char],
 ) extends Serializable {
-
-  /** x boundary coordinates: 0, cellW, 2·cellW, …, w. */
-  @transient private lazy val xb: Array[Int] = ChiIndex.boundaries(w, cfg.cellW)
-  @transient private lazy val yb: Array[Int] = ChiIndex.boundaries(h, cfg.cellH)
+  import ChiIndex.{line, lineAtOrAbove, lineAtOrBelow, lineIndex}
 
   private def nCy: Int = ChiIndex.nCells(h, cfg.cellH)
 
-  /** Raw index lookup `H(cx, cy)(bin)`; `cx`/`cy` are grid indices into the
-    * boundary arrays (0 = empty rectangle).
+  /** Raw index lookup `H(cx, cy)(bin)`; `cx`/`cy` are grid line indices
+    * (0 = empty rectangle).
     */
   def hLookup(cx: Int, cy: Int, bin: Int): Int =
-    if (cx == 0 || cy == 0) 0
-    else counts(((cx - 1) * nCy + (cy - 1)) * cfg.bins + bin)
+    if (cx == 0 || cy == 0) 0 else count(((cx - 1) * nCy + (cy - 1)) * cfg.bins + bin)
+
+  /** The count stored at flat offset `i`: its low half, joined with its high half when there is one. */
+  private def count(i: Int): Int = if (high.length == 0) counts(i) else counts(i) | high(i) << 16
+
+  /** Every count, widened to `Int`, in storage order. */
+  def wideCounts: Array[Int] = Array.tabulate(counts.length)(count)
+
+  /** `C(i) − C(j)` of Eq. 2 for the grid rectangle between lines `(cx1, cy1)`
+    * and `(cx2, cy2)`: the pixels in it with values in
+    * `[boundary(i), boundary(j))`, where `C(bins) = 0`.
+    */
+  private def rangeCount(cx1: Int, cy1: Int, cx2: Int, cy2: Int, i: Int, j: Int): Long = {
+    def c(b: Int): Int =
+      if (b == cfg.bins) 0
+      else hLookup(cx2, cy2, b) - hLookup(cx1, cy2, b) - hLookup(cx2, cy1, b) + hLookup(cx1, cy1, b)
+    (c(i) - c(j)).toLong
+  }
 
   /** True iff `r` is an *available region* (Definition 3.1): both corners sit
-    * on grid boundaries.
+    * on grid lines.
     */
   def isAvailable(r: Roi): Boolean =
-    ChiIndex.boundaryIndex(xb, r.x1 - 1) >= 0 && ChiIndex.boundaryIndex(xb, r.x2) >= 0 &&
-      ChiIndex.boundaryIndex(yb, r.y1 - 1) >= 0 && ChiIndex.boundaryIndex(yb, r.y2) >= 0
+    lineIndex(r.x1 - 1, w, cfg.cellW) >= 0 && lineIndex(r.x2, w, cfg.cellW) >= 0 &&
+      lineIndex(r.y1 - 1, h, cfg.cellH) >= 0 && lineIndex(r.y2, h, cfg.cellH) >= 0
 
   /** `C(mask, r)` (Eq. 2): the reverse-cumulative histogram of the available
     * region `r`, computed by 2-D inclusion–exclusion over four index entries.
     * The returned array has `bins + 1` entries with `C(bins) == 0` so that the
     * count of pixels with values in `[boundary(i), boundary(j))` is
-    * `C(i) - C(j)`.
+    * `C(i) - C(j)`. The definition [[bounds]] is checked against; it reads
+    * only the bins it needs.
     */
   def cHist(r: Roi): Array[Int] = {
-    val cx1 = ChiIndex.boundaryIndex(xb, r.x1 - 1)
-    val cx2 = ChiIndex.boundaryIndex(xb, r.x2)
-    val cy1 = ChiIndex.boundaryIndex(yb, r.y1 - 1)
-    val cy2 = ChiIndex.boundaryIndex(yb, r.y2)
+    val cx1 = lineIndex(r.x1 - 1, w, cfg.cellW)
+    val cx2 = lineIndex(r.x2, w, cfg.cellW)
+    val cy1 = lineIndex(r.y1 - 1, h, cfg.cellH)
+    val cy2 = lineIndex(r.y2, h, cfg.cellH)
     require(cx1 >= 0 && cx2 >= 0 && cy1 >= 0 && cy2 >= 0, s"region $r not available in CHI of mask $maskId")
-    val out = new Array[Int](cfg.bins + 1)
-    var b = 0
-    while (b < cfg.bins) {
-      out(b) = hLookup(cx2, cy2, b) - hLookup(cx1, cy2, b) - hLookup(cx2, cy1, b) + hLookup(cx1, cy1, b)
-      b += 1
-    }
-    out
+    Array.tabulate(cfg.bins + 1)(b => rangeCount(cx1, cy1, cx2, cy2, b, cfg.bins).toInt)
   }
 
   /** The smallest available region covering `roi` (the paper's `roi̅`).
@@ -112,10 +147,10 @@ final class ChiIndex(
   def outerRegion(roi: Roi): Roi = {
     require(roi.within(w, h), s"roi $roi outside ${w}x$h mask")
     Roi(
-      ChiIndex.largestLeq(xb, roi.x1 - 1) + 1,
-      ChiIndex.largestLeq(yb, roi.y1 - 1) + 1,
-      ChiIndex.smallestGeq(xb, roi.x2),
-      ChiIndex.smallestGeq(yb, roi.y2),
+      line(lineAtOrBelow(roi.x1 - 1, w, cfg.cellW), w, cfg.cellW) + 1,
+      line(lineAtOrBelow(roi.y1 - 1, h, cfg.cellH), h, cfg.cellH) + 1,
+      line(lineAtOrAbove(roi.x2, w, cfg.cellW), w, cfg.cellW),
+      line(lineAtOrAbove(roi.y2, h, cfg.cellH), h, cfg.cellH),
     )
   }
 
@@ -124,52 +159,62 @@ final class ChiIndex(
     */
   def innerRegion(roi: Roi): Option[Roi] = {
     require(roi.within(w, h), s"roi $roi outside ${w}x$h mask")
-    val x1 = ChiIndex.smallestGeq(xb, roi.x1 - 1) + 1
-    val y1 = ChiIndex.smallestGeq(yb, roi.y1 - 1) + 1
-    val x2 = ChiIndex.largestLeq(xb, roi.x2)
-    val y2 = ChiIndex.largestLeq(yb, roi.y2)
+    val x1 = line(lineAtOrAbove(roi.x1 - 1, w, cfg.cellW), w, cfg.cellW) + 1
+    val y1 = line(lineAtOrAbove(roi.y1 - 1, h, cfg.cellH), h, cfg.cellH) + 1
+    val x2 = line(lineAtOrBelow(roi.x2, w, cfg.cellW), w, cfg.cellW)
+    val y2 = line(lineAtOrBelow(roi.y2, h, cfg.cellH), h, cfg.cellH)
     if (x1 <= x2 && y1 <= y2) Some(Roi(x1, y1, x2, y2)) else None
   }
 
   /** Lower and upper bounds on `CP(mask, roi, range)` (§3.2.1, Eqs. 3–4 for
     * the upper bound and their mirror images for the lower bound). The exact
     * CP value is guaranteed to lie in `[lower, upper]`; when both `roi` and
-    * `range` align with cell/bin boundaries the bounds are exact.
+    * `range` align with cell/bin boundaries the bounds are exact. Reads four
+    * bins at the corners of [[outerRegion]] and [[innerRegion]], found by
+    * arithmetic on the cell size; allocates only the result.
     */
   def bounds(roi: Roi, range: ValueRange): CpBounds = {
+    require(roi.within(w, h), s"roi $roi outside ${w}x$h mask")
+    val cw = cfg.cellW
+    val ch = cfg.cellH
     // Bins of the outer value range ⊇ [lv, uv) and of the inner one ⊆ [lv, uv).
     val binLoOuter = cfg.binAtOrBelow(range.lv)
     val binHiOuter = cfg.binAtOrAbove(range.uv)
     val binLoInner = cfg.binAtOrAbove(range.lv)
     val binHiInner = cfg.binAtOrBelow(range.uv)
 
-    def outerCount(c: Array[Int]): Long = (c(binLoOuter) - c(binHiOuter)).toLong
-    def innerCount(c: Array[Int]): Long =
-      if (binLoInner >= binHiInner) 0L else (c(binLoInner) - c(binHiInner)).toLong
+    // Grid lines of roi̅ (o) and roi̲ (i); roi̲ is empty unless i1 < i2 on both axes.
+    val ox1 = lineAtOrBelow(roi.x1 - 1, w, cw)
+    val ox2 = lineAtOrAbove(roi.x2, w, cw)
+    val oy1 = lineAtOrBelow(roi.y1 - 1, h, ch)
+    val oy2 = lineAtOrAbove(roi.y2, h, ch)
+    val ix1 = lineAtOrAbove(roi.x1 - 1, w, cw)
+    val ix2 = lineAtOrBelow(roi.x2, w, cw)
+    val iy1 = lineAtOrAbove(roi.y1 - 1, h, ch)
+    val iy2 = lineAtOrBelow(roi.y2, h, ch)
+    val hasInner = ix1 < ix2 && iy1 < iy2
+    val outerArea = (line(ox2, w, cw) - line(ox1, w, cw)).toLong * (line(oy2, h, ch) - line(oy1, h, ch))
+    val innerArea = (line(ix2, w, cw) - line(ix1, w, cw)).toLong * (line(iy2, h, ch) - line(iy1, h, ch))
 
-    val ro  = outerRegion(roi)
-    val cRo = cHist(ro)
-    val ri  = innerRegion(roi)
-    val cRi = ri.map(cHist)
+    def outerCount(x1: Int, y1: Int, x2: Int, y2: Int): Long = rangeCount(x1, y1, x2, y2, binLoOuter, binHiOuter)
+    def innerCount(x1: Int, y1: Int, x2: Int, y2: Int): Long =
+      if (binLoInner >= binHiInner) 0L else rangeCount(x1, y1, x2, y2, binLoInner, binHiInner)
 
     // Upper bounds: Approach 1 (Eq. 3) on roi̅; Approach 2 (Eq. 4) on roi̲.
-    val upper1 = outerCount(cRo)
-    val upper2 = (ri, cRi) match {
-      case (Some(r), Some(c)) => outerCount(c) + roi.area - r.area
-      case _                  => roi.area
-    }
+    val upper1 = outerCount(ox1, oy1, ox2, oy2)
+    val upper2 = if (hasInner) outerCount(ix1, iy1, ix2, iy2) + roi.area - innerArea else roi.area
     // Lower bounds, mirrored: certain pixels inside roi̲ with values certainly
     // in range; or certain pixels in roi̅ minus the pixels possibly outside roi.
-    val lower1 = cRi.map(innerCount).getOrElse(0L)
-    val lower2 = innerCount(cRo) - (ro.area - roi.area)
+    val lower1 = if (hasInner) innerCount(ix1, iy1, ix2, iy2) else 0L
+    val lower2 = innerCount(ox1, oy1, ox2, oy2) - (outerArea - roi.area)
 
     val upper = math.min(math.min(upper1, upper2), roi.area)
     val lower = math.max(math.max(lower1, lower2), 0L)
     CpBounds(lower, upper)
   }
 
-  /** Uncompressed size of this index in bytes. */
-  def sizeBytes: Long = 4L * counts.length
+  /** Uncompressed size of this index in bytes: 2 per count, 4 with [[high]]. */
+  def sizeBytes: Long = 2L * (counts.length + high.length)
 }
 
 /** A `[lower, upper]` interval that is guaranteed to contain the exact CP
@@ -190,92 +235,116 @@ object ChiIndex {
     case None      => CpBounds(0L, roi.area)
   }
 
+  /** Bytes per count of a `w × h` mask's index: 2 when no count can exceed
+    * 65,535 (`w·h ≤ 65,535`), else 4.
+    */
+  def countBytes(w: Int, h: Int): Int = if (w.toLong * h > Char.MaxValue) 4 else 2
+
   /** Number of grid cells along a dimension of `dim` pixels (last may be partial). */
   def nCells(dim: Int, cell: Int): Int = (dim + cell - 1) / cell
 
-  /** Boundary coordinates along one dimension: 0, cell, 2·cell, …, dim. */
-  def boundaries(dim: Int, cell: Int): Array[Int] = {
-    val n = nCells(dim, cell)
-    Array.tabulate(n + 1)(i => math.min(i * cell, dim))
+  /** Coordinate of grid line `i` along a dimension of `dim` pixels: the lines
+    * are 0, cell, 2·cell, …, and `dim`, which closes a partial last cell.
+    */
+  def line(i: Int, dim: Int, cell: Int): Int = math.min(i * cell, dim)
+
+  /** Index of the grid line at `v`, or -1 when `v` is not one. */
+  def lineIndex(v: Int, dim: Int, cell: Int): Int =
+    if (v == dim) nCells(dim, cell) else if (v >= 0 && v < dim && v % cell == 0) v / cell else -1
+
+  /** Index of the last grid line at or before `v`, for 0 ≤ v ≤ dim. */
+  def lineAtOrBelow(v: Int, dim: Int, cell: Int): Int = if (v == dim) nCells(dim, cell) else v / cell
+
+  /** Index of the first grid line at or after `v`, for 0 ≤ v ≤ dim. */
+  def lineAtOrAbove(v: Int, dim: Int, cell: Int): Int = (v + cell - 1) / cell
+
+  /** Shared empty high half of every index whose counts fit in 16 bits. */
+  private val NoHigh: Array[Char] = Array.emptyCharArray
+
+  /** The two halves of `n` counts for a `w × h` mask. */
+  private def halves(w: Int, h: Int, n: Int): (Array[Char], Array[Char]) =
+    (new Array[Char](n), if (countBytes(w, h) == 4) new Array[Char](n) else NoHigh)
+
+  private def put(counts: Array[Char], high: Array[Char], i: Int, v: Int): Unit = {
+    counts(i) = v.toChar
+    if (high.length != 0) high(i) = (v >>> 16).toChar
   }
 
-  /** Index of `v` in the sorted boundary array, or -1 when `v` is not a boundary. */
-  def boundaryIndex(bs: Array[Int], v: Int): Int = {
-    val i = java.util.Arrays.binarySearch(bs, v)
-    if (i >= 0) i else -1
+  /** An index from counts in storage order ([[ChiIndex.wideCounts]]), e.g. as
+    * persisted. Fails unless there are `nCx·nCy·bins` of them, each in
+    * [0, w·h], so none is truncated when narrowed.
+    */
+  def fromCounts(maskId: Long, w: Int, h: Int, cfg: ChiConfig, wide: Array[Int]): ChiIndex = {
+    val n = nCells(w, cfg.cellW) * nCells(h, cfg.cellH) * cfg.bins
+    require(wide.length == n, s"CHI of mask $maskId has ${wide.length} counts, expected $n for ${w}x$h and $cfg")
+    val (counts, high) = halves(w, h, n)
+    var i = 0
+    while (i < n) {
+      val v = wide(i)
+      require(v >= 0 && v.toLong <= w.toLong * h, s"CHI of mask $maskId: count $v at $i is outside [0, ${w.toLong * h}]")
+      put(counts, high, i, v)
+      i += 1
+    }
+    new ChiIndex(maskId, w, h, cfg, counts, high)
   }
 
-  /** Largest boundary value ≤ v (v ≥ 0 always has one: 0). */
-  def largestLeq(bs: Array[Int], v: Int): Int = {
-    val i = java.util.Arrays.binarySearch(bs, v)
-    if (i >= 0) bs(i) else bs(-i - 2)
-  }
-
-  /** Smallest boundary value ≥ v (callers guarantee v ≤ bs.last). */
-  def smallestGeq(bs: Array[Int], v: Int): Int = {
-    val i = java.util.Arrays.binarySearch(bs, v)
-    if (i >= 0) bs(i) else bs(-i - 1)
-  }
-
-  /** Build the CHI of `mask` in one pass over its pixels: per-cell histograms,
-    * then a suffix sum along the bin axis (reverse cumulative) and a 2-D
-    * prefix sum along the spatial axes. O(w·h + cells·bins).
+  /** Build the CHI of `mask` in one pass over its pixels, one row of cells at
+    * a time: the row's per-cell histograms (checking that every pixel lies in
+    * [0, 1)), their suffix sums along the bin axis (reverse cumulative), added
+    * to running column sums, whose prefix sums along the row give `H`, written
+    * once into the retained arrays. O(w·h + cells·bins).
     */
   def build(mask: Mask, cfg: ChiConfig): ChiIndex = {
-    mask.checkDomain()
-    val nCx = nCells(mask.w, cfg.cellW)
-    val nCy = nCells(mask.h, cfg.cellH)
+    val w = mask.w
+    val h = mask.h
+    val data = mask.data
     val bins = cfg.bins
-    val counts = new Array[Int](nCx * nCy * bins)
+    val nCx = nCells(w, cfg.cellW)
+    val nCy = nCells(h, cfg.cellH)
+    val (counts, high) = halves(w, h, nCx * nCy * bins)
+    val cells = new Array[Int](nCy * bins) // plain histograms of the current row of cells
+    val column = new Array[Int](nCy * bins) // suffix sums over cell rows 0..cx, per (cy, bin)
+    val run = new Array[Int](bins) // column sums over cells 0..cy of the current row
 
-    def off(cx: Int, cy: Int): Int = (cx * nCy + cy) * bins
-
-    // 1. Per-cell plain histograms.
-    var x = 0
-    while (x < mask.w) {
-      val cx = x / cfg.cellW
-      val rowBase = x * mask.h
-      var y = 0
-      while (y < mask.h) {
-        counts(off(cx, y / cfg.cellH) + cfg.binOf(mask.data(rowBase + y))) += 1
-        y += 1
-      }
-      x += 1
-    }
-
-    // 2. Suffix sum over bins: entry b becomes "count of pixels with value ≥ boundary(b)".
     var cx = 0
     while (cx < nCx) {
-      var cy = 0
-      while (cy < nCy) {
-        val base = off(cx, cy)
-        var b = bins - 2
-        while (b >= 0) { counts(base + b) += counts(base + b + 1); b -= 1 }
-        cy += 1
-      }
-      cx += 1
-    }
-
-    // 3. 2-D prefix sum over the spatial grid (per bin).
-    cx = 0
-    while (cx < nCx) {
-      var cy = 0
-      while (cy < nCy) {
-        val base = off(cx, cy)
-        var b = 0
-        while (b < bins) {
-          var v = counts(base + b)
-          if (cx > 0) v += counts(off(cx - 1, cy) + b)
-          if (cy > 0) v += counts(off(cx, cy - 1) + b)
-          if (cx > 0 && cy > 0) v -= counts(off(cx - 1, cy - 1) + b)
-          counts(base + b) = v
-          b += 1
+      java.util.Arrays.fill(cells, 0)
+      // 1. Plain histograms of this row of cells.
+      var x = cx * cfg.cellW
+      val xEnd = math.min(x + cfg.cellW, w)
+      while (x < xEnd) {
+        val rowBase = x * h
+        var cy = 0
+        while (cy < nCy) {
+          val base = cy * bins
+          var y = cy * cfg.cellH
+          val yEnd = math.min(y + cfg.cellH, h)
+          while (y < yEnd) {
+            val v = data(rowBase + y)
+            if (!Mask.inDomain(v)) mask.outsideDomain(rowBase + y)
+            cells(base + cfg.binOf(v)) += 1
+            y += 1
+          }
+          cy += 1
         }
+        x += 1
+      }
+      // 2. Suffix sums over bins into the column sums; 3. prefix sums along the row.
+      java.util.Arrays.fill(run, 0)
+      var cy = 0
+      while (cy < nCy) {
+        val base = cy * bins
+        var suffix = 0
+        var b = bins - 1
+        while (b >= 0) { suffix += cells(base + b); column(base + b) += suffix; b -= 1 }
+        val out = (cx * nCy + cy) * bins
+        b = 0
+        while (b < bins) { run(b) += column(base + b); put(counts, high, out + b, run(b)); b += 1 }
         cy += 1
       }
       cx += 1
     }
 
-    new ChiIndex(mask.id, mask.w, mask.h, cfg, counts)
+    new ChiIndex(mask.id, w, h, cfg, counts, high)
   }
 }

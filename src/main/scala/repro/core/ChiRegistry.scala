@@ -26,7 +26,7 @@ final class ChiRegistry(val cfg: ChiConfig, val indexes: Map[Long, ChiIndex]) ex
   def ++(more: Iterable[ChiIndex]): ChiRegistry =
     new ChiRegistry(cfg, indexes ++ more.map { i =>
       require(i.cfg == cfg, s"CHI of mask ${i.maskId} was built with ${i.cfg}, not the registry's $cfg")
-      i.maskId -> (if (i.cfg eq cfg) i else new ChiIndex(i.maskId, i.w, i.h, cfg, i.counts))
+      i.maskId -> (if (i.cfg eq cfg) i else new ChiIndex(i.maskId, i.w, i.h, cfg, i.counts, i.high))
     })
 }
 
@@ -78,13 +78,14 @@ object ChiRegistry {
 
   /** Persist a registry as Parquet (`mask_id, w, h, counts` + config and
     * `binning` columns) — the paper's "persisted to disk for future
-    * sessions" (§3.6).
+    * sessions" (§3.6). Counts are written as `int` whatever their width in
+    * memory, so the format does not depend on it.
     */
   def save(spark: SparkSession, registry: ChiRegistry, path: String): Unit = {
     import spark.implicits._
     val cfg = registry.cfg
     registry.indexes.values.toSeq
-      .map(i => (i.maskId, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, BinningVersion, i.counts))
+      .map(i => (i.maskId, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, BinningVersion, i.wideCounts))
       .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts")
       .write.mode("overwrite").parquet(path)
   }
@@ -95,7 +96,11 @@ object ChiRegistry {
   def isCurrent(spark: SparkSession, path: String): Boolean =
     spark.read.parquet(path).columns.contains("binning")
 
-  /** Load a previously persisted registry. */
+  /** Load a previously persisted registry. Fails unless every row has the
+    * current binning version and the same config, and every index has the
+    * number of counts its shape and config give, each in [0, w·h]
+    * ([[ChiIndex.fromCounts]]).
+    */
   def load(spark: SparkSession, path: String): ChiRegistry = {
     import spark.implicits._
     require(isCurrent(spark, path),
@@ -108,8 +113,10 @@ object ChiRegistry {
     val versions = rows.map(_._7).distinct
     require(versions.sameElements(Seq(BinningVersion)),
       s"CHI registry at $path has binning version ${versions.mkString(", ")}, expected $BinningVersion; rebuild it")
-    val cfg = ChiConfig(rows.head._4, rows.head._5, rows.head._6)
-    new ChiRegistry(cfg, rows.map { case (id, w, h, _, _, _, _, c) => id -> new ChiIndex(id, w, h, cfg, c) }.toMap)
+    val cfgs = rows.map(r => ChiConfig(r._4, r._5, r._6)).distinct
+    require(cfgs.length == 1, s"CHI registry at $path mixes configs ${cfgs.mkString(", ")}")
+    val cfg = cfgs.head
+    new ChiRegistry(cfg, rows.map { case (id, w, h, _, _, _, _, c) => id -> ChiIndex.fromCounts(id, w, h, cfg, c) }.toMap)
   }
 
   /** Broadcast helper. */

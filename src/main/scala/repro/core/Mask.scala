@@ -40,9 +40,13 @@ final case class Mask(id: Long, w: Int, h: Int, data: Array[Float]) {
     * index built over it would give unsound bounds.
     */
   def checkDomain(): Unit = {
-    val i = data.indexWhere(v => !(v >= 0f && v < 1f))
-    require(i < 0, s"mask $id: pixel value ${data(i)} at index $i is outside [0, 1)")
+    val i = data.indexWhere(v => !Mask.inDomain(v))
+    if (i >= 0) outsideDomain(i)
   }
+
+  /** The error for pixel `i`, which lies outside [0, 1). */
+  def outsideDomain(i: Int): Nothing =
+    throw new IllegalArgumentException(s"mask $id: pixel value ${data(i)} at index $i is outside [0, 1)")
 
   /** Pixel value at 1-indexed coordinates. */
   def apply(x: Int, y: Int): Float = data((x - 1) * h + (y - 1))
@@ -72,6 +76,9 @@ final case class Mask(id: Long, w: Int, h: Int, data: Array[Float]) {
 }
 
 object Mask {
+  /** True iff `v` lies in the pixel domain [0, 1); false for NaN. */
+  def inDomain(v: Float): Boolean = v >= 0f && v < 1f
+
   /** Pixel-wise minimum of several same-shaped masks — the repo's realisation
     * of the paper's INTERSECT mask aggregation (§3.4): thresholding the min at
     * `t` equals intersecting the individual thresholded masks.

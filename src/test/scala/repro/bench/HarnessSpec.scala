@@ -45,7 +45,7 @@ class HarnessSpec extends SparkSpec {
 
   test("runFig10 loads each sample mask once per index config and once per value range") {
     val bd = BenchDataset(TestData.ds, TestData.cfg, "target/testdata/unit")
-    val loaded = BenchData.Loaded(bd, TestData.store, TestData.catalog, TestData.registry, TestData.chiBc, 0L)
+    val loaded = BenchData.Loaded(bd, TestData.store, TestData.catalog, TestData.registry, TestData.chiBc)
     val sample = 20
     val loads0 = TestData.store.loads.value
     val rows = Harness.runFig10(spark, loaded, sample)

@@ -70,9 +70,9 @@ class HarnessUnitSpec extends AnyFunSuite {
   test("bench dataset definitions match the documented geometry") {
     assert(BenchData.wilds.ds.w == 112 && BenchData.wilds.cfg == ChiConfig(16, 16, 20))
     assert(BenchData.imagenet.ds.w == 56 && BenchData.imagenet.cfg == ChiConfig(8, 8, 10))
-    // Index ratio: within the ballpark the paper targets (a few percent of data).
-    assert(BenchData.wilds.indexRatio > 0.03 && BenchData.wilds.indexRatio < 0.10)
-    assert(BenchData.imagenet.indexRatio > 0.08 && BenchData.imagenet.indexRatio < 0.20)
+    // Index ratio: the documented 16-bit sizes, 7×7 cells × bins × 2 B per mask (3.9% and 7.8% of raw).
+    assert(BenchData.wilds.indexRatio == 7.0 * 7 * 20 * 2 / (112 * 112 * 4))
+    assert(BenchData.imagenet.indexRatio == 7.0 * 7 * 10 * 2 / (56 * 56 * 4))
   }
 
   test("paperSideFor maps the lite datasets to the paper's mask sides") {

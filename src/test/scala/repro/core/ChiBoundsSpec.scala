@@ -75,7 +75,7 @@ class ChiBoundsSpec extends AnyFunSuite {
   for ((w, h, cw, ch, bins) <- Seq(
       (16, 16, 4, 4, 8), (20, 20, 8, 8, 4), (15, 17, 4, 5, 16),
       (32, 32, 8, 8, 16), (10, 10, 2, 2, 2), (24, 18, 6, 6, 10),
-      (9, 9, 4, 4, 3), (30, 30, 10, 10, 5))) {
+      (9, 9, 4, 4, 3), (30, 30, 10, 10, 5), (300, 300, 64, 64, 4))) {
     test(s"bounds contain exact CP: mask ${w}x$h cell ${cw}x$ch b=$bins") {
       val r = new java.util.Random(w * 1000L + h * 10 + bins)
       val m = randomMask(1, w, h, w * 31L + h)
@@ -87,12 +87,13 @@ class ChiBoundsSpec extends AnyFunSuite {
         val b = idx.bounds(roi, range)
         assert(b.lower <= exact && exact <= b.upper,
           s"iter $i roi=$roi range=$range exact=$exact bounds=$b")
+        assert(b == referenceBounds(idx, roi, range), s"iter $i roi=$roi range=$range")
       }
     }
   }
 
   // Exactness when everything aligns with cells and bins.
-  for ((w, cw, bins) <- Seq((16, 4, 4), (24, 8, 8), (32, 8, 16), (12, 4, 2), (20, 4, 10), (24, 6, 20))) {
+  for ((w, cw, bins) <- Seq((16, 4, 4), (24, 8, 8), (32, 8, 16), (12, 4, 2), (20, 4, 10), (24, 6, 20), (300, 100, 4))) {
     test(s"aligned queries are exact: mask ${w}x$w cell $cw b=$bins") {
       val r = new java.util.Random(w + bins)
       val m = randomMask(2, w, w, w * 7L)

@@ -10,11 +10,17 @@ class ChiIndexSpec extends AnyFunSuite {
 
   private lazy val fig4 = ChiIndex.build(fig4Mask, fig4Cfg)
 
+  /** Coordinates of the grid lines along a dimension, in index order. */
+  private def lines(dim: Int, cell: Int): Seq[Int] =
+    (0 to ChiIndex.nCells(dim, cell)).map(ChiIndex.line(_, dim, cell))
+
   test("boundaries cover the dimension, including a partial last cell") {
-    assert(ChiIndex.boundaries(6, 2).toSeq == Seq(0, 2, 4, 6))
-    assert(ChiIndex.boundaries(7, 2).toSeq == Seq(0, 2, 4, 6, 7))
-    assert(ChiIndex.boundaries(5, 5).toSeq == Seq(0, 5))
-    assert(ChiIndex.boundaries(5, 8).toSeq == Seq(0, 5))
+    assert(lines(6, 2) == Seq(0, 2, 4, 6))
+    assert(lines(7, 2) == Seq(0, 2, 4, 6, 7))
+    assert(lines(5, 5) == Seq(0, 5))
+    assert(lines(5, 8) == Seq(0, 5))
+    for ((dim, cell) <- Seq((6, 2), (7, 2), (5, 5), (5, 8), (300, 128)))
+      assert((0 to dim).filter(ChiIndex.lineIndex(_, dim, cell) >= 0) == lines(dim, cell), s"$dim/$cell")
   }
 
   test("nCells rounds up") {
@@ -22,13 +28,19 @@ class ChiIndexSpec extends AnyFunSuite {
   }
 
   test("boundary search helpers") {
-    val bs = Array(0, 2, 4, 6)
-    assert(ChiIndex.boundaryIndex(bs, 4) == 2)
-    assert(ChiIndex.boundaryIndex(bs, 3) == -1)
-    assert(ChiIndex.largestLeq(bs, 5) == 4)
-    assert(ChiIndex.largestLeq(bs, 6) == 6)
-    assert(ChiIndex.smallestGeq(bs, 5) == 6)
-    assert(ChiIndex.smallestGeq(bs, 0) == 0)
+    assert(ChiIndex.lineIndex(4, 6, 2) == 2)
+    assert(ChiIndex.lineIndex(3, 6, 2) == -1)
+    assert(ChiIndex.lineIndex(7, 7, 2) == 4)
+    assert(ChiIndex.lineAtOrBelow(5, 6, 2) == 2)
+    assert(ChiIndex.lineAtOrBelow(6, 6, 2) == 3)
+    assert(ChiIndex.lineAtOrAbove(5, 6, 2) == 3)
+    assert(ChiIndex.lineAtOrAbove(0, 6, 2) == 0)
+    // Against a search over the line coordinates, with partial last cells.
+    for ((dim, cell) <- Seq((6, 2), (7, 2), (5, 8), (13, 4), (300, 128)); v <- 0 to dim) {
+      val ls = lines(dim, cell)
+      assert(ChiIndex.line(ChiIndex.lineAtOrBelow(v, dim, cell), dim, cell) == ls.filter(_ <= v).max, s"$dim/$cell/$v")
+      assert(ChiIndex.line(ChiIndex.lineAtOrAbove(v, dim, cell), dim, cell) == ls.filter(_ >= v).min, s"$dim/$cell/$v")
+    }
   }
 
   test("paper Figure 4: H(M,1,1) = [4, 0]") {
@@ -88,9 +100,41 @@ class ChiIndexSpec extends AnyFunSuite {
   }
 
   test("index size accounting") {
-    // 3×3 corner cells × 2 bins × 4 bytes.
-    assert(fig4.sizeBytes == 3L * 3 * 2 * 4)
+    // 3×3 corner cells × 2 bins × 2 bytes.
+    assert(fig4.sizeBytes == 3L * 3 * 2 * 2)
     assert(fig4Cfg.sizeBytes(6, 6) == fig4.sizeBytes)
+  }
+
+  test("a 56x56 index costs 2 bytes per count, in sizeBytes and Java-serialised") {
+    val cfg = ChiConfig(8, 8, 10)
+    val idx = ChiIndex.build(randomMask(1, 56, 56, seed = 21), cfg)
+    assert(idx.counts.length == 7 * 7 * 10 && idx.high.isEmpty)
+    assert(idx.sizeBytes == 2L * idx.counts.length && cfg.sizeBytes(56, 56) == idx.sizeBytes)
+    def serialised(n: Int): Long = {
+      val bytes = new java.io.ByteArrayOutputStream()
+      val out = new java.io.ObjectOutputStream(bytes)
+      out.writeObject((0 until n).map(i => new ChiIndex(i, idx.w, idx.h, cfg, idx.counts.clone(), idx.high)).toArray)
+      out.close()
+      bytes.size.toLong
+    }
+    // Each further index adds its counts plus a fixed per-object overhead.
+    val perIndex = (serialised(101) - serialised(1)) / 100
+    assert(perIndex <= 2L * idx.counts.length + 64, s"$perIndex bytes per serialised index")
+  }
+
+  test("a 300x300 index keeps the high 16 bits: every hLookup equals a brute-force count") {
+    val cfg = ChiConfig(128, 100, 3)
+    val idx = ChiIndex.build(wideMask, cfg)
+    assert(idx.high.length == idx.counts.length && idx.sizeBytes == 4L * idx.counts.length)
+    assert(cfg.sizeBytes(300, 300) == idx.sizeBytes)
+    val xs = lines(300, 128)
+    val ys = lines(300, 100)
+    for (cx <- xs.indices; cy <- ys.indices; b <- 0 until cfg.bins) {
+      val expected = if (cx == 0 || cy == 0) 0L else bruteCp(wideMask, Roi(1, 1, xs(cx), ys(cy)), ValueRange(cfg.boundary(b), 1.0))
+      assert(idx.hLookup(cx, cy, b) == expected, s"H($cx, $cy)($b)")
+    }
+    assert(idx.hLookup(xs.length - 1, ys.length - 1, 0) == 90000)
+    assert(idx.hLookup(xs.length - 1, ys.length - 1, 1) > 65535)
   }
 
   // cHist vs brute force on every available region of randomized masks,
@@ -98,13 +142,13 @@ class ChiIndexSpec extends AnyFunSuite {
   for ((w, h, cw, ch, bins, seed) <- Seq(
       (8, 8, 2, 2, 4, 1), (9, 7, 2, 3, 5, 2), (16, 16, 4, 4, 8, 3),
       (10, 10, 3, 3, 2, 4), (7, 13, 5, 4, 16, 5), (6, 6, 6, 6, 3, 6),
-      (12, 5, 4, 2, 7, 7), (11, 11, 4, 4, 6, 8))) {
+      (12, 5, 4, 2, 7, 7), (11, 11, 4, 4, 6, 8), (300, 300, 128, 100, 3, 9))) {
     test(s"cHist matches brute force on all available regions (${w}x$h cell=${cw}x$ch b=$bins)") {
-      val m = randomMask(seed, w, h, seed * 1000L)
+      val m = if (w * h > 65535) wideMask else randomMask(seed, w, h, seed * 1000L)
       val cfg = ChiConfig(cw, ch, bins)
       val idx = ChiIndex.build(m, cfg)
-      val xb = ChiIndex.boundaries(w, cw)
-      val yb = ChiIndex.boundaries(h, ch)
+      val xb = lines(w, cw)
+      val yb = lines(h, ch)
       for {
         i1 <- xb.indices.dropRight(1); i2 <- xb.indices if xb(i2) > xb(i1)
         j1 <- yb.indices.dropRight(1); j2 <- yb.indices if yb(j2) > yb(j1)

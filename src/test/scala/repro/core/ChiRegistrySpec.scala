@@ -97,12 +97,71 @@ class ChiRegistrySpec extends SparkSpec {
     assert(loaded.get(9L).get.counts.toSeq == registry.get(9L).get.counts.toSeq)
   }
 
+  test("save and load round-trip a 300x300 index whose counts need 32 bits") {
+    val path = "target/testdata/chi-roundtrip-wide"
+    val wideCfg = ChiConfig(64, 64, 4)
+    val idx = ChiIndex.build(Fixtures.wideMask, wideCfg)
+    assert(idx.high.nonEmpty && idx.wideCounts.max > 65535)
+    ChiRegistry.save(spark, ChiRegistry.empty(wideCfg) ++ Seq(idx), path)
+    val got = ChiRegistry.load(spark, path).get(idx.maskId).get
+    assert(got.counts.toSeq == idx.counts.toSeq && got.high.toSeq == idx.high.toSeq)
+    assert(got.wideCounts.toSeq == idx.wideCounts.toSeq)
+    val r = new java.util.Random(3)
+    for (_ <- 0 until 50) {
+      val roi = Fixtures.randomRoi(r, 300, 300)
+      val range = Fixtures.randomRange(r)
+      val b = got.bounds(roi, range)
+      val exact = Fixtures.wideMask.cp(roi, range)
+      assert(b == idx.bounds(roi, range) && b.lower <= exact && exact <= b.upper, s"roi=$roi range=$range")
+    }
+  }
+
+  /** Persist `rows` in the registry's Parquet schema, as [[ChiRegistry.save]] would. */
+  private def saveRows(path: String, rows: Seq[(Long, Int, Int, Int, Int, Int, Int, Array[Int])]): Unit = {
+    val spark0 = spark
+    import spark0.implicits._
+    rows.toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts").write.mode("overwrite").parquet(path)
+  }
+
+  /** Three of `registry`'s indexes as persisted rows. */
+  private def savedRows: Seq[(Long, Int, Int, Int, Int, Int, Int, Array[Int])] =
+    Seq(0L, 1L, 2L).map { id =>
+      val i = registry.get(id).get
+      (id, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, ChiRegistry.BinningVersion, i.wideCounts)
+    }
+
+  test("load rejects a registry whose rows disagree on the config") {
+    val path = "target/testdata/chi-mixed-config"
+    val rows = savedRows
+    saveRows(path, rows.updated(1, rows(1).copy(_4 = cfg.cellW * 2)))
+    val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
+    assert(e.getMessage.contains("mixes configs"), e.getMessage)
+  }
+
+  test("load rejects an index with the wrong number of counts") {
+    val path = "target/testdata/chi-short-counts"
+    val rows = savedRows
+    saveRows(path, rows.updated(2, rows(2).copy(_8 = rows(2)._8.dropRight(1))))
+    val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
+    assert(e.getMessage.contains("CHI of mask 2 has 127 counts, expected 128"), e.getMessage)
+  }
+
+  test("load rejects a count below 0 or above w·h instead of truncating it") {
+    val path = "target/testdata/chi-bad-count"
+    val rows = savedRows
+    for (bad <- Seq(-1, ds.w * ds.h + 1, 65536 + 5)) {
+      saveRows(path, rows.updated(0, rows(0).copy(_8 = rows(0)._8.updated(3, bad))))
+      val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
+      assert(e.getMessage.contains(s"CHI of mask 0: count $bad at 3 is outside [0, ${ds.w * ds.h}]"), e.getMessage)
+    }
+  }
+
   /** `registry` persisted the way it was before the binning version existed. */
   private def saveUnversioned(path: String): Unit = {
     val spark0 = spark
     import spark0.implicits._
     registry.indexes.values.toSeq
-      .map(i => (i.maskId, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, i.counts))
+      .map(i => (i.maskId, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, i.wideCounts))
       .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "counts")
       .write.mode("overwrite").parquet(path)
   }
@@ -126,10 +185,10 @@ class ChiRegistrySpec extends SparkSpec {
     saveUnversioned(path)
     var builds = 0
     def build = { builds += 1; registry }
-    val (first, _) = repro.bench.BenchData.cachedRegistry(spark, path)(build)
+    val first = repro.bench.BenchData.cachedRegistry(spark, path)(build)
     assert(builds == 1 && (first eq registry))
-    val (second, ms) = repro.bench.BenchData.cachedRegistry(spark, path)(build)
-    assert(builds == 1 && ms == 0L)
+    val second = repro.bench.BenchData.cachedRegistry(spark, path)(build)
+    assert(builds == 1)
     assert(second.size == registry.size)
     assert(second.get(9L).get.counts.toSeq == registry.get(9L).get.counts.toSeq)
   }

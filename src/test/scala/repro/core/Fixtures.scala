@@ -27,6 +27,14 @@ object Fixtures {
     Mask(id, w, h, Array.fill(w * h)(r.nextFloat() * 0.999f))
   }
 
+  /** A 300×300 mask (w·h > 65,535), mostly above 0.3, so the index's corner
+    * counts exceed 16 bits in more than one bin.
+    */
+  lazy val wideMask: Mask = {
+    val r = new java.util.Random(300)
+    Mask(300, 300, 300, Array.fill(300 * 300)(if (r.nextInt(10) == 0) r.nextFloat() * 0.3f else 0.3f + r.nextFloat() * 0.699f))
+  }
+
   /** Deterministic random mask of quantised pixels `(k / bins).toFloat`:
     * every pixel sits on a bin edge, where float and double disagree.
     */
@@ -43,6 +51,25 @@ object Fixtures {
       v = m(x, y)
       if v >= range.lv && v < range.uv
     } yield 1L).sum
+
+  /** Eqs. 3–4 and their lower mirrors evaluated on the full `C` histograms
+    * (Eq. 2) of `roi̅` and `roi̲`: the definition [[ChiIndex.bounds]] must
+    * equal exactly.
+    */
+  def referenceBounds(idx: ChiIndex, roi: Roi, range: ValueRange): CpBounds = {
+    val cfg = idx.cfg
+    val (loO, hiO) = (cfg.binAtOrBelow(range.lv), cfg.binAtOrAbove(range.uv))
+    val (loI, hiI) = (cfg.binAtOrAbove(range.lv), cfg.binAtOrBelow(range.uv))
+    def outer(c: Array[Int]): Long = (c(loO) - c(hiO)).toLong
+    def inner(c: Array[Int]): Long = if (loI >= hiI) 0L else (c(loI) - c(hiI)).toLong
+    val ro = idx.outerRegion(roi)
+    val cRo = idx.cHist(ro)
+    val ri = idx.innerRegion(roi)
+    val upper2 = ri.fold(roi.area)(r => outer(idx.cHist(r)) + roi.area - r.area)
+    val lower1 = ri.fold(0L)(r => inner(idx.cHist(r)))
+    val lower2 = inner(cRo) - (ro.area - roi.area)
+    CpBounds(math.max(math.max(lower1, lower2), 0L), math.min(math.min(outer(cRo), upper2), roi.area))
+  }
 
   /** Deterministic random ROI within a w × h mask. */
   def randomRoi(r: java.util.Random, w: Int, h: Int): Roi = {
