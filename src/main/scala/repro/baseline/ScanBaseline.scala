@@ -33,11 +33,11 @@ object ScanBaseline {
 
   /** Mask selection: `WHERE pred`. */
   def filterMasks(catalog: DataFrame, pred: Predicate, store: MaskStore): FilterVerifyResult = {
-    val meter = new Meter(store)
+    val meter = new Meter
     val vals = exactValues(catalog, pred.expr, store)
     FilterVerifyResult(
       vals.collect { case (r, v) if pred.op.holds(v, pred.threshold) => r }.sortBy(_.mask_id),
-      meter.stats(vals.length, 0, vals.length),
+      meter.stats(vals.length, 0, vals.length, vals.length),
     )
   }
 
@@ -49,20 +49,23 @@ object ScanBaseline {
       descending: Boolean,
       store: MaskStore,
   ): TopKResult = {
-    val meter = new Meter(store)
+    val meter = new Meter
     val vals = exactValues(catalog, expr, store)
     val ordered =
       if (descending) vals.sortBy { case (r, v) => (-v, r.mask_id) }
       else vals.sortBy { case (r, v) => (v, r.mask_id) }
-    TopKResult(ordered.take(k), meter.stats(vals.length, 0, vals.length))
+    TopKResult(ordered.take(k), meter.stats(vals.length, 0, vals.length, vals.length))
   }
 
+  /** Every group's exact value, and the number of masks loaded. */
   private def exactGroupValues(
       catalog: DataFrame,
       value: GroupValue,
       store: MaskStore,
-  ): Array[(Long, Double)] =
-    Units.images(catalog).map((img, rows) => (img, value.exact(rows, r => store.loadPath(r.path))))
+  ): (Array[(Long, Double)], Long) = {
+    val units = Units.images(catalog)
+    (units.map((img, rows) => (img, value.exact(rows, r => store.loadPath(r.path)))), units.members.map(_.size.toLong).sum)
+  }
 
   /** Group filter: `GROUP BY image_id HAVING value op T`. */
   def filterGroups(
@@ -72,11 +75,11 @@ object ScanBaseline {
       threshold: Double,
       store: MaskStore,
   ): GroupFilterResult = {
-    val meter = new Meter(store)
-    val vals = exactGroupValues(catalog, value, store)
+    val meter = new Meter
+    val (vals, loaded) = exactGroupValues(catalog, value, store)
     GroupFilterResult(
       vals.collect { case (g, v) if op.holds(v, threshold) => g }.sorted,
-      meter.stats(vals.length, 0, vals.length),
+      meter.stats(vals.length, 0, vals.length, loaded),
     )
   }
 
@@ -88,11 +91,11 @@ object ScanBaseline {
       descending: Boolean,
       store: MaskStore,
   ): GroupTopKResult = {
-    val meter = new Meter(store)
-    val vals = exactGroupValues(catalog, value, store)
+    val meter = new Meter
+    val (vals, loaded) = exactGroupValues(catalog, value, store)
     val ordered =
       if (descending) vals.sortBy { case (g, v) => (-v, g) }
       else vals.sortBy { case (g, v) => (v, g) }
-    GroupTopKResult(ordered.take(k), meter.stats(vals.length, 0, vals.length))
+    GroupTopKResult(ordered.take(k), meter.stats(vals.length, 0, vals.length, loaded))
   }
 }

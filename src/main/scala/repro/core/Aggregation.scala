@@ -37,8 +37,15 @@ case object MaxAgg extends ScalarAgg {
   */
 sealed trait GroupValue extends Serializable {
 
-  /** Index-only bounds for a group given its catalog rows. */
-  def bounds(rows: Seq[CatalogRow], chi: ChiRegistry): (Double, Double)
+  /** Index-only bounds of each unit over `chi`, compiled once per query. */
+  def bounder(chi: ChiRegistry): Bounder
+
+  /** Index-only bounds for one group given its catalog rows. */
+  final def bounds(rows: Seq[CatalogRow], chi: ChiRegistry): (Double, Double) = {
+    val b = bounder(chi)
+    b(rows)
+    (b.lower, b.upper)
+  }
 
   /** Exact value; `load` fetches a mask from disk (counted). */
   def exact(rows: Seq[CatalogRow], load: CatalogRow => Mask): Double
@@ -48,8 +55,7 @@ sealed trait GroupValue extends Serializable {
   * unindexed mask gets the trivial bounds `[0, |roi|]` per term.
   */
 final case class MaskValue(expr: CpExpr) extends GroupValue {
-  def bounds(rows: Seq[CatalogRow], chi: ChiRegistry): (Double, Double) =
-    Predicate.rowBounds(expr, rows.head, chi.get(rows.head.mask_id))
+  def bounder(chi: ChiRegistry): Bounder = new ExprPlan(expr, chi.masks)
 
   def exact(rows: Seq[CatalogRow], load: CatalogRow => Mask): Double = expr.exact(rows.head, load(rows.head))
 }
@@ -58,8 +64,15 @@ final case class MaskValue(expr: CpExpr) extends GroupValue {
 final case class ScalarAggValue(agg: ScalarAgg, expr: CpExpr) extends GroupValue {
   private val mask = MaskValue(expr)
 
-  def bounds(rows: Seq[CatalogRow], chi: ChiRegistry): (Double, Double) =
-    agg.bounds(rows.map(r => mask.bounds(Seq(r), chi)))
+  def bounder(chi: ChiRegistry): Bounder = new Bounder {
+    private val plan = new ExprPlan(expr, chi.masks)
+
+    def apply(rows: Seq[CatalogRow]): Unit = {
+      val (l, u) = agg.bounds(rows.map { r => plan.row(r); (plan.lower, plan.upper) })
+      lower = l
+      upper = u
+    }
+  }
 
   def exact(rows: Seq[CatalogRow], load: CatalogRow => Mask): Double =
     agg.exact(rows.map(r => mask.exact(Seq(r), load)))
@@ -70,7 +83,7 @@ final case class ScalarAggValue(agg: ScalarAgg, expr: CpExpr) extends GroupValue
   * individually thresholded masks — the paper's Example 2).
   *
   * Bounds come from the aggregated mask's own CHI when the registry holds one
-  * (under `ChiRegistry.AggIdBase + image_id` — the paper's primary path,
+  * (in its aggregate slab, under `image_id` — the paper's primary path,
   * where the index for aggregated masks is built ahead of time, §3.4).
   * Otherwise they fall back to the monotone mask-aggregation extension the
   * paper sketches: writing `cntGe(t)` for the pixels of the roi where *every*
@@ -80,29 +93,41 @@ final case class ScalarAggValue(agg: ScalarAgg, expr: CpExpr) extends GroupValue
   */
 final case class IntersectCpValue(roi: RoiSpec, range: ValueRange) extends GroupValue {
 
-  private def geBounds(rows: Seq[CatalogRow], chi: ChiRegistry, t: Double): (Long, Long) = {
-    val r0 = roi.resolve(rows.head)
-    val area = r0.area
-    if (t >= 1.0) return (0L, 0L)
-    val per = rows.map(row => ChiIndex.boundsOrTrivial(chi.get(row.mask_id), roi.resolve(row), ValueRange(t, 1.0)))
-    val hi = per.map(_.upper).min
-    val lo = math.max(0L, per.map(_.lower).sum - (rows.size - 1) * area)
-    (math.min(lo, hi), hi)
-  }
+  def bounder(chi: ChiRegistry): Bounder = new Bounder {
+    private val agg = new BoundPlan(chi.cfg, chi.aggregates.w, chi.aggregates.h, roi, range)
+    private def atLeast(t: Double) =
+      Option.when(t < 1.0)(new BoundPlan(chi.cfg, chi.masks.w, chi.masks.h, roi, ValueRange(t, 1.0)))
+    private val geLv = atLeast(range.lv)
+    private val geUv = atLeast(range.uv)
 
-  def bounds(rows: Seq[CatalogRow], chi: ChiRegistry): (Double, Double) =
-    chi.get(ChiRegistry.AggIdBase + rows.head.image_id) match {
-      case Some(aggIdx) =>
-        val b = aggIdx.bounds(roi.resolve(rows.head), range)
-        (b.lower.toDouble, b.upper.toDouble)
-      case None =>
-        val area = roi.resolve(rows.head).area
-        val (loLv, hiLv) = geBounds(rows, chi, range.lv)
-        val (loUv, hiUv) = geBounds(rows, chi, range.uv)
+    /** Bounds on `cntGe(t)`, with `plan` bounding `CP_i([t, 1))` (none for t ≥ 1). */
+    private def geBounds(rows: Seq[CatalogRow], area: Long, plan: Option[BoundPlan]): (Long, Long) = plan match {
+      case None => (0L, 0L)
+      case Some(p) =>
+        var hi = Long.MaxValue
+        var sumLo = 0L
+        rows.foreach { r => chi.masks.eval(p, r.mask_id, r); hi = math.min(hi, p.upper); sumLo += p.lower }
+        val lo = math.max(0L, sumLo - (rows.size - 1) * area)
+        (math.min(lo, hi), hi)
+    }
+
+    def apply(rows: Seq[CatalogRow]): Unit = {
+      val head = rows.head
+      if (chi.aggregates.contains(head.image_id)) {
+        chi.aggregates.eval(agg, head.image_id, head)
+        lower = agg.lower.toDouble
+        upper = agg.upper.toDouble
+      } else {
+        val area = roi.resolve(head).area
+        val (loLv, hiLv) = geBounds(rows, area, geLv)
+        val (loUv, hiUv) = geBounds(rows, area, geUv)
         val lo = math.max(0L, loLv - hiUv)
         val hi = math.max(lo, math.min(area, hiLv - loUv))
-        (lo.toDouble, hi.toDouble)
+        lower = lo.toDouble
+        upper = hi.toDouble
+      }
     }
+  }
 
   def exact(rows: Seq[CatalogRow], load: CatalogRow => Mask): Double = {
     val merged = Mask.intersect(rows.map(load))

@@ -79,21 +79,37 @@ final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
   *
   * The flat-array layout with `(cx, cy, bin)` acting as offsets mirrors the
   * paper's optimized index structure: no keys are stored and lookups are O(1)
-  * with no pointer chasing. A count never exceeds `w·h`, so [[counts]] holds
-  * its low 16 bits, and [[high]] its high 16 bits only when `w·h > 65,535`
-  * (empty otherwise); `count` is the one place that joins them.
+  * with no pointer chasing. A count never exceeds `w·h`, so `low` holds its
+  * low 16 bits, and `highs` its high 16 bits only when `w·h > 65,535`
+  * (empty otherwise); `count` is the one place that joins them. The
+  * [[length]] counts start at offset `base` of both arrays: an index built on
+  * its own owns them (`base` 0), and an index a [[ChiSlab]] hands out is a
+  * view of one of its slots.
   */
 final class ChiIndex(
     val maskId: Long,
     val w: Int,
     val h: Int,
     val cfg: ChiConfig,
-    val counts: Array[Char],
-    val high: Array[Char],
+    private[core] val low: Array[Char],
+    private[core] val highs: Array[Char],
+    private[core] val base: Int = 0,
 ) extends Serializable {
   import ChiIndex.{line, lineAtOrAbove, lineAtOrBelow, lineIndex}
 
   private def nCy: Int = ChiIndex.nCells(h, cfg.cellH)
+
+  /** Number of counts: `nCx · nCy · bins`. */
+  def length: Int = ChiIndex.nCells(w, cfg.cellW) * nCy * cfg.bins
+
+  /** The low 16 bits of every count, in storage order. */
+  def counts: Array[Char] = slice(low)
+
+  /** The high 16 bits of every count, or empty when `w·h ≤ 65,535`. */
+  def high: Array[Char] = if (highs.length == 0) highs else slice(highs)
+
+  private def slice(a: Array[Char]): Array[Char] =
+    if (base == 0 && a.length == length) a else java.util.Arrays.copyOfRange(a, base, base + length)
 
   /** Raw index lookup `H(cx, cy)(bin)`; `cx`/`cy` are grid line indices
     * (0 = empty rectangle).
@@ -101,11 +117,11 @@ final class ChiIndex(
   def hLookup(cx: Int, cy: Int, bin: Int): Int =
     if (cx == 0 || cy == 0) 0 else count(((cx - 1) * nCy + (cy - 1)) * cfg.bins + bin)
 
-  /** The count stored at flat offset `i`: its low half, joined with its high half when there is one. */
-  private def count(i: Int): Int = if (high.length == 0) counts(i) else counts(i) | high(i) << 16
+  /** The count stored at offset `i` of this index: its low half, joined with its high half when there is one. */
+  private def count(i: Int): Int = ChiIndex.count(low, highs, base + i)
 
   /** Every count, widened to `Int`, in storage order. */
-  def wideCounts: Array[Int] = Array.tabulate(counts.length)(count)
+  def wideCounts: Array[Int] = Array.tabulate(length)(count)
 
   /** `C(i) − C(j)` of Eq. 2 for the grid rectangle between lines `(cx1, cy1)`
     * and `(cx2, cy2)`: the pixels in it with values in
@@ -167,54 +183,23 @@ final class ChiIndex(
   }
 
   /** Lower and upper bounds on `CP(mask, roi, range)` (§3.2.1, Eqs. 3–4 for
-    * the upper bound and their mirror images for the lower bound). The exact
-    * CP value is guaranteed to lie in `[lower, upper]`; when both `roi` and
-    * `range` align with cell/bin boundaries the bounds are exact. Reads four
-    * bins at the corners of [[outerRegion]] and [[innerRegion]], found by
-    * arithmetic on the cell size; allocates only the result.
+    * the upper bound and their mirror images for the lower bound), from a
+    * [[BoundPlan]]. The exact CP value is guaranteed to lie in
+    * `[lower, upper]`; when both `roi` and `range` align with cell/bin
+    * boundaries the bounds are exact.
     */
   def bounds(roi: Roi, range: ValueRange): CpBounds = {
-    require(roi.within(w, h), s"roi $roi outside ${w}x$h mask")
-    val cw = cfg.cellW
-    val ch = cfg.cellH
-    // Bins of the outer value range ⊇ [lv, uv) and of the inner one ⊆ [lv, uv).
-    val binLoOuter = cfg.binAtOrBelow(range.lv)
-    val binHiOuter = cfg.binAtOrAbove(range.uv)
-    val binLoInner = cfg.binAtOrAbove(range.lv)
-    val binHiInner = cfg.binAtOrBelow(range.uv)
-
-    // Grid lines of roi̅ (o) and roi̲ (i); roi̲ is empty unless i1 < i2 on both axes.
-    val ox1 = lineAtOrBelow(roi.x1 - 1, w, cw)
-    val ox2 = lineAtOrAbove(roi.x2, w, cw)
-    val oy1 = lineAtOrBelow(roi.y1 - 1, h, ch)
-    val oy2 = lineAtOrAbove(roi.y2, h, ch)
-    val ix1 = lineAtOrAbove(roi.x1 - 1, w, cw)
-    val ix2 = lineAtOrBelow(roi.x2, w, cw)
-    val iy1 = lineAtOrAbove(roi.y1 - 1, h, ch)
-    val iy2 = lineAtOrBelow(roi.y2, h, ch)
-    val hasInner = ix1 < ix2 && iy1 < iy2
-    val outerArea = (line(ox2, w, cw) - line(ox1, w, cw)).toLong * (line(oy2, h, ch) - line(oy1, h, ch))
-    val innerArea = (line(ix2, w, cw) - line(ix1, w, cw)).toLong * (line(iy2, h, ch) - line(iy1, h, ch))
-
-    def outerCount(x1: Int, y1: Int, x2: Int, y2: Int): Long = rangeCount(x1, y1, x2, y2, binLoOuter, binHiOuter)
-    def innerCount(x1: Int, y1: Int, x2: Int, y2: Int): Long =
-      if (binLoInner >= binHiInner) 0L else rangeCount(x1, y1, x2, y2, binLoInner, binHiInner)
-
-    // Upper bounds: Approach 1 (Eq. 3) on roi̅; Approach 2 (Eq. 4) on roi̲.
-    val upper1 = outerCount(ox1, oy1, ox2, oy2)
-    val upper2 = if (hasInner) outerCount(ix1, iy1, ix2, iy2) + roi.area - innerArea else roi.area
-    // Lower bounds, mirrored: certain pixels inside roi̲ with values certainly
-    // in range; or certain pixels in roi̅ minus the pixels possibly outside roi.
-    val lower1 = if (hasInner) innerCount(ix1, iy1, ix2, iy2) else 0L
-    val lower2 = innerCount(ox1, oy1, ox2, oy2) - (outerArea - roi.area)
-
-    val upper = math.min(math.min(upper1, upper2), roi.area)
-    val lower = math.max(math.max(lower1, lower2), 0L)
-    CpBounds(lower, upper)
+    val plan = new BoundPlan(cfg, w, h, ConstRoi(roi), range)
+    plan.eval(low, highs, base, null)
+    CpBounds(plan.lower, plan.upper)
   }
 
   /** Uncompressed size of this index in bytes: 2 per count, 4 with [[high]]. */
-  def sizeBytes: Long = 2L * (counts.length + high.length)
+  def sizeBytes: Long = ChiIndex.countBytes(w, h).toLong * length
+
+  /** A view serialises as an index that owns its counts, not the whole slab. */
+  private def writeReplace(): AnyRef =
+    if (base == 0 && low.length == length) this else new ChiIndex(maskId, w, h, cfg, counts, high)
 }
 
 /** A `[lower, upper]` interval that is guaranteed to contain the exact CP
@@ -259,7 +244,11 @@ object ChiIndex {
   def lineAtOrAbove(v: Int, dim: Int, cell: Int): Int = (v + cell - 1) / cell
 
   /** Shared empty high half of every index whose counts fit in 16 bits. */
-  private val NoHigh: Array[Char] = Array.emptyCharArray
+  private[core] val NoHigh: Array[Char] = Array.emptyCharArray
+
+  /** The count at offset `i`: its low half, joined with its high half when there is one. */
+  private[core] def count(low: Array[Char], high: Array[Char], i: Int): Int =
+    if (high.length == 0) low(i) else low(i) | high(i) << 16
 
   /** The two halves of `n` counts for a `w × h` mask. */
   private def halves(w: Int, h: Int, n: Int): (Array[Char], Array[Char]) =

@@ -16,12 +16,12 @@ final case class FilterVerifyResult(rows: Array[CatalogRow], stats: QueryStats) 
   * mask-selection predicates: the [[Kernel]]'s threshold policy with every
   * mask its own unit.
   *
-  * Filter stage: a distributed scan over the *catalog only* (no mask bytes)
-  * classifies every targeted mask via its CHI bounds into guaranteed-fail /
-  * guaranteed-pass / uncertain. Verification stage: only the uncertain masks
-  * are loaded from disk (counted by the store) and the exact predicate is
-  * applied. Both stages run fused in one job, so results are exact by
-  * construction at a single job's scheduling cost.
+  * Filter stage: on the driver, over the targeted catalog rows (held while
+  * the DataFrame stays cached) and the CHI alone, every mask is classified
+  * as guaranteed-fail / guaranteed-pass / uncertain. Verification stage: only
+  * the uncertain masks are loaded from disk (counted by the store), in one
+  * Spark job, and the exact predicate is applied. A query that the bounds
+  * decide entirely runs no job.
   */
 object FilterVerify {
 
@@ -35,16 +35,20 @@ object FilterVerify {
     FilterVerifyResult(passed.map(_._2.head), stats)
   }
 
-  /** Bounds of `expr` for every targeted mask — used by the bench that
-    * reproduces the paper's Figure 10 bound-distribution analysis.
+  /** Bounds of `expr` for every targeted mask, by `mask_id` — the filter
+    * stage alone, which the bench that reproduces the paper's Figure 10
+    * bound-distribution analysis reads.
     */
   def boundsPerMask(
       catalog: DataFrame,
       expr: CpExpr,
       chi: Broadcast[ChiRegistry],
-  ): Array[(Long, Double, Double)] =
-    Units.masks(catalog).map { (id, rows) =>
-      val (lo, hi) = Predicate.rowBounds(expr, rows.head, chi.value.get(id))
-      (id, lo, hi)
+  ): Array[(Long, Double, Double)] = {
+    val units = Units.masks(catalog)
+    val plan = new ExprPlan(expr, chi.value.masks)
+    Array.tabulate(units.size) { i =>
+      plan(units.members(i))
+      (units.keys(i), plan.lower, plan.upper)
     }
+  }
 }

@@ -12,6 +12,8 @@ import repro.store.{CatalogRow, MaskStore}
   * For top-k queries `nDirect` counts the units resolved from the index (point
   * bounds pin their exact value), `nUncertain` the units loaded and verified,
   * and `nPruned` the units whose bound cannot meet the k-th best value.
+  * `masksLoaded` counts the masks of the units an engine verified; the
+  * store's load accumulator counts the same loads independently.
   */
 final case class QueryStats(
     nTargeted: Long,
@@ -24,36 +26,44 @@ final case class QueryStats(
   def fml: Double = if (nTargeted == 0) 0.0 else masksLoaded.toDouble / nTargeted
 }
 
-/** Measures one query from its creation: the store's loads and the wall time. */
-final class Meter(store: MaskStore) {
-  private val loads0 = store.loads.value
+/** Measures one query's wall time from its creation. */
+final class Meter {
   private val t0 = System.nanoTime()
 
-  def stats(nTargeted: Long, nDirect: Long, nUncertain: Long): QueryStats =
-    QueryStats(nTargeted, nTargeted - nDirect - nUncertain, nDirect, nUncertain,
-      store.loads.value - loads0, (System.nanoTime() - t0) / 1_000_000)
-
-  /** Stats from the [[FilterOutcome]] of every targeted unit. */
-  def stats(outcomes: collection.Seq[Int]): QueryStats =
-    stats(outcomes.size, outcomes.count(_ == FilterOutcome.Pass), outcomes.count(_ == FilterOutcome.Uncertain))
+  def stats(nTargeted: Long, nDirect: Long, nUncertain: Long, masksLoaded: Long): QueryStats =
+    QueryStats(nTargeted, nTargeted - nDirect - nUncertain, nDirect, nUncertain, masksLoaded,
+      (System.nanoTime() - t0) / 1_000_000)
 }
 
 /** The filter–verification kernel shared by every engine: bound each unit
   * from the CHI, load only the units the bounds cannot decide. A unit is one
   * mask, or the masks of one image (§3.4), and its value a [[GroupValue]].
-  * The Spark jobs run through [[Units]].
+  *
+  * The filter stage runs on the driver, over the [[Units]] it holds and the
+  * registry behind the broadcast (on the driver, the object itself): a
+  * [[Bounder]] compiled once per query bounds every unit with no allocation
+  * and no disk access. A Spark job runs only to verify Case 3 units.
   */
 object Kernel {
 
-  /** The unit's filter case (§3.2.1); a unit without bounds (not indexed yet)
-    * is always Case 3.
-    */
-  def classify(op: CmpOp, t: Double, bounds: Option[(Double, Double)]): Int =
-    bounds.fold(FilterOutcome.Uncertain) { case (lo, hi) => op.classify(lo, hi, t) }
+  /** The filter case (§3.2.1) of every unit, by index. */
+  private def classify(units: Units, bound: Bounder, op: CmpOp, t: Double): Array[Int] = {
+    val cases = new Array[Int](units.size)
+    var i = 0
+    while (i < cases.length) {
+      bound(units.members(i))
+      cases(i) = op.classify(bound.lower, bound.upper, t)
+      i += 1
+    }
+    cases
+  }
 
-  /** Threshold policy (§3.2 / §3.3) in one fused job: each task classifies
-    * its units from the broadcast CHI (Case 1 and 2, no disk) and loads and
-    * tests only the Case 3 units. Returns the units with `value op t`, by key.
+  /** Masks of the units at indices `at`. */
+  private def masksOf(units: Units, at: Iterable[Int]): Long = at.iterator.map(units.members(_).size.toLong).sum
+
+  /** Threshold policy (§3.2 / §3.3): classify every unit from the CHI on the
+    * driver (Case 1 and 2, no disk), then load and test the Case 3 units in
+    * one job. Returns the units with `value op t`, by key.
     */
   def filter(
       units: Units,
@@ -63,19 +73,19 @@ object Kernel {
       store: MaskStore,
       chi: Broadcast[ChiRegistry],
   ): (Array[(Long, Seq[CatalogRow])], QueryStats) = {
-    val meter = new Meter(store)
-    val verdicts = units.map { (key, rows) =>
-      val c = classify(op, t, Some(value.bounds(rows, chi.value)))
-      val passed = c == FilterOutcome.Pass ||
-        (c == FilterOutcome.Uncertain && op.holds(value.exact(rows, r => store.loadPath(r.path)), t))
-      (c, Option.when(passed)((key, rows)))
-    }
-    (verdicts.flatMap(_._2).sortBy(_._1), meter.stats(verdicts.map(_._1)))
+    val meter = new Meter
+    val cases = classify(units, value.bounder(chi.value), op, t)
+    val open = cases.indices.filter(cases(_) == FilterOutcome.Uncertain).toArray
+    val verified = units.mapAt(open)((_, rows) => op.holds(value.exact(rows, store.loadRow), t))
+    val passed = cases.map(_ == FilterOutcome.Pass)
+    open.indices.foreach(j => passed(open(j)) = verified(j))
+    (passed.indices.filter(passed(_)).map(i => (units.keys(i), units.members(i))).toArray,
+      meter.stats(units.size, cases.count(_ == FilterOutcome.Pass), open.length, masksOf(units, open)))
   }
 
   /** Top-k policy (§3.5): Fagin–Lotem–Naor's threshold algorithm over
-    * interval bounds, in two phases that suit a dataflow engine. One job
-    * bounds every unit. Seed with the k units ranked best by bound and take
+    * interval bounds, in two phases that suit a dataflow engine. Bound every
+    * unit on the driver. Seed with the k units ranked best by bound and take
     * τ, the k-th best of their exact values; every other unit whose bound
     * cannot meet τ is strictly worse than k units and is pruned. Units with
     * point bounds take their value from the index; each round loads the rest
@@ -90,24 +100,27 @@ object Kernel {
       store: MaskStore,
       chi: Broadcast[ChiRegistry],
   ): (Array[((Long, Seq[CatalogRow]), Double)], QueryStats) = {
-    val meter = new Meter(store)
-    val bounded = units.map { (key, rows) =>
-      val (lo, hi) = value.bounds(rows, chi.value)
-      ((key, rows), lo, hi)
-    }
+    val meter = new Meter
+    val bound = value.bounder(chi.value)
+    val lo = new Array[Double](units.size)
+    val hi = new Array[Double](units.size)
+    for (i <- 0 until units.size) { bound(units.members(i)); lo(i) = bound.lower; hi(i) = bound.upper }
     var nDirect, nVerified = 0
-    def resolve(us: Array[((Long, Seq[CatalogRow]), Double, Double)]): Array[((Long, Seq[CatalogRow]), Double)] = {
-      val (known, open) = us.partition(u => u._2 == u._3)
+    var loaded = 0L
+    def unit(i: Int): (Long, Seq[CatalogRow]) = (units.keys(i), units.members(i))
+    def resolve(at: Array[Int]): Array[((Long, Seq[CatalogRow]), Double)] = {
+      val (known, open) = at.partition(i => lo(i) == hi(i))
       nDirect += known.length
       nVerified += open.length
-      known.map(u => (u._1, u._2)) ++
-        Units.run(units.spark, open.map(_._1))((key, rows) => ((key, rows), value.exact(rows, r => store.loadPath(r.path))))
+      loaded += masksOf(units, open)
+      known.map(i => (unit(i), lo(i))) ++
+        open.zip(units.mapAt(open)((_, rows) => value.exact(rows, store.loadRow))).map { case (i, v) => (unit(i), v) }
     }
     // Scores order both directions alike: lower is better.
     def score(v: Double): Double = if (descending) -v else v
-    def bestScore(u: ((Long, Seq[CatalogRow]), Double, Double)): Double = score(if (descending) u._3 else u._2)
+    def bestScore(i: Int): Double = score(if (descending) hi(i) else lo(i))
 
-    val ranked = bounded.sortBy(u => (bestScore(u), u._1._1))
+    val ranked = Array.range(0, units.size).sortBy(i => (bestScore(i), units.keys(i)))
     val seed = resolve(ranked.take(k))
     val rest = ranked.drop(k)
     val exact =
@@ -116,6 +129,6 @@ object Kernel {
         val tau = seed.map(u => score(u._2)).sorted.apply(k - 1)
         seed ++ resolve(rest.filter(bestScore(_) <= tau))
       }
-    (exact.sortBy(u => (score(u._2), u._1._1)).take(k), meter.stats(bounded.length, nDirect, nVerified))
+    (exact.sortBy(u => (score(u._2), u._1._1)).take(k), meter.stats(units.size, nDirect, nVerified, loaded))
   }
 }

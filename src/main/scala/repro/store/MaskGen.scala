@@ -156,23 +156,25 @@ object MaskGen {
     Mask(maskId, ds.w, ds.h, data)
   }
 
-  /** The full, deterministic catalog of a dataset (metadata only; pixels are
-    * materialised separately by [[MaskStore.materialize]]).
+  /** The catalog row of one mask (metadata only; pixels are materialised
+    * separately by [[MaskStore.materialize]]). Deterministic in `(ds, id)`.
     */
-  def catalog(ds: MaskDatasetDef, store: MaskStore): Seq[CatalogRow] =
-    ds.maskIds.map { id =>
-      val imageId = ds.imageOf(id)
-      val box = objectBox(ds, imageId)
-      CatalogRow(
-        mask_id = id,
-        image_id = imageId,
-        model_id = ds.modelOf(id),
-        mask_type = 1, // saliency map
-        w = ds.w,
-        h = ds.h,
-        path = store.pathFor(id),
-        ox1 = box.x1, oy1 = box.y1, ox2 = box.x2, oy2 = box.y2,
-        pred_class = (imageId % ds.nClasses).toInt,
-      )
-    }
+  def row(ds: MaskDatasetDef, store: MaskStore, id: Long): CatalogRow = {
+    val imageId = ds.imageOf(id)
+    val box = objectBox(ds, imageId)
+    CatalogRow(
+      mask_id = id,
+      image_id = imageId,
+      model_id = ds.modelOf(id),
+      mask_type = 1, // saliency map
+      w = ds.w,
+      h = ds.h,
+      path = store.pathFor(id),
+      ox1 = box.x1, oy1 = box.y1, ox2 = box.x2, oy2 = box.y2,
+      pred_class = (imageId % ds.nClasses).toInt,
+    )
+  }
+
+  /** The full, deterministic catalog of a dataset, by ascending mask id. */
+  def catalog(ds: MaskDatasetDef, store: MaskStore): Seq[CatalogRow] = ds.maskIds.map(id => row(ds, store, id))
 }

@@ -27,19 +27,37 @@ final class MaskStore(val base: String, val loads: LongAccumulator) extends Seri
 
   /** Load a mask from an explicit path, counting the load. Read bytes pass
     * through [[DiskThrottle]] so benchmarks can simulate the paper's
-    * provisioned disk bandwidth.
+    * provisioned disk bandwidth. Fails, naming the path, unless the header's
+    * w and h are positive and the file holds exactly the 16 + 4·w·h bytes
+    * they call for.
     */
   def loadPath(path: String): Mask = {
     val bytes = Files.readAllBytes(Paths.get(path))
     DiskThrottle.acquire(bytes.length)
+    require(bytes.length >= 16, s"mask file $path has ${bytes.length} bytes, fewer than its 16-byte header")
     val buf = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
     val id = buf.getLong
     val w = buf.getInt
     val h = buf.getInt
+    require(w > 0 && h > 0, s"mask file $path has a ${w}x$h header")
+    require(bytes.length == 16 + 4L * w * h,
+      s"mask file $path has ${bytes.length} bytes, not the ${16 + 4L * w * h} of its ${w}x$h header")
     val data = new Array[Float](w * h)
     buf.asFloatBuffer().get(data)
     loads.add(1)
     Mask(id, w, h, data)
+  }
+
+  /** Load the mask of a catalog row, counting the load. Fails unless the
+    * file's header names the row's mask and shape: a misplaced or stale file
+    * must not answer for another mask.
+    */
+  def loadRow(row: CatalogRow): Mask = {
+    val m = loadPath(row.path)
+    require(m.id == row.mask_id, s"mask file ${row.path} holds mask ${m.id}, not mask ${row.mask_id} of its catalog row")
+    require(m.w == row.w && m.h == row.h,
+      s"mask file ${row.path} holds a ${m.w}x${m.h} mask; its catalog row says ${row.w}x${row.h} for mask ${row.mask_id}")
+    m
   }
 
   /** Write one mask (no load counted); its pixels must lie in [0, 1). */
@@ -86,10 +104,14 @@ object MaskStore {
     (store, catalogDF(spark, ds, store))
   }
 
-  /** The catalog DataFrame of a dataset (deterministic metadata; cheap). */
+  /** The catalog DataFrame of a dataset: a range of mask ids mapped to
+    * their rows inside the tasks ([[MaskGen.row]]), so neither the plan nor
+    * the tasks carry the rows.
+    */
   def catalogDF(spark: SparkSession, ds: MaskDatasetDef, store: MaskStore): DataFrame = {
     import spark.implicits._
-    MaskGen.catalog(ds, store).toDF()
+    val dsDef = ds
+    spark.range(0, ds.nMasks).map(id => MaskGen.row(dsDef, store, id)).toDF()
   }
 
   /** Typed view of a catalog DataFrame. */

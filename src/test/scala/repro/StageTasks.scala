@@ -22,6 +22,8 @@ object StageTasks {
       override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
         if (e.stageInfo.accumulables.contains(acc.id)) tasks.add(e.stageInfo.numTasks)
     }
+    // Events of jobs that ran before `body` must not reach the listener.
+    ListenerBusDrain.drain(sc)
     sc.addSparkListener(listener)
     try {
       val out = body

@@ -75,7 +75,7 @@ class AggregationSpec extends SparkSpec {
   }
 
   test("intersect-CP group bounds are sound (aggregate index and fallback)") {
-    val noAgg = new ChiRegistry(cfg, registry.indexes.filter(_._1 < ChiRegistry.AggIdBase))
+    val noAgg = new ChiRegistry(cfg, registry.masks, ChiSlab.empty(cfg))
     val rows = repro.store.MaskStore.asRows(catalog).collect().groupBy(_.image_id)
     rows.take(15).foreach { case (_, group) =>
       val rs = group.toSeq.sortBy(_.mask_id)
@@ -88,7 +88,7 @@ class AggregationSpec extends SparkSpec {
   }
 
   test("intersect-CP group filter is correct with the per-model fallback bounds") {
-    val noAggBc = ChiRegistry.broadcast(spark, new ChiRegistry(cfg, registry.indexes.filter(_._1 < ChiRegistry.AggIdBase)))
+    val noAggBc = ChiRegistry.broadcast(spark, new ChiRegistry(cfg, registry.masks, ChiSlab.empty(cfg)))
     val ms = Aggregation.filterGroups(catalog, intersectCp, Gt, 20, store, noAggBc)
     val base = ScanBaseline.filterGroups(catalog, intersectCp, Gt, 20, store)
     assert(ms.groups.toSeq == base.groups.toSeq)

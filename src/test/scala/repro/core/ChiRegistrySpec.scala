@@ -14,7 +14,7 @@ class ChiRegistrySpec extends SparkSpec {
   test("buildWithAggregates indexes every mask plus one aggregate per image") {
     assert(registry.size == ds.nMasks + ds.nImages)
     assert((0 until ds.nMasks).forall(id => registry.contains(id)))
-    assert((0 until ds.nImages).forall(i => registry.contains(ChiRegistry.AggIdBase + i)))
+    assert((0 until ds.nImages).forall(i => registry.aggregate(i).isDefined))
   }
 
   test("plain build indexes exactly the masks") {
@@ -27,7 +27,7 @@ class ChiRegistrySpec extends SparkSpec {
     val rows = repro.store.MaskStore.asRows(catalog).collect().filter(_.image_id == 4L).sortBy(_.mask_id)
     val inter = Mask.intersect(rows.toSeq.map(r => store.loadPath(r.path)))
     val local = ChiIndex.build(inter, cfg)
-    assert(registry.get(ChiRegistry.AggIdBase + 4L).get.counts.toSeq == local.counts.toSeq)
+    assert(registry.aggregate(4L).get.counts.toSeq == local.counts.toSeq)
   }
 
   test("per-mask indexes match a locally built index") {
@@ -68,16 +68,16 @@ class ChiRegistrySpec extends SparkSpec {
     assert(s2.loads.value - before == ds.nMasks)
     assert(r.size == ds.nMasks + ds.nImages)
 
-    def sameIndex(id: Long, local: ChiIndex): Unit = {
-      val got = r.get(id).getOrElse(fail(s"no index for $id"))
+    def sameIndex(got0: Option[ChiIndex], id: Long, local: ChiIndex): Unit = {
+      val got = got0.getOrElse(fail(s"no index for $id"))
       assert(got.w == local.w && got.h == local.h, s"shape of $id")
       assert(got.counts.toSeq == local.counts.toSeq, s"counts of $id")
     }
     val rows = MaskStore.asRows(catalog).collect()
-    rows.foreach(row => sameIndex(row.mask_id, ChiIndex.build(store.loadPath(row.path), cfg)))
+    rows.foreach(row => sameIndex(r.get(row.mask_id), row.mask_id, ChiIndex.build(store.loadPath(row.path), cfg)))
     rows.groupBy(_.image_id).foreach { case (img, group) =>
       val inter = Mask.intersect(group.toSeq.sortBy(_.mask_id).map(row => store.loadPath(row.path)))
-      sameIndex(ChiRegistry.AggIdBase + img, ChiIndex.build(inter, cfg))
+      sameIndex(r.aggregate(img), img, ChiIndex.build(inter, cfg))
     }
   }
 
@@ -95,6 +95,17 @@ class ChiRegistrySpec extends SparkSpec {
     assert(loaded.cfg == registry.cfg)
     assert(loaded.size == registry.size)
     assert(loaded.get(9L).get.counts.toSeq == registry.get(9L).get.counts.toSeq)
+  }
+
+  test("save and load round-trip every mask and aggregate index through the slabs") {
+    val path = "target/testdata/chi-roundtrip-all"
+    ChiRegistry.save(spark, registry, path)
+    val loaded = ChiRegistry.load(spark, path)
+    assert(loaded.masks.size == ds.nMasks && loaded.aggregates.size == ds.nImages)
+    (0L until ds.nMasks).foreach(id => assert(loaded.get(id).get.counts.toSeq == registry.get(id).get.counts.toSeq, s"mask $id"))
+    (0L until ds.nImages).foreach(i =>
+      assert(loaded.aggregate(i).get.counts.toSeq == registry.aggregate(i).get.counts.toSeq, s"image $i"))
+    assert(!loaded.contains(ds.nMasks.toLong) && loaded.aggregate(ds.nImages.toLong).isEmpty)
   }
 
   test("save and load round-trip a 300x300 index whose counts need 32 bits") {
@@ -160,8 +171,8 @@ class ChiRegistrySpec extends SparkSpec {
   private def saveUnversioned(path: String): Unit = {
     val spark0 = spark
     import spark0.implicits._
-    registry.indexes.values.toSeq
-      .map(i => (i.maskId, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, i.wideCounts))
+    (registry.masks.indexes.map(i => i.maskId -> i) ++ registry.aggregates.indexes.map(i => (ChiRegistry.AggIdBase + i.maskId) -> i))
+      .map { case (id, i) => (id, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, i.wideCounts) }.toSeq
       .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "counts")
       .write.mode("overwrite").parquet(path)
   }

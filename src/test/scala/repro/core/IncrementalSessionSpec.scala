@@ -85,7 +85,7 @@ class IncrementalSessionSpec extends SparkSpec {
   test("indexes built by queries share the session's config instance") {
     val s = new IncrementalSession(spark, store, cfg)
     s.runFilter(allRows.take(20), pred(30))
-    assert(s.snapshot.indexes.valuesIterator.forall(_.cfg eq s.snapshot.cfg))
+    assert(allRows.take(20).forall(r => s.snapshot.get(r.mask_id).get.cfg eq s.snapshot.cfg))
   }
 
   test("stats bookkeeping on a mixed query") {

@@ -100,6 +100,13 @@ class MaskStoreSpec extends SparkSpec {
     assert(catalog.select("mask_id").distinct().count() == ds.nMasks)
   }
 
+  test("the catalog DataFrame holds MaskGen.catalog's rows in order, built in tasks") {
+    val df = MaskStore.catalogDF(spark, ds, store)
+    assert(MaskStore.asRows(df).collect().toSeq == MaskGen.catalog(ds, store))
+    val plan = df.queryExecution.analyzed
+    assert(plan.collectLeaves().forall(_.isInstanceOf[org.apache.spark.sql.catalyst.plans.logical.Range]), plan.toString)
+  }
+
   test("model ids are 1-based and image ids group nModels masks") {
     val byModel = catalog.groupBy("model_id").count().collect()
       .map(r => r.getAs[Int]("model_id") -> r.getAs[Long]("count")).toMap
