@@ -83,11 +83,14 @@ final case class ScalarAggValue(agg: ScalarAgg, expr: CpExpr) extends GroupValue
   * individually thresholded masks — the paper's Example 2).
   *
   * Bounds come from the aggregated mask's own CHI when the registry holds one
-  * (in its aggregate slab, under `image_id` — the paper's primary path,
-  * where the index for aggregated masks is built ahead of time, §3.4).
-  * Otherwise they fall back to the monotone mask-aggregation extension the
-  * paper sketches: writing `cntGe(t)` for the pixels of the roi where *every*
-  * mask is ≥ t, `cntGe(t) ≤ min_i CP_i([t,1))` and, by Bonferroni,
+  * built from exactly the unit's masks (in its aggregate slab, under
+  * `image_id` — the paper's primary path, where the index for aggregated
+  * masks is built ahead of time, §3.4). A unit of only some of the image's
+  * masks, as in a catalog filtered by model, has a larger INTERSECT than the
+  * indexed one, so those bounds would be wrong for it. Otherwise they fall
+  * back to the monotone mask-aggregation extension the paper sketches:
+  * writing `cntGe(t)` for the pixels of the roi where *every* mask is ≥ t,
+  * `cntGe(t) ≤ min_i CP_i([t,1))` and, by Bonferroni,
   * `cntGe(t) ≥ Σ_i CP_i([t,1)) − (n−1)·|roi|`; the query value is
   * `cntGe(lv) − cntGe(uv)`.
   */
@@ -113,7 +116,7 @@ final case class IntersectCpValue(roi: RoiSpec, range: ValueRange) extends Group
 
     def apply(rows: Seq[CatalogRow]): Unit = {
       val head = rows.head
-      if (chi.aggregates.contains(head.image_id)) {
+      if (chi.aggregates.builtFrom(head.image_id, rows)) {
         chi.aggregates.eval(agg, head.image_id, head)
         lower = agg.lower.toDouble
         upper = agg.upper.toDouble
@@ -148,8 +151,9 @@ final case class GroupTopKResult(groups: Array[(Long, Double)], stats: QueryStat
   */
 object Aggregation {
 
-  /** `HAVING value op T` over groups, bounds and verification fused in one
-    * job. Returns the qualifying image ids.
+  /** `HAVING value op T` over groups: every group bounded and classified on
+    * the driver, then one job that loads and verifies the undecided groups.
+    * Returns the qualifying image ids.
     */
   def filterGroups(
       catalog: DataFrame,
@@ -163,8 +167,8 @@ object Aggregation {
     GroupFilterResult(passed.map(_._1), stats)
   }
 
-  /** Top-k groups by `value`: the bounds in one job, then each verification
-    * round in another over the groups it loads.
+  /** Top-k groups by `value`: every group bounded on the driver, then each
+    * verification round in one job over the groups it loads.
     */
   def topKGroups(
       catalog: DataFrame,

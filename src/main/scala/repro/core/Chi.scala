@@ -197,9 +197,8 @@ final class ChiIndex(
   /** Uncompressed size of this index in bytes: 2 per count, 4 with [[high]]. */
   def sizeBytes: Long = ChiIndex.countBytes(w, h).toLong * length
 
-  /** A view serialises as an index that owns its counts, not the whole slab. */
-  private def writeReplace(): AnyRef =
-    if (base == 0 && low.length == length) this else new ChiIndex(maskId, w, h, cfg, counts, high)
+  /** An index, a view too, serialises as its own per-cell counts ([[CellCounts]]), not the whole slab. */
+  private def writeReplace(): AnyRef = new ChiIndex.Wire(maskId, CellCounts(cfg, w, h, 1, low, highs, base))
 }
 
 /** A `[lower, upper]` interval that is guaranteed to contain the exact CP
@@ -243,6 +242,14 @@ object ChiIndex {
   /** Index of the first grid line at or after `v`, for 0 ≤ v ≤ dim. */
   def lineAtOrAbove(v: Int, dim: Int, cell: Int): Int = (v + cell - 1) / cell
 
+  /** The wire form of an index: its key and its per-cell counts. */
+  private final class Wire(maskId: Long, counts: CellCounts) extends Serializable {
+    private def readResolve(): AnyRef = {
+      if (counts.n != 1) throw new java.io.InvalidObjectException(s"CHI of mask $maskId holds ${counts.n} indexes")
+      new ChiIndex(maskId, counts.w, counts.h, counts.cfg, counts.low, counts.high)
+    }
+  }
+
   /** Shared empty high half of every index whose counts fit in 16 bits. */
   private[core] val NoHigh: Array[Char] = Array.emptyCharArray
 
@@ -251,20 +258,24 @@ object ChiIndex {
     if (high.length == 0) low(i) else low(i) | high(i) << 16
 
   /** The two halves of `n` counts for a `w × h` mask. */
-  private def halves(w: Int, h: Int, n: Int): (Array[Char], Array[Char]) =
+  private[core] def halves(w: Int, h: Int, n: Int): (Array[Char], Array[Char]) =
     (new Array[Char](n), if (countBytes(w, h) == 4) new Array[Char](n) else NoHigh)
 
-  private def put(counts: Array[Char], high: Array[Char], i: Int, v: Int): Unit = {
+  private[core] def put(counts: Array[Char], high: Array[Char], i: Int, v: Int): Unit = {
     counts(i) = v.toChar
     if (high.length != 0) high(i) = (v >>> 16).toChar
   }
 
   /** An index from counts in storage order ([[ChiIndex.wideCounts]]), e.g. as
     * persisted. Fails unless there are `nCx·nCy·bins` of them, each in
-    * [0, w·h], so none is truncated when narrowed.
+    * [0, w·h], so none is truncated when narrowed, and they are the counts
+    * of some mask: bin 0 is each rectangle's area, and the per-cell counts
+    * (their 2-D first difference) lie in their cell and do not increase over
+    * bins — the rule the wire form's reader applies ([[CellCounts.cellOk]]).
     */
   def fromCounts(maskId: Long, w: Int, h: Int, cfg: ChiConfig, wide: Array[Int]): ChiIndex = {
-    val n = nCells(w, cfg.cellW) * nCells(h, cfg.cellH) * cfg.bins
+    val (nCx, nCy, bins) = (nCells(w, cfg.cellW), nCells(h, cfg.cellH), cfg.bins)
+    val n = nCx * nCy * bins
     require(wide.length == n, s"CHI of mask $maskId has ${wide.length} counts, expected $n for ${w}x$h and $cfg")
     val (counts, high) = halves(w, h, n)
     var i = 0
@@ -273,6 +284,18 @@ object ChiIndex {
       require(v >= 0 && v.toLong <= w.toLong * h, s"CHI of mask $maskId: count $v at $i is outside [0, ${w.toLong * h}]")
       put(counts, high, i, v)
       i += 1
+    }
+    def hAt(cx: Int, cy: Int, b: Int): Int = if (cx == 0 || cy == 0) 0 else wide(((cx - 1) * nCy + (cy - 1)) * bins + b)
+    for (cx <- 1 to nCx; cy <- 1 to nCy) {
+      val (x, y) = (line(cx, w, cfg.cellW), line(cy, h, cfg.cellH))
+      require(hAt(cx, cy, 0) == x * y, s"CHI of mask $maskId: bin 0 holds ${hAt(cx, cy, 0)} pixels at corner ($cx, $cy), not the ${x * y} of its rectangle")
+      val area = (x - line(cx - 1, w, cfg.cellW)) * (y - line(cy - 1, h, cfg.cellH))
+      var prev = area
+      for (b <- 1 until bins) {
+        val d = hAt(cx, cy, b) - hAt(cx - 1, cy, b) - hAt(cx, cy - 1, b) + hAt(cx - 1, cy - 1, b)
+        if (!CellCounts.cellOk(d, prev)) throw CellCounts.cellError(s"CHI of mask $maskId", cx - 1, cy - 1, b, d, prev, area)
+        prev = d
+      }
     }
     new ChiIndex(maskId, w, h, cfg, counts, high)
   }

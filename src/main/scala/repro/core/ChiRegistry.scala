@@ -12,8 +12,9 @@ import repro.store.MaskStore
   * When a MaskSearch session starts the registry is loaded (or built) once and
   * held in memory for the session (§3.2.1). Engines classify on the driver
   * against it; the SQL path broadcasts it to executors, where the rewritten
-  * filter reads bounds row by row. Two slabs of counts and their slot tables
-  * are all a broadcast ships.
+  * filter reads bounds row by row. A broadcast ships the two slabs as their
+  * per-cell counts ([[CellCounts]]: 441 B per 56×56 ImageNet-lite index, which
+  * holds 980 B in memory), their slot tables and the aggregates' members.
   */
 final class ChiRegistry(val cfg: ChiConfig, val masks: ChiSlab, val aggregates: ChiSlab) extends Serializable {
   require(masks.cfg == cfg && aggregates.cfg == cfg, s"slabs of ${masks.cfg} and ${aggregates.cfg} in a registry of $cfg")
@@ -21,7 +22,7 @@ final class ChiRegistry(val cfg: ChiConfig, val masks: ChiSlab, val aggregates: 
   def get(maskId: Long): Option[ChiIndex] = masks.get(maskId)
   def contains(maskId: Long): Boolean = masks.contains(maskId)
 
-  /** The index of the INTERSECT of image `imageId`'s masks. */
+  /** The index of the INTERSECT of image `imageId`'s masks; `aggregates.membersOf` names them. */
   def aggregate(imageId: Long): Option[ChiIndex] = aggregates.get(imageId)
 
   /** Number of indexes held: masks and aggregated masks. */
@@ -60,10 +61,11 @@ object ChiRegistry {
   }
 
   /** Like [[build]], but additionally indexes the per-image INTERSECT
-    * (pixel-wise minimum) aggregated mask under its `image_id`, loading each
-    * mask only once per group. Used by mask-aggregation queries (the paper's
-    * Q5) so their filter stage has first-class bounds. The groups are built
-    * in parallel over [[Units.images]].
+    * (pixel-wise minimum) aggregated mask under its `image_id`, with the ids
+    * of the masks it intersects, loading each mask only once per group. Used
+    * by mask-aggregation queries (the paper's Q5) so their filter stage has
+    * first-class bounds for units of exactly those masks. The groups are
+    * built in parallel over [[Units.images]].
     */
   def buildWithAggregates(
       spark: SparkSession,
@@ -74,9 +76,9 @@ object ChiRegistry {
     val pieces = Units.images(catalog, hold = false).slices { units =>
       val built = units.map { case (img, rows) =>
         val ms = rows.map(store.loadRow)
-        (ms.map(m => m.id -> ChiIndex.build(m, cfg)), img -> ChiIndex.build(Mask.intersect(ms), cfg))
+        (ms.map(m => m.id -> ChiIndex.build(m, cfg)), img -> ChiIndex.build(Mask.intersect(ms), cfg), ms.map(_.id))
       }.toSeq
-      (ChiSlab.pack(cfg, built.flatMap(_._1)), ChiSlab.pack(cfg, built.map(_._2)))
+      (ChiSlab.pack(cfg, built.flatMap(_._1)), ChiSlab.pack(cfg, built.map(_._2), built.map(_._3)))
     }
     new ChiRegistry(cfg, ChiSlab.empty(cfg).append(pieces.map(_._1).toSeq), ChiSlab.empty(cfg).append(pieces.map(_._2).toSeq))
   }
@@ -89,38 +91,50 @@ object ChiRegistry {
   val BinningVersion: Int = 2
 
   /** Persist a registry as Parquet (`mask_id, w, h, counts` + config and
-    * `binning` columns, aggregated masks under `AggIdBase + image_id`) — the
-    * paper's "persisted to disk for future sessions" (§3.6). Counts are written as `int` whatever their width in
-    * memory, so the format does not depend on it.
+    * `binning` columns, aggregated masks under `AggIdBase + image_id` with
+    * the ids of the masks they intersect in `members`, null on mask rows) —
+    * the paper's "persisted to disk for future sessions" (§3.6). Counts are
+    * written as `int` whatever their width in memory, so the format does not
+    * depend on it.
     */
   def save(spark: SparkSession, registry: ChiRegistry, path: String): Unit = {
     import spark.implicits._
     val cfg = registry.cfg
-    (registry.masks.indexes.map(i => i.maskId -> i) ++ registry.aggregates.indexes.map(i => (AggIdBase + i.maskId) -> i))
-      .map { case (id, i) => (id, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, BinningVersion, i.wideCounts) }
+    val aggs = registry.aggregates
+    (registry.masks.indexes.map(i => (i.maskId, i, Option.empty[Array[Long]])) ++
+      aggs.indexes.map(i => (AggIdBase + i.maskId, i, aggs.membersOf(i.maskId).map(_.toArray))))
+      .map { case (id, i, members) => (id, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, BinningVersion, i.wideCounts, members) }
       .toSeq
-      .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts")
+      .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts", "members")
       .write.mode("overwrite").parquet(path)
   }
 
-  /** True iff the registry persisted at `path` carries a binning version,
-    * i.e. was saved since the value-to-bin rule was defined once.
+  /** True iff the registry persisted at `path` carries a binning version and
+    * aggregate members, i.e. was saved since the value-to-bin rule was
+    * defined once and aggregates record the masks they were built from.
     */
-  def isCurrent(spark: SparkSession, path: String): Boolean =
-    spark.read.parquet(path).columns.contains("binning")
+  def isCurrent(spark: SparkSession, path: String): Boolean = {
+    val columns = spark.read.parquet(path).columns
+    columns.contains("binning") && columns.contains("members")
+  }
 
   /** Load a previously persisted registry. Fails unless every row has the
-    * current binning version and the same config, and every index has the
-    * number of counts its shape and config give, each in [0, w·h]
+    * current binning version and the same config, every aggregate row names
+    * its members, and every index has the number of counts its shape and
+    * config give, each in [0, w·h], that some mask can have
     * ([[ChiIndex.fromCounts]]).
     */
   def load(spark: SparkSession, path: String): ChiRegistry = {
     import spark.implicits._
-    require(isCurrent(spark, path),
+    val table = spark.read.parquet(path)
+    require(table.columns.contains("binning"),
       s"CHI registry at $path has no binning version: it was built with an older value-to-bin rule; rebuild it")
-    val rows = spark.read.parquet(path)
-      .select("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts")
-      .as[(Long, Int, Int, Int, Int, Int, Int, Array[Int])]
+    val withMembers =
+      if (table.columns.contains("members")) table
+      else table.withColumn("members", org.apache.spark.sql.functions.lit(null).cast("array<bigint>"))
+    val rows = withMembers
+      .select("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts", "members")
+      .as[(Long, Int, Int, Int, Int, Int, Int, Array[Int], Option[Array[Long]])]
       .collect()
     require(rows.nonEmpty, s"empty CHI registry at $path")
     val versions = rows.map(_._7).distinct
@@ -129,10 +143,16 @@ object ChiRegistry {
     val cfgs = rows.map(r => ChiConfig(r._4, r._5, r._6)).distinct
     require(cfgs.length == 1, s"CHI registry at $path mixes configs ${cfgs.mkString(", ")}")
     val cfg = cfgs.head
-    val (aggs, masks) = rows.sortBy(_._1).map { case (id, w, h, _, _, _, _, c) => id -> ChiIndex.fromCounts(id, w, h, cfg, c) }
-      .partition(_._1 >= AggIdBase)
-    def slab(indexes: Seq[(Long, ChiIndex)]) = ChiSlab.empty(cfg).append(Seq(ChiSlab.pack(cfg, indexes)))
-    new ChiRegistry(cfg, slab(masks.toSeq), slab(aggs.toSeq.map { case (id, i) => (id - AggIdBase) -> i }))
+    val (aggs, masks) = rows.sortBy(_._1).partition(_._1 >= AggIdBase)
+    def indexes(rs: Array[(Long, Int, Int, Int, Int, Int, Int, Array[Int], Option[Array[Long]])], key: Long => Long) =
+      rs.toSeq.map { case (id, w, h, _, _, _, _, c, _) => key(id) -> ChiIndex.fromCounts(key(id), w, h, cfg, c) }
+    val members = aggs.map { r =>
+      r._9.filter(_.nonEmpty).getOrElse(throw new IllegalArgumentException(
+        s"CHI registry at $path: the aggregate of image ${r._1 - AggIdBase} names no members; rebuild it"))
+    }
+    new ChiRegistry(cfg,
+      ChiSlab.empty(cfg).append(Seq(ChiSlab.pack(cfg, indexes(masks, identity)))),
+      ChiSlab.empty(cfg).append(Seq(ChiSlab.pack(cfg, indexes(aggs, _ - AggIdBase), members.map(_.toSeq)))))
   }
 
   /** Broadcast the registry to executors (the SQL path's bound expressions read it there). */

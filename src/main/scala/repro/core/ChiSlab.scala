@@ -11,12 +11,22 @@ import repro.store.CatalogRow
   * key order, so slot = key for a dataset's dense mask ids; an incremental
   * session's slab fills them in the order its queries index masks.
   *
+  * A slab of aggregated masks also records, per slot, the ids of the masks
+  * each index was built from ([[membersOf]]), so that its bounds serve only a
+  * unit of exactly those masks ([[builtFrom]]).
+  *
   * A slab is immutable to its readers and grows by [[append]], which returns
   * a new slab. The arrays have room beyond `size` slots (growth by half, so
   * appends cost amortised O(1) per count) and are shared with the slab
   * appended to, when that slab is the longest one using them: the older one
   * still reads only its own `size` slots, and treats a table entry at or
-  * above `size` as absent. A slab serialises only its live slots and table.
+  * above `size` as absent.
+  *
+  * A slab serialises (as a broadcast ships it) only its live slots: their
+  * per-cell counts ([[CellCounts]], 441 B for a 56×56 index that holds
+  * 980 B in memory), its slot table and its members. Reading it back
+  * rebuilds the same 16-bit arrays, and rejects a slot table that names a
+  * slot at or past `size`, or one slot twice.
   */
 final class ChiSlab private (
     val cfg: ChiConfig,
@@ -25,6 +35,7 @@ final class ChiSlab private (
     private[core] val low: Array[Char],
     private[core] val high: Array[Char],
     slots: Array[Int],
+    members: Array[Array[Long]],
     val size: Int,
     tail: ChiSlab.Tail,
 ) extends Serializable {
@@ -51,6 +62,24 @@ final class ChiSlab private (
   /** Evaluate `plan` on `key`'s index for `row`; trivial bounds when it has none. */
   def eval(plan: BoundPlan, key: Long, row: CatalogRow): Unit = plan.eval(low, high, base(key), row)
 
+  /** The ids of the masks `key`'s index was built from, ascending, when the slab records them. */
+  def membersOf(key: Long): Option[IndexedSeq[Long]] = {
+    val s = slot(key)
+    Option.when(s >= 0 && s < members.length)(scala.collection.immutable.ArraySeq.unsafeWrapArray(members(s)))
+  }
+
+  /** True iff the slab holds `key`'s index and records that it was built
+    * from exactly the masks of `rows`.
+    */
+  def builtFrom(key: Long, rows: Seq[CatalogRow]): Boolean = {
+    val s = slot(key)
+    s >= 0 && s < members.length && members(s).length == rows.size && {
+      val ids = rows.iterator.map(_.mask_id).toArray
+      java.util.Arrays.sort(ids)
+      java.util.Arrays.equals(ids, members(s))
+    }
+  }
+
   /** Every index, as views, by ascending key. */
   def indexes: Iterator[ChiIndex] = Iterator.range(0, slots.length).flatMap(k => get(k.toLong))
 
@@ -59,14 +88,19 @@ final class ChiSlab private (
 
   /** This slab with the indexes of `pieces` appended, in order. Every key
     * must be in [0, 2³¹ − 1) and new to the slab, and every piece must have
-    * the slab's mask shape (the first piece fixes it for an empty slab).
+    * the slab's config and mask shape, and record members when the slab does
+    * (the first piece fixes shape and members for an empty slab).
     */
   def append(pieces: Seq[ChiSlab.Packed]): ChiSlab = {
     val added = pieces.filter(_.keys.nonEmpty)
     if (added.isEmpty) return this
     val (nw, nh) = if (size == 0) (added.head.w, added.head.h) else (w, h)
+    val recorded = if (size == 0) added.head.members.nonEmpty else members.nonEmpty
     added.foreach { p =>
+      require(p.cfg == cfg, s"CHI of mask ${p.keys.head} was built with ${p.cfg}, not the slab's $cfg")
       require(p.w == nw && p.h == nh, s"CHI of mask ${p.keys.head} is for ${p.w}x${p.h} masks, not the slab's ${nw}x$nh")
+      require(p.members.nonEmpty == recorded,
+        s"CHI of key ${p.keys.head} ${if (recorded) "does not record" else "records"} its members, unlike the slab")
     }
     val keys = added.flatMap(_.keys).sorted
     require(keys.head >= 0 && keys.last < Int.MaxValue, s"CHI keys ${keys.head} to ${keys.last} leave [0, ${Int.MaxValue})")
@@ -77,13 +111,14 @@ final class ChiSlab private (
     val wide = ChiIndex.countBytes(nw, nh) == 4
     val st = ChiIndex.nCells(nw, cfg.cellW) * ChiIndex.nCells(nh, cfg.cellH) * cfg.bins
     tail.synchronized {
-      val inPlace = size > 0 && tail.filled == size && low.length >= n * st
-      val (lo, hi, t) =
-        if (inPlace) (low, high, tail)
+      val inPlace = size > 0 && tail.filled == size && low.length >= n * st && (!recorded || members.length >= n)
+      val (lo, hi, mem, t) =
+        if (inPlace) (low, high, members, tail)
         else {
-          val cap = math.max(n, size + size / 2) * st
+          val slotsCap = math.max(n, size + size / 2)
+          val cap = slotsCap * st
           (java.util.Arrays.copyOf(low, cap), if (wide) java.util.Arrays.copyOf(high, cap) else ChiIndex.NoHigh,
-            new ChiSlab.Tail(size))
+            if (recorded) java.util.Arrays.copyOf(members, slotsCap) else members, new ChiSlab.Tail(size))
         }
       val table =
         if (inPlace && slots.length > maxKey) slots
@@ -97,24 +132,27 @@ final class ChiSlab private (
       added.foreach { p =>
         System.arraycopy(p.low, 0, lo, s * st, p.low.length)
         if (wide) System.arraycopy(p.high, 0, hi, s * st, p.high.length)
-        p.keys.foreach { key => table(key.toInt) = s; s += 1 }
+        p.keys.indices.foreach { i =>
+          table(p.keys(i).toInt) = s
+          if (recorded) mem(s) = p.members(i)
+          s += 1
+        }
       }
       t.filled = n
-      new ChiSlab(cfg, nw, nh, lo, hi, table, n, t)
+      new ChiSlab(cfg, nw, nh, lo, hi, table, mem, n, t)
     }
   }
 
-  /** Shared arrays hold slots past `size`, or room for more: serialise a copy that has neither. */
+  /** The live slots only: their per-cell counts, the table without slots past
+    * `size`, and their members.
+    */
   private def writeReplace(): AnyRef = {
     val used = slots.lastIndexWhere(s => s >= 0 && s < size) + 1
-    val clean = low.length == size * stride && slots.length == used && !slots.exists(_ >= size)
-    if (clean) this
-    else {
-      val table = Array.tabulate(used)(k => if (slots(k) < size) slots(k) else -1)
-      val n = size * stride
-      new ChiSlab(cfg, w, h, java.util.Arrays.copyOf(low, n),
-        if (high.length == 0) high else java.util.Arrays.copyOf(high, n), table, size, new ChiSlab.Tail(size))
-    }
+    new ChiSlab.Wire(
+      Array.tabulate(used)(k => if (slots(k) < size) slots(k) else -1),
+      if (members.isEmpty) members else members.take(size),
+      CellCounts(cfg, w, h, size, low, high),
+    )
   }
 }
 
@@ -123,20 +161,64 @@ object ChiSlab {
   /** How many slots of a slab's arrays some slab has filled: only the slab
     * of that size may append in place.
     */
-  private[core] final class Tail(var filled: Int) extends Serializable
+  private[core] final class Tail(var filled: Int)
 
   def empty(cfg: ChiConfig): ChiSlab =
-    new ChiSlab(cfg, 0, 0, Array.emptyCharArray, ChiIndex.NoHigh, Array.emptyIntArray, 0, new Tail(0))
+    new ChiSlab(cfg, 0, 0, Array.emptyCharArray, ChiIndex.NoHigh, Array.emptyIntArray, NoMembers, 0, new Tail(0))
+
+  private val NoMembers: Array[Array[Long]] = Array.empty
+
+  /** A slab's wire form: slot table, members and per-cell counts. */
+  private final class Wire(slots: Array[Int], members: Array[Array[Long]], counts: CellCounts) extends Serializable {
+    private def readResolve(): AnyRef = {
+      val n = counts.n
+      def invalid(what: String) = new java.io.InvalidObjectException(s"CHI slab of $n indexes: $what")
+      val seen = new Array[Boolean](n)
+      slots.indices.foreach { k =>
+        val s = slots(k)
+        if (s < -1 || s >= n) throw invalid(s"key $k names slot $s, outside [0, $n)")
+        if (s >= 0) { if (seen(s)) throw invalid(s"slot $s is named twice, last by key $k"); seen(s) = true }
+      }
+      if (members.nonEmpty && (members.length != n || members.contains(null)))
+        throw invalid(s"members recorded for ${members.count(_ != null)} of them")
+      new ChiSlab(counts.cfg, counts.w, counts.h, counts.low, counts.high, slots, members, n, new Tail(n))
+    }
+  }
 
   /** Indexes of `w × h` masks in storage order, as a build task returns them:
-    * `keys(i)`'s counts at offset `i · stride` of `low` and `high`.
+    * `keys(i)`'s counts at offset `i · stride` of `low` and `high`, and the
+    * ids of the masks it was built from at `members(i)`, ascending, or no
+    * `members` at all. Serialised as per-cell counts ([[CellCounts]]).
     */
-  final case class Packed(keys: Array[Long], w: Int, h: Int, low: Array[Char], high: Array[Char])
+  final case class Packed(
+      cfg: ChiConfig,
+      keys: Array[Long],
+      w: Int,
+      h: Int,
+      low: Array[Char],
+      high: Array[Char],
+      members: Array[Array[Long]] = NoMembers,
+  ) {
+    private def writeReplace(): AnyRef = new Packed.Wire(keys, members, CellCounts(cfg, w, h, keys.length, low, high))
+  }
 
-  /** `indexes`, each built with `cfg`, packed under their keys. */
-  def pack(cfg: ChiConfig, indexes: Iterable[(Long, ChiIndex)]): Packed =
-    if (indexes.isEmpty) Packed(Array.emptyLongArray, 0, 0, Array.emptyCharArray, ChiIndex.NoHigh)
+  object Packed {
+    private final class Wire(keys: Array[Long], members: Array[Array[Long]], counts: CellCounts) extends Serializable {
+      private def readResolve(): AnyRef = {
+        if (keys.length != counts.n || (members.nonEmpty && (members.length != keys.length || members.contains(null))))
+          throw new java.io.InvalidObjectException(s"packed CHIs: ${keys.length} keys, ${counts.n} indexes, ${members.length} members")
+        Packed(counts.cfg, keys, counts.w, counts.h, counts.low, counts.high, members)
+      }
+    }
+  }
+
+  /** `indexes`, each built with `cfg`, packed under their keys, with the
+    * mask ids each was built from when `members` gives them (one per index).
+    */
+  def pack(cfg: ChiConfig, indexes: Iterable[(Long, ChiIndex)], members: Iterable[Iterable[Long]] = Nil): Packed =
+    if (indexes.isEmpty) Packed(cfg, Array.emptyLongArray, 0, 0, Array.emptyCharArray, ChiIndex.NoHigh)
     else {
+      require(members.isEmpty || members.size == indexes.size, s"${members.size} member lists for ${indexes.size} CHIs")
       val first = indexes.head._2
       indexes.foreach { case (_, i) =>
         require(i.cfg == cfg, s"CHI of mask ${i.maskId} was built with ${i.cfg}, not the registry's $cfg")
@@ -150,6 +232,6 @@ object ChiSlab {
         System.arraycopy(i.low, i.base, low, s * n, n)
         if (wide) System.arraycopy(i.highs, i.base, high, s * n, n)
       }
-      Packed(indexes.map(_._1).toArray, first.w, first.h, low, high)
+      Packed(cfg, indexes.map(_._1).toArray, first.w, first.h, low, high, members.map(_.toArray.sorted).toArray)
     }
 }

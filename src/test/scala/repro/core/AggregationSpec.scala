@@ -103,6 +103,21 @@ class AggregationSpec extends SparkSpec {
     assert(ms.stats.masksLoaded < 2L * ds.nImages)
   }
 
+  test("intersect-CP over a model-filtered catalog does not take the bounds of the all-model aggregate") {
+    // Each unit holds only its image's model-1 mask, whose INTERSECT is larger
+    // than the indexed one of both models' masks.
+    for (t <- Seq(10.0, 20.0, 30.0)) {
+      val ms = Aggregation.filterGroups(catalogM1, intersectCp, Gt, t, store, chiBc)
+      val base = ScanBaseline.filterGroups(catalogM1, intersectCp, Gt, t, store)
+      assert(ms.groups.toSeq == base.groups.toSeq, s"group filter mismatch at $t")
+    }
+    for (desc <- Seq(true, false)) {
+      val ms = Aggregation.topKGroups(catalogM1, intersectCp, 10, desc, store, chiBc)
+      val base = ScanBaseline.topKGroups(catalogM1, intersectCp, 10, desc, store)
+      assert(ms.groups.toSeq == base.groups.toSeq, s"group top-k mismatch (descending = $desc)")
+    }
+  }
+
   test("group verification loads all masks of uncertain groups only") {
     val ms = Aggregation.filterGroups(catalog, meanCp, Gt, 30, store, chiBc)
     assert(ms.stats.masksLoaded == ms.stats.nUncertain * ds.nModels)

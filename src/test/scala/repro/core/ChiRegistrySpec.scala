@@ -127,6 +127,42 @@ class ChiRegistrySpec extends SparkSpec {
     }
   }
 
+  test("buildWithAggregates records the masks of each aggregate, and save and load keep them") {
+    val rows = MaskStore.asRows(catalog).collect()
+    val path = "target/testdata/chi-roundtrip-members"
+    ChiRegistry.save(spark, registry, path)
+    val loaded = ChiRegistry.load(spark, path)
+    rows.groupBy(_.image_id).foreach { case (img, group) =>
+      val ids = group.map(_.mask_id).sorted.toSeq
+      assert(registry.aggregates.membersOf(img).contains(ids), s"image $img")
+      assert(loaded.aggregates.membersOf(img).contains(ids), s"image $img after load")
+      assert(registry.aggregates.builtFrom(img, group.toSeq.reverse) && !registry.aggregates.builtFrom(img, group.take(1).toSeq))
+    }
+    assert(registry.masks.membersOf(0L).isEmpty && loaded.masks.membersOf(0L).isEmpty)
+  }
+
+  test("a Java-serialised registry reads back every mask and aggregate index, with the members") {
+    val out = new java.io.ByteArrayOutputStream()
+    val oos = new java.io.ObjectOutputStream(out)
+    oos.writeObject(registry)
+    oos.close()
+    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(out.toByteArray)).readObject().asInstanceOf[ChiRegistry]
+    assert(back.cfg == registry.cfg && back.masks.size == ds.nMasks && back.aggregates.size == ds.nImages)
+    val r = new java.util.Random(9)
+    def same(got: ChiIndex, want: ChiIndex): Unit = {
+      assert(got.wideCounts.toSeq == want.wideCounts.toSeq, s"counts of ${want.maskId}")
+      for (_ <- 0 until 5) {
+        val (roi, range) = (Fixtures.randomRoi(r, ds.w, ds.h), Fixtures.randomRange(r))
+        assert(got.bounds(roi, range) == want.bounds(roi, range), s"${want.maskId} $roi $range")
+      }
+    }
+    (0L until ds.nMasks).foreach(id => same(back.get(id).get, registry.get(id).get))
+    (0L until ds.nImages).foreach { i =>
+      same(back.aggregate(i).get, registry.aggregate(i).get)
+      assert(back.aggregates.membersOf(i) == registry.aggregates.membersOf(i), s"members of image $i")
+    }
+  }
+
   /** Persist `rows` in the registry's Parquet schema, as [[ChiRegistry.save]] would. */
   private def saveRows(path: String, rows: Seq[(Long, Int, Int, Int, Int, Int, Int, Array[Int])]): Unit = {
     val spark0 = spark
@@ -202,6 +238,30 @@ class ChiRegistrySpec extends SparkSpec {
     assert(builds == 1)
     assert(second.size == registry.size)
     assert(second.get(9L).get.counts.toSeq == registry.get(9L).get.counts.toSeq)
+  }
+
+  /** `registry` persisted the way it was before aggregates recorded their members. */
+  private def saveWithoutMembers(path: String): Unit = {
+    val spark0 = spark
+    import spark0.implicits._
+    (registry.masks.indexes.map(i => i.maskId -> i) ++ registry.aggregates.indexes.map(i => (ChiRegistry.AggIdBase + i.maskId) -> i))
+      .map { case (id, i) => (id, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, ChiRegistry.BinningVersion, i.wideCounts) }.toSeq
+      .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts")
+      .write.mode("overwrite").parquet(path)
+  }
+
+  test("load rejects aggregates saved without their members, and the bench cache rebuilds them") {
+    val path = "target/testdata/chi-no-members"
+    saveWithoutMembers(path)
+    assert(!ChiRegistry.isCurrent(spark, path))
+    val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
+    assert(e.getMessage.contains("the aggregate of image 0 names no members"), e.getMessage)
+    var builds = 0
+    def build = { builds += 1; registry }
+    assert(repro.bench.BenchData.cachedRegistry(spark, path)(build) eq registry)
+    assert(builds == 1 && ChiRegistry.isCurrent(spark, path))
+    val second = repro.bench.BenchData.cachedRegistry(spark, path)(build)
+    assert(builds == 1 && second.aggregates.membersOf(3L) == registry.aggregates.membersOf(3L))
   }
 
   test("load of an empty registry path fails loudly") {
