@@ -38,8 +38,8 @@ object BenchData {
   /** WILDS-lite: 1,500 images × 2 models, 112×112 masks (~150 MB raw).
     * CHI: cell 16×16 (7×7 grid — the paper's WILDS granularity, 448/64),
     * b = 20 (Δ = 0.05, so the 0.05-multiple value ranges used throughout the
-    * evaluation are bin-aligned) ⇒ 7×7×20 16-bit counts, 1.9 KiB/mask =
-    * 3.9% of raw.
+    * evaluation are bin-aligned) ⇒ 7×7×19 counts of 14 bits (bin 0 is
+    * implied) in 204 words, 1,632 B/mask = 3.3% of raw.
     */
   val wilds: BenchDataset = BenchDataset(
     MaskDatasetDef("wilds-lite", nImages = 1500, nModels = 2, w = 112, h = 112, seed = 101),
@@ -50,8 +50,8 @@ object BenchData {
   /** ImageNet-lite: 20,000 images × 2 models, 56×56 masks (~500 MB raw).
     * CHI: cell 8×8 (7×7 grid), b = 10 (Δ = 0.1 — at 56² the value
     * dimension prunes far more than the spatial one, and 0.1-aligned bins
-    * put the index at 7×7×10 16-bit counts, 980 B/mask = 7.8% of raw; see
-    * EXPERIMENTS.md).
+    * put the index at 7×7×9 counts of 12 bits (bin 0 is implied) in 83
+    * words, 664 B/mask = 5.3% of raw; see EXPERIMENTS.md).
     */
   val imagenet: BenchDataset = BenchDataset(
     MaskDatasetDef("imagenet-lite", nImages = 20000, nModels = 2, w = 56, h = 56, seed = 202),

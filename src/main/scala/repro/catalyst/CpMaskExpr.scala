@@ -7,7 +7,7 @@ import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 
-import repro.core.{ChiIndex, ChiRegistry, Roi, ValueRange}
+import repro.core.{BoundPlan, ChiRegistry, ChiSlab, Roi, ValueRange}
 import repro.store.MaskStore
 
 /** Numeric coercion for expression arguments: SQL literals arrive as
@@ -83,8 +83,13 @@ final case class CpMaskExpr(
 /** Catalyst expression returning the CHI lower or upper bound of a CP call:
   * `chi_bound(mask_id, x1, y1, x2, y2, lv, uv) → BIGINT`. Index lookups only
   * — never touches mask files; masks absent from the registry fall back to
-  * the trivial bounds ([[ChiIndex.boundsOrTrivial]]) so the rewrite stays
-  * correct.
+  * the trivial bounds `[0, |roi|]` so the rewrite stays correct.
+  *
+  * Each instance reads the registry's mask slab directly through one
+  * [[BoundPlan]] compiled for its value range, rebuilt only when a row's
+  * range differs from the last row's, so a row builds no plan, index view
+  * or bounds object. That plan is mutable state, so the expression is
+  * [[stateful]]: Spark gives every task its own copy.
   */
 final case class ChiBoundExpr(
     children: Seq[Expression],
@@ -98,22 +103,29 @@ final case class ChiBoundExpr(
   override def dataType: DataType = LongType
   override def nullable: Boolean = false
   override def prettyName: String = if (upper) "chi_upper" else "chi_lower"
+  override def stateful: Boolean = true
+
+  @transient private var slab: ChiSlab = _
+  @transient private var plan: BoundPlan = _
+  @transient private var lv, uv = 0.0
 
   override def eval(input: InternalRow): Any = {
     import Coerce._
     val maskId = toLongVal(children(0).eval(input))
-    val roi = Roi(
-      toIntVal(children(1).eval(input)),
-      toIntVal(children(2).eval(input)),
-      toIntVal(children(3).eval(input)),
-      toIntVal(children(4).eval(input)),
-    )
-    val range = ValueRange(
-      toDoubleVal(children(5).eval(input)),
-      toDoubleVal(children(6).eval(input)),
-    )
-    val b = ChiIndex.boundsOrTrivial(registry.value.get(maskId), roi, range)
-    if (upper) b.upper else b.lower
+    val x1 = toIntVal(children(1).eval(input))
+    val y1 = toIntVal(children(2).eval(input))
+    val x2 = toIntVal(children(3).eval(input))
+    val y2 = toIntVal(children(4).eval(input))
+    val rowLv = toDoubleVal(children(5).eval(input))
+    val rowUv = toDoubleVal(children(6).eval(input))
+    if (plan == null || rowLv != lv || rowUv != uv) {
+      if (slab == null) slab = registry.value.masks
+      plan = new BoundPlan(slab.cfg, slab.w, slab.h, ValueRange(rowLv, rowUv))
+      lv = rowLv
+      uv = rowUv
+    }
+    slab.eval(plan, maskId, x1, y1, x2, y2)
+    if (upper) plan.upper else plan.lower
   }
 
   override protected def withNewChildrenInternal(newChildren: IndexedSeq[Expression]): Expression =

@@ -97,9 +97,9 @@ final case class ScalarAggValue(agg: ScalarAgg, expr: CpExpr) extends GroupValue
 final case class IntersectCpValue(roi: RoiSpec, range: ValueRange) extends GroupValue {
 
   def bounder(chi: ChiRegistry): Bounder = new Bounder {
-    private val agg = new BoundPlan(chi.cfg, chi.aggregates.w, chi.aggregates.h, roi, range)
+    private val agg = new BoundPlan(chi.cfg, chi.aggregates.w, chi.aggregates.h, range)
     private def atLeast(t: Double) =
-      Option.when(t < 1.0)(new BoundPlan(chi.cfg, chi.masks.w, chi.masks.h, roi, ValueRange(t, 1.0)))
+      Option.when(t < 1.0)(new BoundPlan(chi.cfg, chi.masks.w, chi.masks.h, ValueRange(t, 1.0)))
     private val geLv = atLeast(range.lv)
     private val geUv = atLeast(range.uv)
 
@@ -109,7 +109,7 @@ final case class IntersectCpValue(roi: RoiSpec, range: ValueRange) extends Group
       case Some(p) =>
         var hi = Long.MaxValue
         var sumLo = 0L
-        rows.foreach { r => chi.masks.eval(p, r.mask_id, r); hi = math.min(hi, p.upper); sumLo += p.lower }
+        rows.foreach { r => chi.masks.eval(p, r.mask_id, roi, r); hi = math.min(hi, p.upper); sumLo += p.lower }
         val lo = math.max(0L, sumLo - (rows.size - 1) * area)
         (math.min(lo, hi), hi)
     }
@@ -117,7 +117,7 @@ final case class IntersectCpValue(roi: RoiSpec, range: ValueRange) extends Group
     def apply(rows: Seq[CatalogRow]): Unit = {
       val head = rows.head
       if (chi.aggregates.builtFrom(head.image_id, rows)) {
-        chi.aggregates.eval(agg, head.image_id, head)
+        chi.aggregates.eval(agg, head.image_id, roi, head)
         lower = agg.lower.toDouble
         upper = agg.upper.toDouble
       } else {

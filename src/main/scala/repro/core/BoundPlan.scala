@@ -4,84 +4,95 @@ import repro.store.CatalogRow
 
 /** Bounds on `CP(mask, roi, range)` (§3.2.1, Eqs. 3–4 for the upper bound and
   * their mirror images for the lower bound) for `w × h` masks indexed with
-  * `cfg`, compiled once per (roi, range) term.
+  * `cfg`, compiled once per value range.
   *
   * The four bins of the outer value range ⊇ `[lv, uv)` and the inner one ⊆
   * it are found once. The corners of the outer region `roi̅` and the inner
   * region `roi̲` are offsets into one index, found by arithmetic on the cell
-  * size: once for a [[ConstRoi]], shared by every mask, and per row for a
-  * per-mask ROI. Either way [[eval]] reads at most 16 counts and allocates
-  * nothing; its result is left in [[lower]] and [[upper]]. The layout is the
-  * integral histogram (Porikli, CVPR 2005) over summed-area tables (Crow,
-  * SIGGRAPH 1984). A plan holds the state of its last evaluation, so it
-  * serves one thread.
+  * size whenever the ROI differs from the last one evaluated: once for a
+  * [[ConstRoi]], shared by every mask, and per row for a per-mask ROI.
+  * Either way [[eval]] reads `C` once per (region, bin) it needs, at most 32
+  * counts and 16 for a bin-aligned range, and allocates nothing; its
+  * result is left in [[lower]] and [[upper]]. Bin 0 of a rectangle is not
+  * stored: it is the rectangle's area. The layout is the integral histogram
+  * (Porikli, CVPR 2005) over summed-area tables (Crow, SIGGRAPH 1984). A plan
+  * holds the state of its last evaluation, so it serves one thread.
   */
-final class BoundPlan(cfg: ChiConfig, w: Int, h: Int, roi: RoiSpec, range: ValueRange) {
+final class BoundPlan(cfg: ChiConfig, w: Int, h: Int, range: ValueRange) {
   import ChiIndex.{line, lineAtOrAbove, lineAtOrBelow}
 
   private val bins = cfg.bins
+  private val bits = ChiIndex.bits(w, h)
   private val nCy = ChiIndex.nCells(h, cfg.cellH)
   private val binLoOuter = cfg.binAtOrBelow(range.lv)
   private val binHiOuter = cfg.binAtOrAbove(range.uv)
   private val binLoInner = cfg.binAtOrAbove(range.lv)
   private val binHiInner = cfg.binAtOrBelow(range.uv)
 
-  // The ROI of the row being bounded: its area, the corner offsets of roi̅ (o)
-  // and roi̲ (i), each -1 on grid line 0, and the areas of both regions.
+  // The ROI last placed, `(x1, y1)–(x2, y2)`: its area; whether it lies in the
+  // mask; the bit offsets of the corners of roi̅ (o) and roi̲ (i) in an index,
+  // each -1 on grid line 0; and the areas of both regions.
+  private var placed = false
+  private var x1, y1, x2, y2 = 0
   private var area = 0L
-  private var o11, o12, o21, o22, i11, i12, i21, i22 = 0
+  private var inMask = false
+  private var o11, o12, o21, o22, i11, i12, i21, i22 = 0L
   private var hasInner = false
   private var outerArea, innerArea = 0L
 
-  // The index being read.
-  private var low: Array[Char] = _
-  private var high: Array[Char] = _
-  private var base = 0
+  // The index being read, from bit `at`.
+  private var words: Array[Long] = _
+  private var at = 0L
 
   /** Bounds of the last [[eval]]. */
   var lower = 0L
   var upper = 0L
 
-  roi match {
-    case ConstRoi(r) => place(r.x1, r.y1, r.x2, r.y2, index = w > 0)
-    case _           =>
+  /** Bound the term over `roi`, resolved for `row`, from the index at word
+    * `base` of `words`; a negative `base` means the mask has no index, and
+    * gives the trivial bounds `[0, |roi|]`. `row` is read only for a
+    * per-mask ROI.
+    */
+  def eval(words: Array[Long], base: Int, roi: RoiSpec, row: CatalogRow): Unit = roi match {
+    case ConstRoi(r) => eval(words, base, r.x1, r.y1, r.x2, r.y2)
+    case ObjectRoi   => eval(words, base, row.ox1, row.oy1, row.ox2, row.oy2)
+    case FullRoi     => eval(words, base, 1, 1, row.w, row.h)
   }
 
-  /** Bound the term for `row` from the index at offset `base` of `low` and
-    * `high`; a negative `base` means the mask has no index, and gives the
-    * trivial bounds `[0, |roi|]`. `row` is read only for a per-mask ROI.
-    */
-  def eval(low: Array[Char], high: Array[Char], base: Int, row: CatalogRow): Unit = {
-    roi match {
-      case ObjectRoi => place(row.ox1, row.oy1, row.ox2, row.oy2, index = base >= 0)
-      case FullRoi   => place(1, 1, row.w, row.h, index = base >= 0)
-      case ConstRoi(_) =>
-    }
+  /** Bound the term over the ROI `(x1, y1)–(x2, y2)`, as [[eval]] above. */
+  def eval(words: Array[Long], base: Int, x1: Int, y1: Int, x2: Int, y2: Int): Unit = {
+    if (!placed || x1 != this.x1 || y1 != this.y1 || x2 != this.x2 || y2 != this.y2) place(x1, y1, x2, y2)
     if (base < 0) { lower = 0L; upper = area }
     else {
-      this.low = low
-      this.high = high
-      this.base = base
+      if (!inMask) throw new IllegalArgumentException(s"roi ${Roi(x1, y1, x2, y2)} outside ${w}x$h mask")
+      this.words = words
+      at = 64L * base
       // Upper bounds: Approach 1 (Eq. 3) on roi̅; Approach 2 (Eq. 4) on roi̲.
-      val upper1 = rangeCount(o11, o12, o21, o22, binLoOuter, binHiOuter)
-      val upper2 = if (hasInner) rangeCount(i11, i12, i21, i22, binLoOuter, binHiOuter) + area - innerArea else area
       // Lower bounds, mirrored: certain pixels inside roi̲ with values certainly
       // in range; or certain pixels in roi̅ minus the pixels possibly outside roi.
-      val lower1 = if (hasInner) innerCount(i11, i12, i21, i22) else 0L
-      val lower2 = innerCount(o11, o12, o21, o22) - (outerArea - area)
-      upper = math.min(math.min(upper1, upper2), area)
-      lower = math.max(math.max(lower1, lower2), 0L)
+      val oLo = c(o11, o12, o21, o22, outerArea, binLoOuter)
+      val oHi = c(o11, o12, o21, o22, outerArea, binHiOuter)
+      upper = math.min(oLo - oHi, area)
+      lower = math.max(innerCount(o11, o12, o21, o22, outerArea, oLo, oHi) - (outerArea - area), 0L)
+      if (hasInner) {
+        val iLo = c(i11, i12, i21, i22, innerArea, binLoOuter)
+        val iHi = c(i11, i12, i21, i22, innerArea, binHiOuter)
+        upper = math.min(upper, iLo - iHi + area - innerArea)
+        lower = math.max(lower, innerCount(i11, i12, i21, i22, innerArea, iLo, iHi))
+      }
     }
   }
 
-  /** Take the ROI `(x1, y1)–(x2, y2)`; with `index`, also the grid lines of
-    * roi̅ and roi̲ it needs, which requires it to lie within the mask.
+  /** Take the ROI `(x1, y1)–(x2, y2)`: its area, and, when it lies within the
+    * mask, the grid lines of roi̅ and roi̲.
     */
-  private def place(x1: Int, y1: Int, x2: Int, y2: Int, index: Boolean): Unit = {
+  private def place(x1: Int, y1: Int, x2: Int, y2: Int): Unit = {
     if (x1 < 1 || y1 < 1 || x2 < x1 || y2 < y1) Roi(x1, y1, x2, y2) // throws: malformed
+    placed = true
+    this.x1 = x1; this.y1 = y1; this.x2 = x2; this.y2 = y2
     area = (x2 - x1 + 1).toLong * (y2 - y1 + 1)
-    if (index) {
-      require(x2 <= w && y2 <= h, s"roi ${Roi(x1, y1, x2, y2)} outside ${w}x$h mask")
+    inMask = x2 <= w && y2 <= h
+    if (inMask) {
       val cw = cfg.cellW
       val ch = cfg.cellH
       val ox1 = lineAtOrBelow(x1 - 1, w, cw)
@@ -100,22 +111,32 @@ final class BoundPlan(cfg: ChiConfig, w: Int, h: Int, roi: RoiSpec, range: Value
     }
   }
 
-  /** Offset of corner `(cx, cy)`'s bins within an index, or -1 on grid line 0. */
-  private def offset(cx: Int, cy: Int): Int = if (cx == 0 || cy == 0) -1 else ((cx - 1) * nCy + (cy - 1)) * bins
+  /** Bit offset of corner `(cx, cy)`'s bin 1 in an index, or -1 on grid line 0. */
+  private def offset(cx: Int, cy: Int): Long =
+    if (cx == 0 || cy == 0) -1L else ((cx - 1) * nCy + (cy - 1)).toLong * (bins - 1) * bits
 
-  /** `H` at the corner at offset `at`, in `bin`. */
-  private def hAt(at: Int, bin: Int): Int = if (at < 0) 0 else ChiIndex.count(low, high, base + at + bin)
+  /** `H` at the corner at bit offset `corner` of the index, in the bin at bit `bin` of `words` (the index's start included). */
+  private def hAt(corner: Long, bin: Long): Int = if (corner < 0) 0 else ChiIndex.count(words, bin + corner, bits)
 
-  /** `C(b)` of Eq. 2 over the rectangle with corner offsets `p11 … p22`; `C(bins) = 0`. */
-  private def c(p11: Int, p12: Int, p21: Int, p22: Int, b: Int): Int =
-    if (b == bins) 0 else hAt(p22, b) - hAt(p12, b) - hAt(p21, b) + hAt(p11, b)
+  /** `C(b)` of Eq. 2 over the rectangle with corners `p11 … p22` and area
+    * `rect`: `C(0)` is the rectangle's area and `C(bins) = 0`.
+    */
+  private def c(p11: Long, p12: Long, p21: Long, p22: Long, rect: Long, b: Int): Long =
+    if (b == bins) 0L
+    else if (b == 0) rect
+    else { val bin = at + (b - 1).toLong * bits; (hAt(p22, bin) - hAt(p12, bin) - hAt(p21, bin) + hAt(p11, bin)).toLong }
 
-  /** Pixels of the rectangle with values in `[boundary(i), boundary(j))`. */
-  private def rangeCount(p11: Int, p12: Int, p21: Int, p22: Int, i: Int, j: Int): Long =
-    (c(p11, p12, p21, p22, i) - c(p11, p12, p21, p22, j)).toLong
-
-  private def innerCount(p11: Int, p12: Int, p21: Int, p22: Int): Long =
-    if (binLoInner >= binHiInner) 0L else rangeCount(p11, p12, p21, p22, binLoInner, binHiInner)
+  /** Pixels of the rectangle in the inner value range, given `lo` and `hi`,
+    * its `C` at the outer range's bins: a bin-aligned range's inner bins are
+    * its outer ones, so their counts are not read again.
+    */
+  private def innerCount(p11: Long, p12: Long, p21: Long, p22: Long, rect: Long, lo: Long, hi: Long): Long =
+    if (binLoInner >= binHiInner) 0L
+    else {
+      val cLo = if (binLoInner == binLoOuter) lo else c(p11, p12, p21, p22, rect, binLoInner)
+      val cHi = if (binHiInner == binHiOuter) hi else c(p11, p12, p21, p22, rect, binHiInner)
+      cLo - cHi
+    }
 }
 
 /** Index-only bounds of one [[GroupValue]] per unit, compiled once per query
@@ -144,10 +165,10 @@ final class ExprPlan(expr: CpExpr, slab: ChiSlab) extends Bounder {
 
   private def compile(e: CpExpr): Node = e match {
     case CpTermExpr(t) =>
-      val p = new BoundPlan(slab.cfg, slab.w, slab.h, t.roi, t.range)
+      val p = new BoundPlan(slab.cfg, slab.w, slab.h, t.range)
       new Node {
         def eval(base: Int, row: CatalogRow): Unit = {
-          p.eval(slab.low, slab.high, base, row); lo = p.lower.toDouble; hi = p.upper.toDouble
+          p.eval(slab.words, base, t.roi, row); lo = p.lower.toDouble; hi = p.upper.toDouble
         }
       }
     case CpAdd(a, b) =>

@@ -5,8 +5,8 @@ import java.io.{EOFException, InvalidObjectException, ObjectInputStream, ObjectO
 /** `n` CHIs of `w × h` masks indexed with `cfg`, the one form in which every
   * CHI is Java-serialised: a [[ChiIndex]], a [[ChiSlab]] and a
   * [[ChiSlab.Packed]] each write themselves as a small proxy that holds one.
-  * In memory the counts are [[ChiIndex]]'s: index `s` at offset
-  * `base + s · stride` of `low` and `high`.
+  * In memory the counts are [[ChiIndex]]'s: index `s` packed in the
+  * [[ChiIndex.slotWords]] words from word `base + s · stride` of `words`.
   *
   * `H` is a summed-area table per bin (Crow, SIGGRAPH 1984), so each entry
   * repeats what its neighbours hold. The wire form writes its 2-D first
@@ -15,58 +15,56 @@ import java.io.{EOFException, InvalidObjectException, ObjectInputStream, ObjectO
   * Bin 0 is not written: it is the cell's pixel count. A count takes 1 byte
   * when a cell holds at most 255 pixels, 2 bytes up to 65,535, else 4
   * ([[CellCounts.width]]); a 56×56 index with 8×8 cells and 10 bins takes
-  * 7·7·9 = 441 bytes instead of 980.
+  * 7·7·9 = 441 bytes instead of the 664 it holds in memory.
   *
   * Reading rebuilds the cumulative counts by prefix sums, exactly as
-  * [[ChiIndex.build]] lays them out, with the high halves when `w·h > 65,535`.
-  * It rejects a truncated stream and per-cell counts no mask can have
-  * ([[CellCounts.cellOk]]), so a decoded index never gives wrong bounds.
+  * [[ChiIndex.build]] packs them. It rejects a truncated stream and per-cell
+  * counts no mask can have ([[CellCounts.cellOk]]), so a decoded index never
+  * gives wrong bounds.
   */
 private[core] final class CellCounts(
     val cfg: ChiConfig,
     val w: Int,
     val h: Int,
     val n: Int,
-    @transient private var lo: Array[Char],
-    @transient private var hi: Array[Char],
+    @transient private var packed: Array[Long],
     @transient private val base: Int,
 ) extends Serializable {
   import CellCounts.cellOk
 
-  /** The low halves of the counts, from offset 0 once read. */
-  def low: Array[Char] = lo
-
-  /** The high halves, or empty when `w·h ≤ 65,535`. */
-  def high: Array[Char] = hi
+  /** The packed counts, from word 0 once read. */
+  def words: Array[Long] = packed
 
   private def nCx: Int = ChiIndex.nCells(w, cfg.cellW)
   private def nCy: Int = ChiIndex.nCells(h, cfg.cellH)
-  private def stride: Int = nCx * nCy * cfg.bins
 
   /** Bytes of one index on the wire. */
   private def wireBytes: Int = nCx * nCy * (cfg.bins - 1) * CellCounts.width(cfg, w, h)
 
   private def writeObject(out: ObjectOutputStream): Unit = {
     out.defaultWriteObject()
-    val (bins, ny, width) = (cfg.bins, nCy, CellCounts.width(cfg, w, h))
-    val row = ny * bins
+    val (per, ny, width) = (cfg.bins - 1, nCy, CellCounts.width(cfg, w, h))
+    val (bits, stride) = (ChiIndex.bits(w, h), ChiIndex.slotWords(w, h, cfg))
+    val row = ny * per
     val buf = new Array[Byte](wireBytes)
+    val hs = new Array[Int](nCx * row) // the index's stored counts, unpacked once
     var s = 0
     while (s < n) {
-      val at = base + s * stride
-      def hAt(off: Int): Int = ChiIndex.count(lo, hi, at + off)
+      var at = 64L * (base + s * stride)
+      var i = 0
+      while (i < hs.length) { hs(i) = ChiIndex.count(packed, at, bits); at += bits; i += 1 }
       var p = 0
       var cx = 0
       while (cx < nCx) {
         var cy = 0
         while (cy < ny) {
-          val o = (cx * ny + cy) * bins
-          var b = 1
-          while (b < bins) {
-            var d = hAt(o + b)
-            if (cx > 0) d -= hAt(o - row + b)
-            if (cy > 0) d -= hAt(o - bins + b)
-            if (cx > 0 && cy > 0) d += hAt(o - row - bins + b)
+          val o = (cx * ny + cy) * per
+          var b = 0
+          while (b < per) {
+            var d = hs(o + b)
+            if (cx > 0) d -= hs(o - row + b)
+            if (cy > 0) d -= hs(o - per + b)
+            if (cx > 0 && cy > 0) d += hs(o - row - per + b)
             p = CellCounts.put(buf, p, width, d)
             b += 1
           }
@@ -93,15 +91,14 @@ private[core] final class CellCounts(
     }
   }
 
-  /** Read `n` indexes' per-cell counts and lay out their prefix sums: per row
-    * of cells, the counts added to running column sums, whose prefix along
-    * the row is `H` (the last two steps of [[ChiIndex.build]]).
+  /** Read `n` indexes' per-cell counts and pack their prefix sums: per row of
+    * cells, the counts added to running column sums, whose prefix along the
+    * row is `H` (the last two steps of [[ChiIndex.build]]).
     */
   private def decode(in: ObjectInputStream): Unit = {
-    val (bins, nx, ny, width) = (cfg.bins, nCx, nCy, CellCounts.width(cfg, w, h))
-    val (l, hh) = ChiIndex.halves(w, h, n * stride)
-    lo = l
-    hi = hh
+    val (bins, nx, ny, width, bits) = (cfg.bins, nCx, nCy, CellCounts.width(cfg, w, h), ChiIndex.bits(w, h))
+    val stride = ChiIndex.slotWords(w, h, cfg)
+    packed = new Array[Long](n * stride)
     val buf = new Array[Byte](wireBytes)
     val column = new Array[Int](ny * bins)
     val run = new Array[Int](bins)
@@ -109,6 +106,7 @@ private[core] final class CellCounts(
     while (s < n) {
       in.readFully(buf)
       java.util.Arrays.fill(column, 0)
+      val out = new ChiIndex.Packer(packed, s * stride, bits)
       var p = 0
       var cx = 0
       while (cx < nx) {
@@ -118,7 +116,6 @@ private[core] final class CellCounts(
         while (cy < ny) {
           val area = cellW * (ChiIndex.line(cy + 1, h, cfg.cellH) - ChiIndex.line(cy, h, cfg.cellH))
           val c = cy * bins
-          column(c) += area
           var prev = area
           var b = 1
           while (b < bins) {
@@ -129,13 +126,13 @@ private[core] final class CellCounts(
             p += width
             b += 1
           }
-          val out = s * stride + (cx * ny + cy) * bins
-          b = 0
-          while (b < bins) { run(b) += column(c + b); ChiIndex.put(lo, hi, out + b, run(b)); b += 1 }
+          b = 1
+          while (b < bins) { run(b) += column(c + b); out.put(run(b)); b += 1 }
           cy += 1
         }
         cx += 1
       }
+      out.flush()
       s += 1
     }
   }
@@ -143,9 +140,9 @@ private[core] final class CellCounts(
 
 private[core] object CellCounts {
 
-  /** The wire form of the `n` indexes of `w × h` masks at offset `base` of `low` and `high`. */
-  def apply(cfg: ChiConfig, w: Int, h: Int, n: Int, low: Array[Char], high: Array[Char], base: Int = 0): CellCounts =
-    new CellCounts(cfg, w, h, n, low, high, base)
+  /** The wire form of the `n` indexes of `w × h` masks from word `base` of `words`. */
+  def apply(cfg: ChiConfig, w: Int, h: Int, n: Int, words: Array[Long], base: Int = 0): CellCounts =
+    new CellCounts(cfg, w, h, n, words, base)
 
   /** Bytes per per-cell count for `w × h` masks: enough for the largest cell's pixel count. */
   def width(cfg: ChiConfig, w: Int, h: Int): Int = {

@@ -58,14 +58,14 @@ final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
   def binAtOrAbove(x: Double): Int =
     if (x <= 0) 0 else if (x > 1) bins else { val b = binAtOrBelow(x); if (edges(b) == x) b else b + 1 }
 
-  /** Uncompressed index size in bytes for one `w × h` mask: interior corner
-    * cells only (the zero border row/column is implicit), at
-    * [[ChiIndex.countBytes]] per count — 2 bytes when `w·h ≤ 65,535` (both
-    * lite datasets, and the paper's 224² ImageNet masks), 4 bytes above
-    * (the paper's 448² WILDS masks).
+  /** Index size in bytes for one `w × h` mask: bins 1 … b−1 of the interior
+    * corner cells (the zero border row/column and bin 0, each corner
+    * rectangle's area, are implicit) at [[ChiIndex.bits]] bits per count,
+    * padded to whole 64-bit words ([[ChiIndex.slotWords]]). A 56×56
+    * ImageNet-lite index with 8×8 cells and 10 bins holds 441 counts of
+    * 12 bits in 83 words: 664 B.
     */
-  def sizeBytes(w: Int, h: Int): Long =
-    ChiIndex.countBytes(w, h).toLong * bins * ChiIndex.nCells(w, cellW) * ChiIndex.nCells(h, cellH)
+  def sizeBytes(w: Int, h: Int): Long = 8L * ChiIndex.slotWords(w, h, this)
 }
 
 /** The Cumulative Histogram Index of a single mask (§3.1).
@@ -79,49 +79,55 @@ final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
   *
   * The flat-array layout with `(cx, cy, bin)` acting as offsets mirrors the
   * paper's optimized index structure: no keys are stored and lookups are O(1)
-  * with no pointer chasing. A count never exceeds `w·h`, so `low` holds its
-  * low 16 bits, and `highs` its high 16 bits only when `w·h > 65,535`
-  * (empty otherwise); `count` is the one place that joins them. The
-  * [[length]] counts start at offset `base` of both arrays: an index built on
-  * its own owns them (`base` 0), and an index a [[ChiSlab]] hands out is a
-  * view of one of its slots.
+  * with no pointer chasing. Bin 0 is not stored: it is the area of the
+  * corner's rectangle. The counts of bins 1 … b−1 are packed at
+  * [[ChiIndex.bits]] bits each, enough for `w·h`, the largest count
+  * (fixed-width bit packing, as in Lemire & Boytsov, SPE 2015), in the 64-bit
+  * words from `base` of `words` ([[ChiIndex.slotWords]] of them);
+  * [[ChiIndex.count]] is the one reader and [[ChiIndex.Packer]] the one
+  * writer. An index built on its own owns its words (`base` 0), and an index
+  * a [[ChiSlab]] hands out is a view of one of its slots.
   */
 final class ChiIndex(
     val maskId: Long,
     val w: Int,
     val h: Int,
     val cfg: ChiConfig,
-    private[core] val low: Array[Char],
-    private[core] val highs: Array[Char],
+    private[core] val words: Array[Long],
     private[core] val base: Int = 0,
 ) extends Serializable {
   import ChiIndex.{line, lineAtOrAbove, lineAtOrBelow, lineIndex}
 
   private def nCy: Int = ChiIndex.nCells(h, cfg.cellH)
 
-  /** Number of counts: `nCx · nCy · bins`. */
+  /** Number of counts of `H`, bin 0 included: `nCx · nCy · bins`. */
   def length: Int = ChiIndex.nCells(w, cfg.cellW) * nCy * cfg.bins
 
-  /** The low 16 bits of every count, in storage order. */
-  def counts: Array[Char] = slice(low)
-
-  /** The high 16 bits of every count, or empty when `w·h ≤ 65,535`. */
-  def high: Array[Char] = if (highs.length == 0) highs else slice(highs)
-
-  private def slice(a: Array[Char]): Array[Char] =
-    if (base == 0 && a.length == length) a else java.util.Arrays.copyOfRange(a, base, base + length)
+  /** Every count of `H`, bin 0 included, in storage order, as a view of the packed words. */
+  def counts: IndexedSeq[Int] = new IndexedSeq[Int] {
+    def length: Int = ChiIndex.this.length
+    def apply(i: Int): Int = at(i)
+  }
 
   /** Raw index lookup `H(cx, cy)(bin)`; `cx`/`cy` are grid line indices
     * (0 = empty rectangle).
     */
   def hLookup(cx: Int, cy: Int, bin: Int): Int =
-    if (cx == 0 || cy == 0) 0 else count(((cx - 1) * nCy + (cy - 1)) * cfg.bins + bin)
+    if (cx == 0 || cy == 0) 0
+    else if (bin == 0) line(cx, w, cfg.cellW) * line(cy, h, cfg.cellH)
+    else {
+      val bits = ChiIndex.bits(w, h)
+      ChiIndex.count(words, 64L * base + (((cx - 1) * nCy + (cy - 1)) * (cfg.bins - 1) + bin - 1).toLong * bits, bits)
+    }
 
-  /** The count stored at offset `i` of this index: its low half, joined with its high half when there is one. */
-  private def count(i: Int): Int = ChiIndex.count(low, highs, base + i)
+  /** The count at offset `i` of `H` in storage order. */
+  private def at(i: Int): Int = {
+    val corner = i / cfg.bins
+    hLookup(corner / nCy + 1, corner % nCy + 1, i % cfg.bins)
+  }
 
-  /** Every count, widened to `Int`, in storage order. */
-  def wideCounts: Array[Int] = Array.tabulate(length)(count)
+  /** Every count of `H`, bin 0 included, widened to `Int`, in storage order. */
+  def wideCounts: Array[Int] = Array.tabulate(length)(at)
 
   /** `C(i) − C(j)` of Eq. 2 for the grid rectangle between lines `(cx1, cy1)`
     * and `(cx2, cy2)`: the pixels in it with values in
@@ -189,16 +195,16 @@ final class ChiIndex(
     * boundaries the bounds are exact.
     */
   def bounds(roi: Roi, range: ValueRange): CpBounds = {
-    val plan = new BoundPlan(cfg, w, h, ConstRoi(roi), range)
-    plan.eval(low, highs, base, null)
+    val plan = new BoundPlan(cfg, w, h, range)
+    plan.eval(words, base, roi.x1, roi.y1, roi.x2, roi.y2)
     CpBounds(plan.lower, plan.upper)
   }
 
-  /** Uncompressed size of this index in bytes: 2 per count, 4 with [[high]]. */
-  def sizeBytes: Long = ChiIndex.countBytes(w, h).toLong * length
+  /** Size of this index in bytes: its packed words ([[ChiConfig.sizeBytes]]). */
+  def sizeBytes: Long = cfg.sizeBytes(w, h)
 
   /** An index, a view too, serialises as its own per-cell counts ([[CellCounts]]), not the whole slab. */
-  private def writeReplace(): AnyRef = new ChiIndex.Wire(maskId, CellCounts(cfg, w, h, 1, low, highs, base))
+  private def writeReplace(): AnyRef = new ChiIndex.Wire(maskId, CellCounts(cfg, w, h, 1, words, base))
 }
 
 /** A `[lower, upper]` interval that is guaranteed to contain the exact CP
@@ -219,10 +225,57 @@ object ChiIndex {
     case None      => CpBounds(0L, roi.area)
   }
 
-  /** Bytes per count of a `w × h` mask's index: 2 when no count can exceed
-    * 65,535 (`w·h ≤ 65,535`), else 4.
+  /** Bits per stored count of a `w × h` mask's index: the bit length of
+    * `w·h`, the largest count (12 for 56×56, 14 for 112×112, 18 for 448²).
     */
-  def countBytes(w: Int, h: Int): Int = if (w.toLong * h > Char.MaxValue) 4 else 2
+  def bits(w: Int, h: Int): Int = 64 - java.lang.Long.numberOfLeadingZeros(w.toLong * h)
+
+  /** 64-bit words per index of a `w × h` mask: bins 1 … b−1 of each interior
+    * corner at [[bits]] bits each, rounded up to a whole word so that every
+    * index starts on a word.
+    */
+  def slotWords(w: Int, h: Int, cfg: ChiConfig): Int = {
+    val stored = nCells(w, cfg.cellW).toLong * nCells(h, cfg.cellH) * (cfg.bins - 1)
+    ((stored * bits(w, h) + 63) >>> 6).toInt
+  }
+
+  /** The count packed at `bits` bits from bit `p` of `words`: the one reader
+    * of a count. Stored count `i` of the index at word `base` starts at bit
+    * `64·base + i·bits`, and bin `b ≥ 1` of corner `k` is `i = k·(bins − 1) + b − 1`.
+    * It also reads the next word (the same one at the array's end) and keeps
+    * its bits only when the count straddles the two words, so it has no branch.
+    */
+  def count(words: Array[Long], p: Long, bits: Int): Int = {
+    val at = (p >>> 6).toInt
+    val shift = p.toInt & 63
+    val next = words(math.min(at + 1, words.length - 1))
+    ((words(at) >>> shift | next << 1 << (63 - shift)) & ((1L << bits) - 1)).toInt
+  }
+
+  /** Packs counts of `bits` bits each, in storage order, into `words` from
+    * word `at` on: the one writer of counts. It keeps the word being filled
+    * in a register and stores each word once, when it is full or at
+    * [[flush]].
+    */
+  private[core] final class Packer(words: Array[Long], private var at: Int, bits: Int) {
+    private var acc = 0L
+    private var used = 0
+
+    /** Append `v`, which must fit in `bits` bits. */
+    def put(v: Int): Unit = {
+      acc |= v.toLong << used
+      used += bits
+      if (used >= 64) {
+        words(at) = acc
+        at += 1
+        used -= 64
+        acc = if (used == 0) 0L else v.toLong >>> (bits - used) // the part of `v` that straddles into the next word
+      }
+    }
+
+    /** Store the last, partly filled word. */
+    def flush(): Unit = if (used > 0) words(at) = acc
+  }
 
   /** Number of grid cells along a dimension of `dim` pixels (last may be partial). */
   def nCells(dim: Int, cell: Int): Int = (dim + cell - 1) / cell
@@ -246,24 +299,8 @@ object ChiIndex {
   private final class Wire(maskId: Long, counts: CellCounts) extends Serializable {
     private def readResolve(): AnyRef = {
       if (counts.n != 1) throw new java.io.InvalidObjectException(s"CHI of mask $maskId holds ${counts.n} indexes")
-      new ChiIndex(maskId, counts.w, counts.h, counts.cfg, counts.low, counts.high)
+      new ChiIndex(maskId, counts.w, counts.h, counts.cfg, counts.words)
     }
-  }
-
-  /** Shared empty high half of every index whose counts fit in 16 bits. */
-  private[core] val NoHigh: Array[Char] = Array.emptyCharArray
-
-  /** The count at offset `i`: its low half, joined with its high half when there is one. */
-  private[core] def count(low: Array[Char], high: Array[Char], i: Int): Int =
-    if (high.length == 0) low(i) else low(i) | high(i) << 16
-
-  /** The two halves of `n` counts for a `w × h` mask. */
-  private[core] def halves(w: Int, h: Int, n: Int): (Array[Char], Array[Char]) =
-    (new Array[Char](n), if (countBytes(w, h) == 4) new Array[Char](n) else NoHigh)
-
-  private[core] def put(counts: Array[Char], high: Array[Char], i: Int, v: Int): Unit = {
-    counts(i) = v.toChar
-    if (high.length != 0) high(i) = (v >>> 16).toChar
   }
 
   /** An index from counts in storage order ([[ChiIndex.wideCounts]]), e.g. as
@@ -277,14 +314,16 @@ object ChiIndex {
     val (nCx, nCy, bins) = (nCells(w, cfg.cellW), nCells(h, cfg.cellH), cfg.bins)
     val n = nCx * nCy * bins
     require(wide.length == n, s"CHI of mask $maskId has ${wide.length} counts, expected $n for ${w}x$h and $cfg")
-    val (counts, high) = halves(w, h, n)
+    val words = new Array[Long](slotWords(w, h, cfg))
+    val out = new Packer(words, 0, bits(w, h))
     var i = 0
     while (i < n) {
       val v = wide(i)
       require(v >= 0 && v.toLong <= w.toLong * h, s"CHI of mask $maskId: count $v at $i is outside [0, ${w.toLong * h}]")
-      put(counts, high, i, v)
+      if (i % bins != 0) out.put(v) // bin 0 is checked below, not stored
       i += 1
     }
+    out.flush()
     def hAt(cx: Int, cy: Int, b: Int): Int = if (cx == 0 || cy == 0) 0 else wide(((cx - 1) * nCy + (cy - 1)) * bins + b)
     for (cx <- 1 to nCx; cy <- 1 to nCy) {
       val (x, y) = (line(cx, w, cfg.cellW), line(cy, h, cfg.cellH))
@@ -297,14 +336,15 @@ object ChiIndex {
         prev = d
       }
     }
-    new ChiIndex(maskId, w, h, cfg, counts, high)
+    new ChiIndex(maskId, w, h, cfg, words)
   }
 
   /** Build the CHI of `mask` in one pass over its pixels, one row of cells at
     * a time: the row's per-cell histograms (checking that every pixel lies in
     * [0, 1)), their suffix sums along the bin axis (reverse cumulative), added
-    * to running column sums, whose prefix sums along the row give `H`, written
-    * once into the retained arrays. O(w·h + cells·bins).
+    * to running column sums, whose prefix sums along the row give `H`, packed
+    * once into the index's words. Bin 0, the rectangle's area, is not summed.
+    * O(w·h + cells·bins).
     */
   def build(mask: Mask, cfg: ChiConfig): ChiIndex = {
     val w = mask.w
@@ -313,10 +353,12 @@ object ChiIndex {
     val bins = cfg.bins
     val nCx = nCells(w, cfg.cellW)
     val nCy = nCells(h, cfg.cellH)
-    val (counts, high) = halves(w, h, nCx * nCy * bins)
+    val bits = ChiIndex.bits(w, h)
+    val words = new Array[Long](slotWords(w, h, cfg))
     val cells = new Array[Int](nCy * bins) // plain histograms of the current row of cells
     val column = new Array[Int](nCy * bins) // suffix sums over cell rows 0..cx, per (cy, bin)
     val run = new Array[Int](bins) // column sums over cells 0..cy of the current row
+    val out = new Packer(words, 0, bits)
 
     var cx = 0
     while (cx < nCx) {
@@ -348,15 +390,15 @@ object ChiIndex {
         val base = cy * bins
         var suffix = 0
         var b = bins - 1
-        while (b >= 0) { suffix += cells(base + b); column(base + b) += suffix; b -= 1 }
-        val out = (cx * nCy + cy) * bins
-        b = 0
-        while (b < bins) { run(b) += column(base + b); put(counts, high, out + b, run(b)); b += 1 }
+        while (b >= 1) { suffix += cells(base + b); column(base + b) += suffix; b -= 1 }
+        b = 1
+        while (b < bins) { run(b) += column(base + b); out.put(run(b)); b += 1 }
         cy += 1
       }
       cx += 1
     }
 
-    new ChiIndex(mask.id, w, h, cfg, counts, high)
+    out.flush()
+    new ChiIndex(mask.id, w, h, cfg, words)
   }
 }

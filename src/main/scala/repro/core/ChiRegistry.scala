@@ -12,9 +12,11 @@ import repro.store.MaskStore
   * When a MaskSearch session starts the registry is loaded (or built) once and
   * held in memory for the session (§3.2.1). Engines classify on the driver
   * against it; the SQL path broadcasts it to executors, where the rewritten
-  * filter reads bounds row by row. A broadcast ships the two slabs as their
-  * per-cell counts ([[CellCounts]]: 441 B per 56×56 ImageNet-lite index, which
-  * holds 980 B in memory), their slot tables and the aggregates' members.
+  * filter reads bounds row by row from the mask slab. In memory a 56×56
+  * ImageNet-lite index holds 664 B ([[ChiConfig.sizeBytes]]), so
+  * [[totalBytes]] is 664 B times [[size]]. A broadcast ships the two slabs as
+  * their per-cell counts ([[CellCounts]]: 441 B per such index), their slot
+  * tables and the aggregates' members.
   */
 final class ChiRegistry(val cfg: ChiConfig, val masks: ChiSlab, val aggregates: ChiSlab) extends Serializable {
   require(masks.cfg == cfg && aggregates.cfg == cfg, s"slabs of ${masks.cfg} and ${aggregates.cfg} in a registry of $cfg")
@@ -27,6 +29,8 @@ final class ChiRegistry(val cfg: ChiConfig, val masks: ChiSlab, val aggregates: 
 
   /** Number of indexes held: masks and aggregated masks. */
   def size: Int = masks.size + aggregates.size
+
+  /** Bytes of the packed counts held: [[ChiConfig.sizeBytes]] per index. */
   def totalBytes: Long = masks.bytes + aggregates.bytes
 
   /** A copy extended with additional per-mask indexes (incremental indexing).
@@ -94,8 +98,8 @@ object ChiRegistry {
     * `binning` columns, aggregated masks under `AggIdBase + image_id` with
     * the ids of the masks they intersect in `members`, null on mask rows) —
     * the paper's "persisted to disk for future sessions" (§3.6). Counts are
-    * written as `int` whatever their width in memory, so the format does not
-    * depend on it.
+    * written as `int`, bin 0 included ([[ChiIndex.wideCounts]]), whatever
+    * their packing in memory, so the format does not depend on it.
     */
   def save(spark: SparkSession, registry: ChiRegistry, path: String): Unit = {
     import spark.implicits._

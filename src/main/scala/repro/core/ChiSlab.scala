@@ -3,13 +3,13 @@ package repro.core
 import repro.store.CatalogRow
 
 /** The CHIs (§3.1) of many `w × h` masks indexed with one [[ChiConfig]], in
-  * one dense slab: slot `s` holds an index's counts at offset `s · stride`
-  * of `low` (the low 16 bits) and of `high` (the high 16 bits, present only
-  * when `w·h > 65,535`). An `Int` slot table maps a key — a mask id, or an
-  * image id for aggregated masks — to its slot, so every lookup is
-  * arithmetic on one array. A slab built ahead of time fills its slots in
-  * key order, so slot = key for a dataset's dense mask ids; an incremental
-  * session's slab fills them in the order its queries index masks.
+  * one dense slab: slot `s` holds an index's packed counts ([[ChiIndex]]) in
+  * the `stride` 64-bit words from word `s · stride` of `words`. An `Int` slot
+  * table maps a key — a mask id, or an image id for aggregated masks — to its
+  * slot, so every lookup is arithmetic on one array. A slab built ahead of
+  * time fills its slots in key order, so slot = key for a dataset's dense
+  * mask ids; an incremental session's slab fills them in the order its
+  * queries index masks.
   *
   * A slab of aggregated masks also records, per slot, the ids of the masks
   * each index was built from ([[membersOf]]), so that its bounds serve only a
@@ -24,31 +24,30 @@ import repro.store.CatalogRow
   *
   * A slab serialises (as a broadcast ships it) only its live slots: their
   * per-cell counts ([[CellCounts]], 441 B for a 56×56 index that holds
-  * 980 B in memory), its slot table and its members. Reading it back
-  * rebuilds the same 16-bit arrays, and rejects a slot table that names a
+  * 664 B in memory), its slot table and its members. Reading it back
+  * rebuilds the same packed words, and rejects a slot table that names a
   * slot at or past `size`, or one slot twice.
   */
 final class ChiSlab private (
     val cfg: ChiConfig,
     val w: Int,
     val h: Int,
-    private[core] val low: Array[Char],
-    private[core] val high: Array[Char],
+    private[core] val words: Array[Long],
     slots: Array[Int],
     members: Array[Array[Long]],
     val size: Int,
     tail: ChiSlab.Tail,
 ) extends Serializable {
 
-  /** Counts per index; 0 until the first index fixes the shape. */
-  val stride: Int = ChiIndex.nCells(w, cfg.cellW) * ChiIndex.nCells(h, cfg.cellH) * cfg.bins
+  /** Words per index ([[ChiIndex.slotWords]]); 0 until the first index fixes the shape, and when `bins` is 1. */
+  val stride: Int = ChiIndex.slotWords(w, h, cfg)
 
   /** The slot of `key`'s index, or -1 when the slab holds none. */
   def slot(key: Long): Int =
     if (key < 0 || key >= slots.length) -1
     else { val s = slots(key.toInt); if (s < size) s else -1 }
 
-  /** Offset of `key`'s counts in the slab's arrays, or -1 when it has no index. */
+  /** The word at which `key`'s counts start, or -1 when it has no index. */
   def base(key: Long): Int = { val s = slot(key); if (s < 0) -1 else s * stride }
 
   def contains(key: Long): Boolean = slot(key) >= 0
@@ -56,11 +55,15 @@ final class ChiSlab private (
   /** `key`'s index as a view of its slot. */
   def get(key: Long): Option[ChiIndex] = {
     val b = base(key)
-    if (b < 0) None else Some(new ChiIndex(key, w, h, cfg, low, high, b))
+    if (b < 0) None else Some(new ChiIndex(key, w, h, cfg, words, b))
   }
 
-  /** Evaluate `plan` on `key`'s index for `row`; trivial bounds when it has none. */
-  def eval(plan: BoundPlan, key: Long, row: CatalogRow): Unit = plan.eval(low, high, base(key), row)
+  /** Evaluate `plan` on `key`'s index over `roi` for `row`; trivial bounds when it has none. */
+  def eval(plan: BoundPlan, key: Long, roi: RoiSpec, row: CatalogRow): Unit = plan.eval(words, base(key), roi, row)
+
+  /** Evaluate `plan` on `key`'s index over the ROI `(x1, y1)–(x2, y2)`; trivial bounds when it has none. */
+  def eval(plan: BoundPlan, key: Long, x1: Int, y1: Int, x2: Int, y2: Int): Unit =
+    plan.eval(words, base(key), x1, y1, x2, y2)
 
   /** The ids of the masks `key`'s index was built from, ascending, when the slab records them. */
   def membersOf(key: Long): Option[IndexedSeq[Long]] = {
@@ -83,8 +86,8 @@ final class ChiSlab private (
   /** Every index, as views, by ascending key. */
   def indexes: Iterator[ChiIndex] = Iterator.range(0, slots.length).flatMap(k => get(k.toLong))
 
-  /** Uncompressed bytes of the live indexes. */
-  def bytes: Long = ChiIndex.countBytes(w, h).toLong * stride * size
+  /** Bytes of the live indexes' words. */
+  def bytes: Long = 8L * stride * size
 
   /** This slab with the indexes of `pieces` appended, in order. Every key
     * must be in [0, 2³¹ − 1) and new to the slab, and every piece must have
@@ -108,16 +111,14 @@ final class ChiSlab private (
     keys.foreach(k => require(!contains(k), s"a CHI for key $k is already in the slab"))
     val n = size + keys.length
     val maxKey = keys.last.toInt
-    val wide = ChiIndex.countBytes(nw, nh) == 4
-    val st = ChiIndex.nCells(nw, cfg.cellW) * ChiIndex.nCells(nh, cfg.cellH) * cfg.bins
+    val st = ChiIndex.slotWords(nw, nh, cfg)
     tail.synchronized {
-      val inPlace = size > 0 && tail.filled == size && low.length >= n * st && (!recorded || members.length >= n)
-      val (lo, hi, mem, t) =
-        if (inPlace) (low, high, members, tail)
+      val inPlace = size > 0 && tail.filled == size && words.length >= n * st && (!recorded || members.length >= n)
+      val (ws, mem, t) =
+        if (inPlace) (words, members, tail)
         else {
           val slotsCap = math.max(n, size + size / 2)
-          val cap = slotsCap * st
-          (java.util.Arrays.copyOf(low, cap), if (wide) java.util.Arrays.copyOf(high, cap) else ChiIndex.NoHigh,
+          (java.util.Arrays.copyOf(words, slotsCap * st),
             if (recorded) java.util.Arrays.copyOf(members, slotsCap) else members, new ChiSlab.Tail(size))
         }
       val table =
@@ -130,8 +131,7 @@ final class ChiSlab private (
         }
       var s = size
       added.foreach { p =>
-        System.arraycopy(p.low, 0, lo, s * st, p.low.length)
-        if (wide) System.arraycopy(p.high, 0, hi, s * st, p.high.length)
+        System.arraycopy(p.words, 0, ws, s * st, p.words.length)
         p.keys.indices.foreach { i =>
           table(p.keys(i).toInt) = s
           if (recorded) mem(s) = p.members(i)
@@ -139,7 +139,7 @@ final class ChiSlab private (
         }
       }
       t.filled = n
-      new ChiSlab(cfg, nw, nh, lo, hi, table, mem, n, t)
+      new ChiSlab(cfg, nw, nh, ws, table, mem, n, t)
     }
   }
 
@@ -151,7 +151,7 @@ final class ChiSlab private (
     new ChiSlab.Wire(
       Array.tabulate(used)(k => if (slots(k) < size) slots(k) else -1),
       if (members.isEmpty) members else members.take(size),
-      CellCounts(cfg, w, h, size, low, high),
+      CellCounts(cfg, w, h, size, words),
     )
   }
 }
@@ -164,7 +164,7 @@ object ChiSlab {
   private[core] final class Tail(var filled: Int)
 
   def empty(cfg: ChiConfig): ChiSlab =
-    new ChiSlab(cfg, 0, 0, Array.emptyCharArray, ChiIndex.NoHigh, Array.emptyIntArray, NoMembers, 0, new Tail(0))
+    new ChiSlab(cfg, 0, 0, Array.emptyLongArray, Array.emptyIntArray, NoMembers, 0, new Tail(0))
 
   private val NoMembers: Array[Array[Long]] = Array.empty
 
@@ -181,12 +181,12 @@ object ChiSlab {
       }
       if (members.nonEmpty && (members.length != n || members.contains(null)))
         throw invalid(s"members recorded for ${members.count(_ != null)} of them")
-      new ChiSlab(counts.cfg, counts.w, counts.h, counts.low, counts.high, slots, members, n, new Tail(n))
+      new ChiSlab(counts.cfg, counts.w, counts.h, counts.words, slots, members, n, new Tail(n))
     }
   }
 
   /** Indexes of `w × h` masks in storage order, as a build task returns them:
-    * `keys(i)`'s counts at offset `i · stride` of `low` and `high`, and the
+    * `keys(i)`'s packed counts from word `i · stride` of `words`, and the
     * ids of the masks it was built from at `members(i)`, ascending, or no
     * `members` at all. Serialised as per-cell counts ([[CellCounts]]).
     */
@@ -195,11 +195,10 @@ object ChiSlab {
       keys: Array[Long],
       w: Int,
       h: Int,
-      low: Array[Char],
-      high: Array[Char],
+      words: Array[Long],
       members: Array[Array[Long]] = NoMembers,
   ) {
-    private def writeReplace(): AnyRef = new Packed.Wire(keys, members, CellCounts(cfg, w, h, keys.length, low, high))
+    private def writeReplace(): AnyRef = new Packed.Wire(keys, members, CellCounts(cfg, w, h, keys.length, words))
   }
 
   object Packed {
@@ -207,7 +206,7 @@ object ChiSlab {
       private def readResolve(): AnyRef = {
         if (keys.length != counts.n || (members.nonEmpty && (members.length != keys.length || members.contains(null))))
           throw new java.io.InvalidObjectException(s"packed CHIs: ${keys.length} keys, ${counts.n} indexes, ${members.length} members")
-        Packed(counts.cfg, keys, counts.w, counts.h, counts.low, counts.high, members)
+        Packed(counts.cfg, keys, counts.w, counts.h, counts.words, members)
       }
     }
   }
@@ -216,7 +215,7 @@ object ChiSlab {
     * mask ids each was built from when `members` gives them (one per index).
     */
   def pack(cfg: ChiConfig, indexes: Iterable[(Long, ChiIndex)], members: Iterable[Iterable[Long]] = Nil): Packed =
-    if (indexes.isEmpty) Packed(cfg, Array.emptyLongArray, 0, 0, Array.emptyCharArray, ChiIndex.NoHigh)
+    if (indexes.isEmpty) Packed(cfg, Array.emptyLongArray, 0, 0, Array.emptyLongArray)
     else {
       require(members.isEmpty || members.size == indexes.size, s"${members.size} member lists for ${indexes.size} CHIs")
       val first = indexes.head._2
@@ -224,14 +223,9 @@ object ChiSlab {
         require(i.cfg == cfg, s"CHI of mask ${i.maskId} was built with ${i.cfg}, not the registry's $cfg")
         require(i.w == first.w && i.h == first.h, s"CHI of mask ${i.maskId} is for ${i.w}x${i.h} masks, not ${first.w}x${first.h}")
       }
-      val n = first.length
-      val wide = ChiIndex.countBytes(first.w, first.h) == 4
-      val low = new Array[Char](n * indexes.size)
-      val high = if (wide) new Array[Char](n * indexes.size) else ChiIndex.NoHigh
-      indexes.iterator.zipWithIndex.foreach { case ((_, i), s) =>
-        System.arraycopy(i.low, i.base, low, s * n, n)
-        if (wide) System.arraycopy(i.highs, i.base, high, s * n, n)
-      }
-      Packed(cfg, indexes.map(_._1).toArray, first.w, first.h, low, high, members.map(_.toArray.sorted).toArray)
+      val n = ChiIndex.slotWords(first.w, first.h, cfg)
+      val words = new Array[Long](n * indexes.size)
+      indexes.iterator.zipWithIndex.foreach { case ((_, i), s) => System.arraycopy(i.words, i.base, words, s * n, n) }
+      Packed(cfg, indexes.map(_._1).toArray, first.w, first.h, words, members.map(_.toArray.sorted).toArray)
     }
 }

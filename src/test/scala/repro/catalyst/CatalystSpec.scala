@@ -115,6 +115,28 @@ class CatalystSpec extends SparkSpec {
     } finally MaskSearchSession.disableRule(spark)
   }
 
+  test("one bound expression serves rows of changing masks, ROIs and ranges, each copy with its own plan") {
+    import org.apache.spark.sql.catalyst.InternalRow
+    import org.apache.spark.sql.catalyst.expressions.BoundReference
+    import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType}
+    val children = BoundReference(0, LongType, nullable = false) +:
+      (1 to 4).map(BoundReference(_, IntegerType, nullable = false)) ++:
+      (5 to 6).map(BoundReference(_, DoubleType, nullable = false))
+    val lower = ChiBoundExpr(children, chiBc, upper = false)
+    val upper = ChiBoundExpr(children, chiBc, upper = true)
+    assert(lower.stateful && (lower.freshCopyIfContainsStatefulExpression() ne lower))
+    val r = new java.util.Random(17)
+    // Runs of one range, then a new one, as a column of per-row ranges gives them.
+    for (i <- 0 until 300) {
+      val id = if (i % 7 == 0) 999999L else r.nextInt(ds.nMasks).toLong
+      val roi = Fixtures.randomRoi(r, ds.w, ds.h)
+      val range = if (i % 50 < 25) ValueRange(0.6, 1.0) else Fixtures.randomRange(r)
+      val row = InternalRow(id, roi.x1, roi.y1, roi.x2, roi.y2, range.lv, range.uv)
+      val want = registry.get(id).fold(CpBounds(0L, roi.area))(_.bounds(roi, range))
+      assert(lower.eval(row) == want.lower && upper.eval(row) == want.upper, s"mask $id $roi $range")
+    }
+  }
+
   test("unknown mask_id falls back to trivial bounds in ChiBoundExpr") {
     import org.apache.spark.sql.catalyst.expressions.Literal
     val children = Seq[org.apache.spark.sql.catalyst.expressions.Expression](

@@ -100,32 +100,35 @@ class ChiIndexSpec extends AnyFunSuite {
   }
 
   test("index size accounting") {
-    // 3×3 corner cells × 2 bins × 2 bytes.
-    assert(fig4.sizeBytes == 3L * 3 * 2 * 2)
+    // 3×3 corner cells × bin 1 (bin 0 is the rectangle's area) × 6 bits (w·h = 36): 54 bits, one word.
+    assert(ChiIndex.bits(6, 6) == 6 && ChiIndex.slotWords(6, 6, fig4Cfg) == 1)
+    assert(fig4.sizeBytes == 8L)
     assert(fig4Cfg.sizeBytes(6, 6) == fig4.sizeBytes)
   }
 
-  test("a 56x56 index costs 2 bytes per count, in sizeBytes and Java-serialised") {
+  test("a 56x56 index packs 441 counts in 664 bytes, in sizeBytes and serialised") {
     val cfg = ChiConfig(8, 8, 10)
     val idx = ChiIndex.build(randomMask(1, 56, 56, seed = 21), cfg)
-    assert(idx.counts.length == 7 * 7 * 10 && idx.high.isEmpty)
-    assert(idx.sizeBytes == 2L * idx.counts.length && cfg.sizeBytes(56, 56) == idx.sizeBytes)
+    // 7×7 corners × bins 1…9 × 12 bits (w·h = 3,136) = 5,292 bits: 83 words.
+    assert(idx.counts.length == 7 * 7 * 10 && ChiIndex.bits(56, 56) == 12 && idx.words.length == 83)
+    assert(idx.sizeBytes == 664L && cfg.sizeBytes(56, 56) == idx.sizeBytes)
     def serialised(n: Int): Long = {
       val bytes = new java.io.ByteArrayOutputStream()
       val out = new java.io.ObjectOutputStream(bytes)
-      out.writeObject((0 until n).map(i => new ChiIndex(i, idx.w, idx.h, cfg, idx.counts.clone(), idx.high)).toArray)
+      out.writeObject((0 until n).map(i => new ChiIndex(i, idx.w, idx.h, cfg, idx.words.clone())).toArray)
       out.close()
       bytes.size.toLong
     }
-    // Each further index adds its counts plus a fixed per-object overhead.
+    // Each further index adds its per-cell counts plus a fixed per-object overhead.
     val perIndex = (serialised(101) - serialised(1)) / 100
-    assert(perIndex <= 2L * idx.counts.length + 64, s"$perIndex bytes per serialised index")
+    assert(perIndex <= idx.sizeBytes + 64, s"$perIndex bytes per serialised index")
   }
 
-  test("a 300x300 index keeps the high 16 bits: every hLookup equals a brute-force count") {
+  test("a 300x300 index packs 17-bit counts: every hLookup equals brute force") {
     val cfg = ChiConfig(128, 100, 3)
     val idx = ChiIndex.build(wideMask, cfg)
-    assert(idx.high.length == idx.counts.length && idx.sizeBytes == 4L * idx.counts.length)
+    // 3×3 corners × bins 1…2 × 17 bits (w·h = 90,000) = 306 bits: 5 words.
+    assert(ChiIndex.bits(300, 300) == 17 && idx.words.length == 5 && idx.sizeBytes == 40L)
     assert(cfg.sizeBytes(300, 300) == idx.sizeBytes)
     val xs = lines(300, 128)
     val ys = lines(300, 100)

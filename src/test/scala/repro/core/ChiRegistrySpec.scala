@@ -40,6 +40,9 @@ class ChiRegistrySpec extends SparkSpec {
 
   test("index size matches the closed form and is a small fraction of the data") {
     val expectedPerMask = cfg.sizeBytes(ds.w, ds.h)
+    // bins 1 … b−1 of every interior corner at bits(w, h) each, padded to whole words.
+    val stored = ChiIndex.nCells(ds.w, cfg.cellW) * ChiIndex.nCells(ds.h, cfg.cellH) * (cfg.bins - 1)
+    assert(expectedPerMask == 8L * ((stored * ChiIndex.bits(ds.w, ds.h) + 63) / 64) && expectedPerMask == 160L)
     assert(registry.totalBytes == expectedPerMask * (ds.nMasks + ds.nImages))
     val rawBytes = 4L * ds.w * ds.h * ds.nMasks
     val ratio = expectedPerMask.toDouble * ds.nMasks / rawBytes
@@ -112,10 +115,10 @@ class ChiRegistrySpec extends SparkSpec {
     val path = "target/testdata/chi-roundtrip-wide"
     val wideCfg = ChiConfig(64, 64, 4)
     val idx = ChiIndex.build(Fixtures.wideMask, wideCfg)
-    assert(idx.high.nonEmpty && idx.wideCounts.max > 65535)
+    assert(ChiIndex.bits(300, 300) == 17 && idx.wideCounts.max > 65535)
     ChiRegistry.save(spark, ChiRegistry.empty(wideCfg) ++ Seq(idx), path)
     val got = ChiRegistry.load(spark, path).get(idx.maskId).get
-    assert(got.counts.toSeq == idx.counts.toSeq && got.high.toSeq == idx.high.toSeq)
+    assert(got.counts == idx.counts && got.words.toSeq == idx.words.toSeq)
     assert(got.wideCounts.toSeq == idx.wideCounts.toSeq)
     val r = new java.util.Random(3)
     for (_ <- 0 until 50) {

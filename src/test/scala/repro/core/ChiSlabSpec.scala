@@ -41,7 +41,7 @@ class ChiSlabSpec extends AnyFunSuite {
     masks.foreach { m =>
       val local = ChiIndex.build(m, cfg)
       val view = slab.get(m.id).getOrElse(fail(s"no view for ${m.id}"))
-      assert(view.counts.toSeq == local.counts.toSeq && view.high.toSeq == local.high.toSeq, s"counts of ${m.id}")
+      assert(view.counts == local.counts, s"counts of ${m.id}")
       assert(view.wideCounts.toSeq == local.wideCounts.toSeq)
       for (x1 <- 1 to m.w by cfg.cellW; y1 <- 1 to m.h by cfg.cellH) {
         val roi = Roi(x1, y1, m.w, m.h)
@@ -68,12 +68,14 @@ class ChiSlabSpec extends AnyFunSuite {
     checkViews(cfg, masks, slabOf(cfg, masks), seed = 1)
   }
 
-  test("slab views of 300x300 masks keep the high half of every count") {
+  test("slab views of 300x300 masks keep every 17-bit count") {
     val cfg = ChiConfig(64, 64, 4)
     val other = { val r = new java.util.Random(301); Mask(301, 300, 300, Array.fill(300 * 300)(0.5f + r.nextFloat() * 0.49f)) }
     val masks = Seq(wideMask, other)
     val slab = slabOf(cfg, masks)
-    assert(slab.get(300L).get.wideCounts.max > 65535 && slab.get(301L).get.high.nonEmpty)
+    // 5×5 corners × bins 1…3 × 17 bits = 1,275 bits: 20 words per slot.
+    assert(slab.get(300L).get.wideCounts.max > 65535 && slab.get(301L).get.wideCounts.max > 65535)
+    assert(slab.stride == 20 && slab.bytes == 2 * 160L)
     checkViews(cfg, masks, slab, seed = 2)
   }
 
@@ -86,10 +88,10 @@ class ChiSlabSpec extends AnyFunSuite {
       val box = randomRoi(r, 20, 20)
       val range = randomRange(r)
       for (spec <- Seq(ConstRoi(randomRoi(r, 20, 20)), ObjectRoi, FullRoi)) {
-        val plan = new BoundPlan(cfg, 20, 20, spec, range)
+        val plan = new BoundPlan(cfg, 20, 20, range)
         masks.foreach { m =>
           val row = CatalogRow(m.id, m.id, 1, 1, 20, 20, "", box.x1, box.y1, box.x2, box.y2, 0)
-          slab.eval(plan, m.id, row)
+          slab.eval(plan, m.id, spec, row)
           val want = ChiIndex.build(m, cfg).bounds(spec.resolve(row), range)
           assert(CpBounds(plan.lower, plan.upper) == want, s"$spec $range mask ${m.id}")
         }

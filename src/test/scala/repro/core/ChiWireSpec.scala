@@ -44,8 +44,8 @@ class ChiWireSpec extends AnyFunSuite {
       for (range <- Seq(randomRange(r), ValueRange(edge, 1.0), ValueRange(0.0, math.max(edge, 1e-9)));
            spec <- Seq(ConstRoi(randomRoi(r, want.w, want.h)), ObjectRoi, FullRoi)) {
         def bounds(i: ChiIndex) = {
-          val plan = new BoundPlan(cfg, i.w, i.h, spec, range)
-          plan.eval(i.low, i.highs, i.base, row)
+          val plan = new BoundPlan(cfg, i.w, i.h, range)
+          plan.eval(i.words, i.base, spec, row)
           (plan.lower, plan.upper)
         }
         assert(bounds(got) == bounds(want), s"$spec $range of ${want.maskId}")
@@ -81,7 +81,7 @@ class ChiWireSpec extends AnyFunSuite {
       }
       val slab = slabOf(cfg, masks)
       sameSlab(roundTrip(slab), slab, masks.map(_.id) :+ 999L)
-      if (w == 300) assert(roundTrip(slab).get(300L).get.high.nonEmpty)
+      if (w == 300) assert(roundTrip(slab).get(300L).get.wideCounts.max > 65535)
     }
   }
 
@@ -112,12 +112,12 @@ class ChiWireSpec extends AnyFunSuite {
     val p = ChiSlab.pack(cfg, masks.map(m => (m.id + 100) -> ChiIndex.build(m, cfg)), masks.map(m => Seq(2 * m.id + 1, 2 * m.id)))
     val back = roundTrip(p)
     assert(back.cfg == cfg && back.keys.toSeq == p.keys.toSeq && back.w == 56 && back.h == 56)
-    assert(back.low.toSeq == p.low.toSeq && back.high.toSeq == p.high.toSeq)
+    assert(back.words.toSeq == p.words.toSeq)
     assert(back.members.map(_.toSeq).toSeq == masks.map(m => Seq(2 * m.id, 2 * m.id + 1)))
     val slab = ChiSlab.empty(cfg).append(Seq(back))
     masks.foreach { m =>
       val i = ChiIndex.build(m, cfg)
-      sameIndex(slab.get(m.id + 100).get, new ChiIndex(m.id + 100, 56, 56, cfg, i.low, i.highs), m.id)
+      sameIndex(slab.get(m.id + 100).get, new ChiIndex(m.id + 100, 56, 56, cfg, i.words), m.id)
     }
     assert(slab.membersOf(100L).contains(IndexedSeq(0L, 1L)))
   }
@@ -137,9 +137,11 @@ class ChiWireSpec extends AnyFunSuite {
     val cfg = ChiConfig(8, 8, 4)
     val wide = ChiIndex.build(Mask(7, 16, 16, Array.fill(256)(0.0f)), cfg).wideCounts
     edit(wide)
-    val (low, high) = ChiIndex.halves(16, 16, wide.length)
-    wide.indices.foreach(i => ChiIndex.put(low, high, i, wide(i)))
-    new ChiIndex(7, 16, 16, cfg, low, high)
+    val words = new Array[Long](ChiIndex.slotWords(16, 16, cfg))
+    val out = new ChiIndex.Packer(words, 0, ChiIndex.bits(16, 16))
+    for (i <- wide.indices if i % 4 != 0) out.put(wide(i))
+    out.flush()
+    new ChiIndex(7, 16, 16, cfg, words)
   }
 
   /** Offset of corner `(cx, cy)`'s bin `b` in a 2x2-cell, 4-bin index. */
