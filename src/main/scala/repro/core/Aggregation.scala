@@ -40,13 +40,6 @@ sealed trait GroupValue extends Serializable {
   /** Index-only bounds of each unit over `chi`, compiled once per query. */
   def bounder(chi: ChiRegistry): Bounder
 
-  /** Index-only bounds for one group given its catalog rows. */
-  final def bounds(rows: Seq[CatalogRow], chi: ChiRegistry): (Double, Double) = {
-    val b = bounder(chi)
-    b(rows)
-    (b.lower, b.upper)
-  }
-
   /** Exact value; `load` fetches a mask from disk (counted). */
   def exact(rows: Seq[CatalogRow], load: CatalogRow => Mask): Double
 }
@@ -55,7 +48,11 @@ sealed trait GroupValue extends Serializable {
   * unindexed mask gets the trivial bounds `[0, |roi|]` per term.
   */
 final case class MaskValue(expr: CpExpr) extends GroupValue {
-  def bounder(chi: ChiRegistry): Bounder = new ExprPlan(expr, chi.masks)
+  def bounder(chi: ChiRegistry): Bounder = new Bounder {
+    private val plan = new ExprPlan(expr, chi.masks)
+
+    def apply(rows: Seq[CatalogRow]): Unit = { chi.masks.eval(plan, rows.head); lower = plan.lower; upper = plan.upper }
+  }
 
   def exact(rows: Seq[CatalogRow], load: CatalogRow => Mask): Double = expr.exact(rows.head, load(rows.head))
 }
@@ -68,7 +65,7 @@ final case class ScalarAggValue(agg: ScalarAgg, expr: CpExpr) extends GroupValue
     private val plan = new ExprPlan(expr, chi.masks)
 
     def apply(rows: Seq[CatalogRow]): Unit = {
-      val (l, u) = agg.bounds(rows.map { r => plan.row(r); (plan.lower, plan.upper) })
+      val (l, u) = agg.bounds(rows.map { r => chi.masks.eval(plan, r); (plan.lower, plan.upper) })
       lower = l
       upper = u
     }

@@ -150,46 +150,51 @@ abstract class Bounder {
   def apply(rows: Seq[CatalogRow]): Unit
 }
 
-/** A [[CpExpr]]'s bounds over the masks of a [[ChiSlab]]: one [[BoundPlan]]
-  * per term, combined by the interval arithmetic of [[CpExpr.bounds]], in its
-  * order of operations. A mask the slab does not hold gets the trivial
-  * bounds per term.
+/** A [[CpExpr]]'s bounds for `w × h` masks indexed with `cfg`: one
+  * [[BoundPlan]] per term, combined by interval arithmetic in the
+  * expression's order of operations (a difference is `[lₐ − u_b, uₐ − l_b]`;
+  * a negative scale swaps the ends). The only code that combines term
+  * bounds. A plan reads a slab's slot ([[ChiSlab.eval]]) or a single
+  * [[ChiIndex]] of that shape, and serves one thread.
   */
-final class ExprPlan(expr: CpExpr, slab: ChiSlab) extends Bounder {
+final class ExprPlan(expr: CpExpr, cfg: ChiConfig, w: Int, h: Int) {
+
+  /** `expr` compiled for the masks of `slab`. */
+  def this(expr: CpExpr, slab: ChiSlab) = this(expr, slab.cfg, slab.w, slab.h)
 
   private abstract class Node {
     var lo = 0.0
     var hi = 0.0
-    def eval(base: Int, row: CatalogRow): Unit
+    def eval(words: Array[Long], base: Int, row: CatalogRow): Unit
   }
 
   private def compile(e: CpExpr): Node = e match {
     case CpTermExpr(t) =>
-      val p = new BoundPlan(slab.cfg, slab.w, slab.h, t.range)
+      val p = new BoundPlan(cfg, w, h, t.range)
       new Node {
-        def eval(base: Int, row: CatalogRow): Unit = {
-          p.eval(slab.words, base, t.roi, row); lo = p.lower.toDouble; hi = p.upper.toDouble
+        def eval(words: Array[Long], base: Int, row: CatalogRow): Unit = {
+          p.eval(words, base, t.roi, row); lo = p.lower.toDouble; hi = p.upper.toDouble
         }
       }
     case CpAdd(a, b) =>
       val (x, y) = (compile(a), compile(b))
       new Node {
-        def eval(base: Int, row: CatalogRow): Unit = {
-          x.eval(base, row); y.eval(base, row); lo = x.lo + y.lo; hi = x.hi + y.hi
+        def eval(words: Array[Long], base: Int, row: CatalogRow): Unit = {
+          x.eval(words, base, row); y.eval(words, base, row); lo = x.lo + y.lo; hi = x.hi + y.hi
         }
       }
     case CpSub(a, b) =>
       val (x, y) = (compile(a), compile(b))
       new Node {
-        def eval(base: Int, row: CatalogRow): Unit = {
-          x.eval(base, row); y.eval(base, row); lo = x.lo - y.hi; hi = x.hi - y.lo
+        def eval(words: Array[Long], base: Int, row: CatalogRow): Unit = {
+          x.eval(words, base, row); y.eval(words, base, row); lo = x.lo - y.hi; hi = x.hi - y.lo
         }
       }
     case CpScale(k, a) =>
       val x = compile(a)
       new Node {
-        def eval(base: Int, row: CatalogRow): Unit = {
-          x.eval(base, row)
+        def eval(words: Array[Long], base: Int, row: CatalogRow): Unit = {
+          x.eval(words, base, row)
           if (k >= 0) { lo = k * x.lo; hi = k * x.hi } else { lo = k * x.hi; hi = k * x.lo }
         }
       }
@@ -197,12 +202,17 @@ final class ExprPlan(expr: CpExpr, slab: ChiSlab) extends Bounder {
 
   private val root = compile(expr)
 
-  /** Bound `expr` for one catalog row's mask. */
-  def row(r: CatalogRow): Unit = {
-    root.eval(slab.base(r.mask_id), r)
+  /** Bounds of the last [[eval]]. */
+  var lower = 0.0
+  var upper = 0.0
+
+  /** Bound `expr` for `row`'s mask from the index at word `base` of `words`;
+    * a negative `base` means the mask has no index, and gives every term
+    * the trivial bounds `[0, |roi|]`.
+    */
+  def eval(words: Array[Long], base: Int, row: CatalogRow): Unit = {
+    root.eval(words, base, row)
     lower = root.lo
     upper = root.hi
   }
-
-  def apply(rows: Seq[CatalogRow]): Unit = row(rows.head)
 }

@@ -96,7 +96,7 @@ final class ChiIndex(
     private[core] val words: Array[Long],
     private[core] val base: Int = 0,
 ) extends Serializable {
-  import ChiIndex.{line, lineAtOrAbove, lineAtOrBelow, lineIndex}
+  import ChiIndex.line
 
   private def nCy: Int = ChiIndex.nCells(h, cfg.cellH)
 
@@ -129,70 +129,11 @@ final class ChiIndex(
   /** Every count of `H`, bin 0 included, widened to `Int`, in storage order. */
   def wideCounts: Array[Int] = Array.tabulate(length)(at)
 
-  /** `C(i) − C(j)` of Eq. 2 for the grid rectangle between lines `(cx1, cy1)`
-    * and `(cx2, cy2)`: the pixels in it with values in
-    * `[boundary(i), boundary(j))`, where `C(bins) = 0`.
-    */
-  private def rangeCount(cx1: Int, cy1: Int, cx2: Int, cy2: Int, i: Int, j: Int): Long = {
-    def c(b: Int): Int =
-      if (b == cfg.bins) 0
-      else hLookup(cx2, cy2, b) - hLookup(cx1, cy2, b) - hLookup(cx2, cy1, b) + hLookup(cx1, cy1, b)
-    (c(i) - c(j)).toLong
-  }
-
-  /** True iff `r` is an *available region* (Definition 3.1): both corners sit
-    * on grid lines.
-    */
-  def isAvailable(r: Roi): Boolean =
-    lineIndex(r.x1 - 1, w, cfg.cellW) >= 0 && lineIndex(r.x2, w, cfg.cellW) >= 0 &&
-      lineIndex(r.y1 - 1, h, cfg.cellH) >= 0 && lineIndex(r.y2, h, cfg.cellH) >= 0
-
-  /** `C(mask, r)` (Eq. 2): the reverse-cumulative histogram of the available
-    * region `r`, computed by 2-D inclusion–exclusion over four index entries.
-    * The returned array has `bins + 1` entries with `C(bins) == 0` so that the
-    * count of pixels with values in `[boundary(i), boundary(j))` is
-    * `C(i) - C(j)`. The definition [[bounds]] is checked against; it reads
-    * only the bins it needs.
-    */
-  def cHist(r: Roi): Array[Int] = {
-    val cx1 = lineIndex(r.x1 - 1, w, cfg.cellW)
-    val cx2 = lineIndex(r.x2, w, cfg.cellW)
-    val cy1 = lineIndex(r.y1 - 1, h, cfg.cellH)
-    val cy2 = lineIndex(r.y2, h, cfg.cellH)
-    require(cx1 >= 0 && cx2 >= 0 && cy1 >= 0 && cy2 >= 0, s"region $r not available in CHI of mask $maskId")
-    Array.tabulate(cfg.bins + 1)(b => rangeCount(cx1, cy1, cx2, cy2, b, cfg.bins).toInt)
-  }
-
-  /** The smallest available region covering `roi` (the paper's `roi̅`).
-    * Always exists because the full mask is available.
-    */
-  def outerRegion(roi: Roi): Roi = {
-    require(roi.within(w, h), s"roi $roi outside ${w}x$h mask")
-    Roi(
-      line(lineAtOrBelow(roi.x1 - 1, w, cfg.cellW), w, cfg.cellW) + 1,
-      line(lineAtOrBelow(roi.y1 - 1, h, cfg.cellH), h, cfg.cellH) + 1,
-      line(lineAtOrAbove(roi.x2, w, cfg.cellW), w, cfg.cellW),
-      line(lineAtOrAbove(roi.y2, h, cfg.cellH), h, cfg.cellH),
-    )
-  }
-
-  /** The largest available region covered by `roi` (the paper's `roi̲`), or
-    * None when `roi` contains no grid-aligned rectangle.
-    */
-  def innerRegion(roi: Roi): Option[Roi] = {
-    require(roi.within(w, h), s"roi $roi outside ${w}x$h mask")
-    val x1 = line(lineAtOrAbove(roi.x1 - 1, w, cfg.cellW), w, cfg.cellW) + 1
-    val y1 = line(lineAtOrAbove(roi.y1 - 1, h, cfg.cellH), h, cfg.cellH) + 1
-    val x2 = line(lineAtOrBelow(roi.x2, w, cfg.cellW), w, cfg.cellW)
-    val y2 = line(lineAtOrBelow(roi.y2, h, cfg.cellH), h, cfg.cellH)
-    if (x1 <= x2 && y1 <= y2) Some(Roi(x1, y1, x2, y2)) else None
-  }
-
   /** Lower and upper bounds on `CP(mask, roi, range)` (§3.2.1, Eqs. 3–4 for
     * the upper bound and their mirror images for the lower bound), from a
-    * [[BoundPlan]]. The exact CP value is guaranteed to lie in
-    * `[lower, upper]`; when both `roi` and `range` align with cell/bin
-    * boundaries the bounds are exact.
+    * [[BoundPlan]] compiled for this call. The exact CP value is guaranteed
+    * to lie in `[lower, upper]`; when both `roi` and `range` align with
+    * cell/bin boundaries the bounds are exact.
     */
   def bounds(roi: Roi, range: ValueRange): CpBounds = {
     val plan = new BoundPlan(cfg, w, h, range)
@@ -216,14 +157,6 @@ final case class CpBounds(lower: Long, upper: Long) {
 }
 
 object ChiIndex {
-
-  /** Bounds on `CP(mask, roi, range)` from the mask's index, or the trivial
-    * `[0, |roi|]` when the registry has none for it.
-    */
-  def boundsOrTrivial(chi: Option[ChiIndex], roi: Roi, range: ValueRange): CpBounds = chi match {
-    case Some(idx) => idx.bounds(roi, range)
-    case None      => CpBounds(0L, roi.area)
-  }
 
   /** Bits per stored count of a `w × h` mask's index: the bit length of
     * `w·h`, the largest count (12 for 56×56, 14 for 112×112, 18 for 448²).
@@ -284,10 +217,6 @@ object ChiIndex {
     * are 0, cell, 2·cell, …, and `dim`, which closes a partial last cell.
     */
   def line(i: Int, dim: Int, cell: Int): Int = math.min(i * cell, dim)
-
-  /** Index of the grid line at `v`, or -1 when `v` is not one. */
-  def lineIndex(v: Int, dim: Int, cell: Int): Int =
-    if (v == dim) nCells(dim, cell) else if (v >= 0 && v < dim && v % cell == 0) v / cell else -1
 
   /** Index of the last grid line at or before `v`, for 0 ≤ v ≤ dim. */
   def lineAtOrBelow(v: Int, dim: Int, cell: Int): Int = if (v == dim) nCells(dim, cell) else v / cell

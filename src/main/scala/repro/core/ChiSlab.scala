@@ -65,6 +65,9 @@ final class ChiSlab private (
   def eval(plan: BoundPlan, key: Long, x1: Int, y1: Int, x2: Int, y2: Int): Unit =
     plan.eval(words, base(key), x1, y1, x2, y2)
 
+  /** Evaluate `plan` on the index of `row`'s mask; trivial bounds per term when it has none. */
+  def eval(plan: ExprPlan, row: CatalogRow): Unit = plan.eval(words, base(row.mask_id), row)
+
   /** The ids of the masks `key`'s index was built from, ascending, when the slab records them. */
   def membersOf(key: Long): Option[IndexedSeq[Long]] = {
     val s = slot(key)

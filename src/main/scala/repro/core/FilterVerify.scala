@@ -45,10 +45,10 @@ object FilterVerify {
       chi: Broadcast[ChiRegistry],
   ): Array[(Long, Double, Double)] = {
     val units = Units.masks(catalog)
-    val plan = new ExprPlan(expr, chi.value.masks)
+    val bound = MaskValue(expr).bounder(chi.value)
     Array.tabulate(units.size) { i =>
-      plan(units.members(i))
-      (units.keys(i), plan.lower, plan.upper)
+      bound(units.members(i))
+      (units.keys(i), bound.lower, bound.upper)
     }
   }
 }

@@ -47,7 +47,7 @@ final class IncrementalSession(
     val rows = target.toArray
     val cases = rows.map { r =>
       if (!reg.contains(r.mask_id)) FilterOutcome.Uncertain
-      else { plan.row(r); pred.classify(plan.lower, plan.upper) }
+      else { reg.masks.eval(plan, r); pred.classify(plan.lower, plan.upper) }
     }
     // Every Case 3 mask, and whether to index it: each unindexed mask once.
     val scheduled = mutable.HashSet.empty[Long]

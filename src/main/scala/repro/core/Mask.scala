@@ -70,9 +70,6 @@ final case class Mask(id: Long, w: Int, h: Int, data: Array[Float]) {
     }
     count
   }
-
-  /** CP over the whole mask. */
-  def cpFull(range: ValueRange): Long = cp(Roi.full(w, h), range)
 }
 
 object Mask {

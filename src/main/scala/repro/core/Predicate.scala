@@ -24,8 +24,8 @@ final case class CpTerm(roi: RoiSpec, range: ValueRange)
 
 /** An arithmetic expression over CP terms of a *single* mask — the paper's
   * generic predicates (§3.3): `CP₁ op₁ CP₂ … > T` for monotone ops. Bounds
-  * are propagated with interval arithmetic, which is exactly the paper's
-  * per-term bound combination for +, −, and non-negative scaling.
+  * are propagated with interval arithmetic ([[ExprPlan]]), which is exactly
+  * the paper's per-term bound combination for +, −, and non-negative scaling.
   */
 sealed trait CpExpr extends Serializable {
   /** All CP terms appearing in the expression. */
@@ -46,21 +46,6 @@ sealed trait CpExpr extends Serializable {
 
   /** Exact value for one loaded mask and its catalog row. */
   def exact(row: CatalogRow, mask: Mask): Double = eval(t => mask.cp(t.roi.resolve(row), t.range))
-
-  /** Interval bounds given per-term bounds. */
-  def bounds(cp: CpTerm => CpBounds): (Double, Double) = this match {
-    case CpTermExpr(t) =>
-      val b = cp(t); (b.lower.toDouble, b.upper.toDouble)
-    case CpAdd(a, b) =>
-      val (al, au) = a.bounds(cp); val (bl, bu) = b.bounds(cp)
-      (al + bl, au + bu)
-    case CpSub(a, b) =>
-      val (al, au) = a.bounds(cp); val (bl, bu) = b.bounds(cp)
-      (al - bu, au - bl)
-    case CpScale(c, e) =>
-      val (l, u) = e.bounds(cp)
-      if (c >= 0) (c * l, c * u) else (c * u, c * l)
-  }
 }
 final case class CpTermExpr(t: CpTerm) extends CpExpr
 final case class CpAdd(a: CpExpr, b: CpExpr) extends CpExpr
@@ -115,17 +100,13 @@ final case class Predicate(expr: CpExpr, op: CmpOp, threshold: Double) {
   /** Filter-stage classification from CHI bounds ([[CmpOp.classify]]). */
   def classify(lower: Double, upper: Double): Int = op.classify(lower, upper, threshold)
 
-  /** Classification for one catalog row via its CHI (absent index ⇒ trivially
-    * uncertain bounds `[0, |roi|]`).
+  /** Classification for one catalog row from its mask's index, by an
+    * [[ExprPlan]] compiled for this call. With no index, a plan of any shape
+    * read at a negative base gives every term `[0, |roi|]`.
     */
   def classifyRow(row: CatalogRow, chi: Option[ChiIndex]): Int = {
-    val (lo, hi) = Predicate.rowBounds(expr, row, chi)
-    classify(lo, hi)
+    val plan = chi.fold(new ExprPlan(expr, ChiConfig(1, 1, 1), 0, 0))(i => new ExprPlan(expr, i.cfg, i.w, i.h))
+    plan.eval(chi.fold(Array.emptyLongArray)(_.words), chi.fold(-1)(_.base), row)
+    classify(plan.lower, plan.upper)
   }
-}
-
-object Predicate {
-  /** Interval bounds of `expr` for one catalog row. */
-  def rowBounds(expr: CpExpr, row: CatalogRow, chi: Option[ChiIndex]): (Double, Double) =
-    expr.bounds(t => ChiIndex.boundsOrTrivial(chi, t.roi.resolve(row), t.range))
 }

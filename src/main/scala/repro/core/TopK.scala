@@ -12,9 +12,9 @@ final case class TopKResult(rows: Array[(CatalogRow, Double)], stats: QueryStats
 
 /** Bound-pruned top-k over masks (§3.5): the [[Kernel]]'s top-k policy with
   * every mask its own unit. The filter stage computes index-only bounds for
-  * every targeted mask in one Spark job; each verification round loads its
-  * masks in another. Ties are broken by ascending `mask_id` (mirrored in the
-  * baseline so result sets are comparable).
+  * every targeted mask on the driver, with no job; each verification round
+  * loads its masks in one Spark job. Ties are broken by ascending `mask_id`
+  * (mirrored in the baseline so result sets are comparable).
   */
 object TopK {
 

@@ -77,13 +77,15 @@ class AggregationSpec extends SparkSpec {
   test("intersect-CP group bounds are sound (aggregate index and fallback)") {
     val noAgg = new ChiRegistry(cfg, registry.masks, ChiSlab.empty(cfg))
     val rows = repro.store.MaskStore.asRows(catalog).collect().groupBy(_.image_id)
+    val (agg, fallback) = (intersectCp.bounder(registry), intersectCp.bounder(noAgg))
     rows.take(15).foreach { case (_, group) =>
       val rs = group.toSeq.sortBy(_.mask_id)
       val exact = intersectCp.exact(rs, r => store.loadPath(r.path))
-      val (lo, hi) = intersectCp.bounds(rs, registry)
-      assert(lo <= exact && exact <= hi, s"agg path, group ${rs.head.image_id}: [$lo,$hi] vs $exact")
-      val (lo2, hi2) = intersectCp.bounds(rs, noAgg)
-      assert(lo2 <= exact && exact <= hi2, s"fallback, group ${rs.head.image_id}: [$lo2,$hi2] vs $exact")
+      agg(rs)
+      assert(agg.lower <= exact && exact <= agg.upper, s"agg path, group ${rs.head.image_id}: [${agg.lower},${agg.upper}] vs $exact")
+      fallback(rs)
+      assert(fallback.lower <= exact && exact <= fallback.upper,
+        s"fallback, group ${rs.head.image_id}: [${fallback.lower},${fallback.upper}] vs $exact")
     }
   }
 

@@ -15,10 +15,10 @@ class ChiBoundsSpec extends AnyFunSuite {
     val roi = Roi(3, 3, 5, 5)
     val range = ValueRange(0.5, 1.0)
     // Approach 1 on the outer region ((3,3),(6,6)).
-    val cOuter = fig4.cHist(Roi(3, 3, 6, 6))
+    val cOuter = cHist(fig4, Roi(3, 3, 6, 6))
     assert(cOuter(1) - cOuter(2) == 8)
     // Approach 2 on the inner region ((3,3),(4,4)): 2 − 0 + 9 − 4 = 7.
-    val cInner = fig4.cHist(Roi(3, 3, 4, 4))
+    val cInner = cHist(fig4, Roi(3, 3, 4, 4))
     assert(cInner(1) - cInner(2) + roi.area - 4 == 7)
     assert(fig4.bounds(roi, range).upper == 7)
   }

@@ -3,7 +3,9 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Unit tests for the Cumulative Histogram Index (§3.1): construction, the
-  * paper's Figure 4 worked example, available regions, and `C` (Eq. 2).
+  * paper's Figure 4 worked example, and the reference definitions of
+  * available regions and `C` (Eq. 2) that [[Fixtures]] computes from
+  * `hLookup`, checked against brute force.
   */
 class ChiIndexSpec extends AnyFunSuite {
   import Fixtures._
@@ -20,7 +22,7 @@ class ChiIndexSpec extends AnyFunSuite {
     assert(lines(5, 5) == Seq(0, 5))
     assert(lines(5, 8) == Seq(0, 5))
     for ((dim, cell) <- Seq((6, 2), (7, 2), (5, 5), (5, 8), (300, 128)))
-      assert((0 to dim).filter(ChiIndex.lineIndex(_, dim, cell) >= 0) == lines(dim, cell), s"$dim/$cell")
+      assert((0 to dim).filter(lineIndex(_, dim, cell) >= 0) == lines(dim, cell), s"$dim/$cell")
   }
 
   test("nCells rounds up") {
@@ -28,9 +30,9 @@ class ChiIndexSpec extends AnyFunSuite {
   }
 
   test("boundary search helpers") {
-    assert(ChiIndex.lineIndex(4, 6, 2) == 2)
-    assert(ChiIndex.lineIndex(3, 6, 2) == -1)
-    assert(ChiIndex.lineIndex(7, 7, 2) == 4)
+    assert(lineIndex(4, 6, 2) == 2)
+    assert(lineIndex(3, 6, 2) == -1)
+    assert(lineIndex(7, 7, 2) == 4)
     assert(ChiIndex.lineAtOrBelow(5, 6, 2) == 2)
     assert(ChiIndex.lineAtOrBelow(6, 6, 2) == 3)
     assert(ChiIndex.lineAtOrAbove(5, 6, 2) == 3)
@@ -64,39 +66,39 @@ class ChiIndexSpec extends AnyFunSuite {
   }
 
   test("paper Figure 4: ((3,3),(4,6)) is an available region; ((4,4),(5,5)) is not") {
-    assert(fig4.isAvailable(Roi(3, 3, 4, 6)))
-    assert(!fig4.isAvailable(Roi(4, 4, 5, 5)))
+    assert(isAvailable(fig4, Roi(3, 3, 4, 6)))
+    assert(!isAvailable(fig4, Roi(4, 4, 5, 5)))
   }
 
   test("the full mask is always an available region") {
-    assert(fig4.isAvailable(Roi.full(6, 6)))
+    assert(isAvailable(fig4, Roi.full(6, 6)))
   }
 
   test("paper Figure 4: C(M, ((3,3),(4,6))) = [8, 5, 0]") {
-    val c = fig4.cHist(Roi(3, 3, 4, 6))
+    val c = cHist(fig4, Roi(3, 3, 4, 6))
     assert(c.toSeq == Seq(8, 5, 0))
   }
 
   test("cHist rejects non-available regions") {
-    intercept[IllegalArgumentException](fig4.cHist(Roi(4, 4, 5, 5)))
+    intercept[IllegalArgumentException](cHist(fig4, Roi(4, 4, 5, 5)))
   }
 
   test("paper Figure 6: outer region of ((3,3),(5,5)) is ((3,3),(6,6))") {
-    assert(fig4.outerRegion(Roi(3, 3, 5, 5)) == Roi(3, 3, 6, 6))
+    assert(outerRegion(fig4, Roi(3, 3, 5, 5)) == Roi(3, 3, 6, 6))
   }
 
   test("paper Figure 6: inner region of ((3,3),(5,5)) is ((3,3),(4,4))") {
-    assert(fig4.innerRegion(Roi(3, 3, 5, 5)).contains(Roi(3, 3, 4, 4)))
+    assert(innerRegion(fig4, Roi(3, 3, 5, 5)).contains(Roi(3, 3, 4, 4)))
   }
 
   test("inner region is empty for a sub-cell ROI") {
-    assert(fig4.innerRegion(Roi(2, 2, 2, 2)).isEmpty)
+    assert(innerRegion(fig4, Roi(2, 2, 2, 2)).isEmpty)
   }
 
   test("outer/inner regions of an available region are itself") {
     val r = Roi(3, 3, 4, 6)
-    assert(fig4.outerRegion(r) == r)
-    assert(fig4.innerRegion(r).contains(r))
+    assert(outerRegion(fig4, r) == r)
+    assert(innerRegion(fig4, r).contains(r))
   }
 
   test("index size accounting") {
@@ -157,8 +159,8 @@ class ChiIndexSpec extends AnyFunSuite {
         j1 <- yb.indices.dropRight(1); j2 <- yb.indices if yb(j2) > yb(j1)
       } {
         val r = Roi(xb(i1) + 1, yb(j1) + 1, xb(i2), yb(j2))
-        assert(idx.isAvailable(r), s"$r should be available")
-        val c = idx.cHist(r)
+        assert(isAvailable(idx, r), s"$r should be available")
+        val c = cHist(idx, r)
         for (b <- 0 until bins) {
           val expected = bruteCp(m, r, ValueRange(b.toDouble / bins, 1.0))
           assert(c(b) == expected, s"region $r bin $b")

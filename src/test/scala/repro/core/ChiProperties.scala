@@ -3,6 +3,8 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Properties}
 import org.scalacheck.Prop.propBoolean
 
+import repro.store.CatalogRow
+
 /** ScalaCheck property suite for the CHI bound math — generator-driven
   * counterpart of the hand-rolled randomized loops in [[ChiBoundsSpec]].
   */
@@ -77,32 +79,33 @@ object ChiProperties extends Properties("CHI") {
   property("cHist of the full mask counts all pixels at bin 0") = Prop.forAll(genMaskAndCfg) {
     case (mask, cfg) =>
       val idx = ChiIndex.build(mask, cfg)
-      idx.cHist(Roi.full(mask.w, mask.h))(0) == mask.w * mask.h
+      Fixtures.cHist(idx, Roi.full(mask.w, mask.h))(0) == mask.w * mask.h
   }
 
   property("outer region covers roi; inner region is covered by roi") =
     Prop.forAll(genMaskAndCfg) { case (mask, cfg) =>
       val idx = ChiIndex.build(mask, cfg)
       Prop.forAll(genRoi(mask.w, mask.h)) { roi =>
-        val o = idx.outerRegion(roi)
+        val o = Fixtures.outerRegion(idx, roi)
         val coverOk = o.x1 <= roi.x1 && o.y1 <= roi.y1 && o.x2 >= roi.x2 && o.y2 >= roi.y2
-        val innerOk = idx.innerRegion(roi).forall(i =>
-          i.x1 >= roi.x1 && i.y1 >= roi.y1 && i.x2 <= roi.x2 && i.y2 <= roi.y2 && idx.isAvailable(i))
-        coverOk && idx.isAvailable(o) && innerOk
+        val innerOk = Fixtures.innerRegion(idx, roi).forall(i =>
+          i.x1 >= roi.x1 && i.y1 >= roi.y1 && i.x2 <= roi.x2 && i.y2 <= roi.y2 && Fixtures.isAvailable(idx, i))
+        coverOk && Fixtures.isAvailable(idx, o) && innerOk
       }
     }
 
   property("interval arithmetic is sound for two-term expressions") =
     Prop.forAll(genMaskAndCfg) { case (mask, cfg) =>
-      val idx = ChiIndex.build(mask, cfg)
+      val slab = Fixtures.slabOf(cfg, Seq(mask.copy(id = 0)))
+      val row = CatalogRow(0, 0, 1, 1, mask.w, mask.h, "", 1, 1, mask.w, mask.h, 0)
       Prop.forAll(genRoi(mask.w, mask.h), genRange, genRange) { (roi, r1, r2) =>
         val expr = CpSub(
           CpTermExpr(CpTerm(ConstRoi(roi), r1)),
           CpScale(0.5, CpTermExpr(CpTerm(ConstRoi(roi), r2))),
         )
         val exact = expr.eval(t => mask.cp(t.roi.asInstanceOf[ConstRoi].roi, t.range))
-        val (lo, hi) = expr.bounds(t => idx.bounds(t.roi.asInstanceOf[ConstRoi].roi, t.range))
-        lo <= exact && exact <= hi
+        val (lo, hi) = Fixtures.planBounds(expr, slab, row)
+        (lo <= exact && exact <= hi) :| s"exact=$exact bounds=[$lo, $hi]"
       }
     }
 }

@@ -7,15 +7,12 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.store.CatalogRow
 
 /** Tests for the dense CHI slab and the compiled bounds over it: every view a
-  * slab hands out is the index [[ChiIndex.build]] gives, the plans agree
-  * with [[ChiIndex.bounds]] on every ROI kind, and appends never change what
-  * an older slab holds.
+  * slab hands out is the index [[ChiIndex.build]] gives, the plans equal
+  * [[Fixtures.referenceBounds]] on every ROI kind, and appends never change
+  * what an older slab holds.
   */
 class ChiSlabSpec extends AnyFunSuite {
   import Fixtures._
-
-  private def slabOf(cfg: ChiConfig, masks: Seq[Mask]): ChiSlab =
-    ChiSlab.empty(cfg).append(Seq(ChiSlab.pack(cfg, masks.map(m => m.id -> ChiIndex.build(m, cfg)))))
 
   private def roundTrip[A](a: A): A = {
     val bytes = new ByteArrayOutputStream()
@@ -32,8 +29,9 @@ class ChiSlabSpec extends AnyFunSuite {
       Seq(e, Math.nextDown(e), Math.nextUp(e), e.toFloat.toDouble)
     }.filter(v => v >= 0 && v <= 1).distinct
 
-  /** Views of `slab` equal locally built indexes of `masks` in counts, `cHist`
-    * on every available region, and `bounds` on random and bin-edge queries.
+  /** Views of `slab` equal locally built indexes of `masks` in counts and
+    * `cHist` on every available region, and their bounds on random and
+    * bin-edge queries equal [[Fixtures.referenceBounds]] on the local index.
     */
   private def checkViews(cfg: ChiConfig, masks: Seq[Mask], slab: ChiSlab, seed: Long): Unit = {
     val r = new java.util.Random(seed)
@@ -45,7 +43,7 @@ class ChiSlabSpec extends AnyFunSuite {
       assert(view.wideCounts.toSeq == local.wideCounts.toSeq)
       for (x1 <- 1 to m.w by cfg.cellW; y1 <- 1 to m.h by cfg.cellH) {
         val roi = Roi(x1, y1, m.w, m.h)
-        assert(view.cHist(roi).toSeq == local.cHist(roi).toSeq, s"cHist of ${m.id} on $roi")
+        assert(cHist(view, roi).toSeq == cHist(local, roi).toSeq, s"cHist of ${m.id} on $roi")
       }
       for (_ <- 0 until 40) {
         val roi = randomRoi(r, m.w, m.h)
@@ -54,7 +52,7 @@ class ChiSlabSpec extends AnyFunSuite {
         val range = if (lv <= uv) ValueRange(lv, uv) else ValueRange(uv, lv)
         for (q <- Seq(range, randomRange(r))) {
           val b = view.bounds(roi, q)
-          assert(b == local.bounds(roi, q), s"bounds of ${m.id} on $roi $q")
+          assert(b == referenceBounds(local, roi, q), s"bounds of ${m.id} on $roi $q")
           val exact = m.cp(roi, q)
           assert(b.lower <= exact && exact <= b.upper, s"mask ${m.id} $roi $q: $b vs $exact")
         }
@@ -79,7 +77,7 @@ class ChiSlabSpec extends AnyFunSuite {
     checkViews(cfg, masks, slab, seed = 2)
   }
 
-  test("compiled plans equal ChiIndex.bounds for constant, object and full-mask ROIs") {
+  test("compiled plans equal referenceBounds for constant, object and full-mask ROIs") {
     val cfg = ChiConfig(4, 4, 8)
     val masks = (0 until 10).map(i => randomMask(i, 20, 20, 90L + i))
     val slab = slabOf(cfg, masks)
@@ -92,7 +90,7 @@ class ChiSlabSpec extends AnyFunSuite {
         masks.foreach { m =>
           val row = CatalogRow(m.id, m.id, 1, 1, 20, 20, "", box.x1, box.y1, box.x2, box.y2, 0)
           slab.eval(plan, m.id, spec, row)
-          val want = ChiIndex.build(m, cfg).bounds(spec.resolve(row), range)
+          val want = referenceBounds(ChiIndex.build(m, cfg), spec.resolve(row), range)
           assert(CpBounds(plan.lower, plan.upper) == want, s"$spec $range mask ${m.id}")
         }
       }
@@ -104,7 +102,7 @@ class ChiSlabSpec extends AnyFunSuite {
     val slab = slabOf(cfg, Seq(randomMask(3, 20, 20, 1)))
     val plan = new ExprPlan(CpExpr.term(ObjectRoi, 0.2, 0.6), slab)
     for (id <- Seq(-1L, 0L, 4L, 1L << 40)) {
-      plan.row(CatalogRow(id, 0, 1, 1, 20, 20, "", 2, 3, 9, 7, 0))
+      slab.eval(plan, CatalogRow(id, 0, 1, 1, 20, 20, "", 2, 3, 9, 7, 0))
       assert(plan.lower == 0.0 && plan.upper == 8.0 * 5, s"id $id")
       assert(!slab.contains(id) && slab.get(id).isEmpty)
     }

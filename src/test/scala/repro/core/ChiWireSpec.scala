@@ -27,9 +27,6 @@ class ChiWireSpec extends AnyFunSuite {
 
   private def roundTrip[A <: AnyRef](a: A): A = read[A](bytes(a))
 
-  private def slabOf(cfg: ChiConfig, masks: Seq[Mask]): ChiSlab =
-    ChiSlab.empty(cfg).append(Seq(ChiSlab.pack(cfg, masks.map(m => m.id -> ChiIndex.build(m, cfg)))))
-
   /** `got` equals `want` in every `hLookup` and in the bounds of every ROI kind over random and bin-edge ranges. */
   private def sameIndex(got: ChiIndex, want: ChiIndex, seed: Long): Unit = {
     assert(got.maskId == want.maskId && got.w == want.w && got.h == want.h && got.cfg == want.cfg)

@@ -80,7 +80,7 @@ class EnginesEdgeSpec extends SparkSpec {
   test("CHI with a cell larger than the mask is a single partial cell") {
     val m = store.load(1)
     val idx = ChiIndex.build(m, ChiConfig(64, 64, 4))
-    assert(idx.cHist(Roi.full(40, 24))(0) == 40 * 24)
+    assert(Fixtures.cHist(idx, Roi.full(40, 24))(0) == 40 * 24)
     val b = idx.bounds(Roi(2, 2, 10, 10), ValueRange(0.0, 1.0))
     assert(b.lower <= 81 && b.upper >= 81)
   }

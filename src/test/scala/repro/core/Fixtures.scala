@@ -52,9 +52,71 @@ object Fixtures {
       if v >= range.lv && v < range.uv
     } yield 1L).sum
 
+  /** Index of the grid line at `v` along a dimension of `dim` pixels cut
+    * into cells of `cell`, or -1 when `v` is not one.
+    */
+  def lineIndex(v: Int, dim: Int, cell: Int): Int =
+    if (v == dim) ChiIndex.nCells(dim, cell) else if (v >= 0 && v < dim && v % cell == 0) v / cell else -1
+
+  /** True iff `r` is an *available region* of `idx` (Definition 3.1): both
+    * corners sit on grid lines.
+    */
+  def isAvailable(idx: ChiIndex, r: Roi): Boolean = {
+    val (w, h, cw, ch) = (idx.w, idx.h, idx.cfg.cellW, idx.cfg.cellH)
+    lineIndex(r.x1 - 1, w, cw) >= 0 && lineIndex(r.x2, w, cw) >= 0 && lineIndex(r.y1 - 1, h, ch) >= 0 && lineIndex(r.y2, h, ch) >= 0
+  }
+
+  /** `C(mask, r)` (Eq. 2): the reverse-cumulative histogram of the available
+    * region `r`, by 2-D inclusion–exclusion over four `hLookup`s per bin. It
+    * has `bins + 1` entries with `C(bins) == 0`, so the pixels with values
+    * in `[boundary(i), boundary(j))` number `C(i) − C(j)`. The definition
+    * [[referenceBounds]], and through it every bound, is checked against.
+    */
+  def cHist(idx: ChiIndex, r: Roi): Array[Int] = {
+    val (w, h, cfg) = (idx.w, idx.h, idx.cfg)
+    val cx1 = lineIndex(r.x1 - 1, w, cfg.cellW)
+    val cx2 = lineIndex(r.x2, w, cfg.cellW)
+    val cy1 = lineIndex(r.y1 - 1, h, cfg.cellH)
+    val cy2 = lineIndex(r.y2, h, cfg.cellH)
+    require(cx1 >= 0 && cx2 >= 0 && cy1 >= 0 && cy2 >= 0, s"region $r not available in CHI of mask ${idx.maskId}")
+    Array.tabulate(cfg.bins + 1) { b =>
+      if (b == cfg.bins) 0
+      else idx.hLookup(cx2, cy2, b) - idx.hLookup(cx1, cy2, b) - idx.hLookup(cx2, cy1, b) + idx.hLookup(cx1, cy1, b)
+    }
+  }
+
+  /** The smallest available region of `idx` covering `roi` (the paper's
+    * `roi̅`). Always exists because the full mask is available.
+    */
+  def outerRegion(idx: ChiIndex, roi: Roi): Roi = {
+    import ChiIndex.{line, lineAtOrAbove, lineAtOrBelow}
+    val (w, h, cw, ch) = (idx.w, idx.h, idx.cfg.cellW, idx.cfg.cellH)
+    require(roi.within(w, h), s"roi $roi outside ${w}x$h mask")
+    Roi(
+      line(lineAtOrBelow(roi.x1 - 1, w, cw), w, cw) + 1,
+      line(lineAtOrBelow(roi.y1 - 1, h, ch), h, ch) + 1,
+      line(lineAtOrAbove(roi.x2, w, cw), w, cw),
+      line(lineAtOrAbove(roi.y2, h, ch), h, ch),
+    )
+  }
+
+  /** The largest available region of `idx` covered by `roi` (the paper's
+    * `roi̲`), or None when `roi` contains no grid-aligned rectangle.
+    */
+  def innerRegion(idx: ChiIndex, roi: Roi): Option[Roi] = {
+    import ChiIndex.{line, lineAtOrAbove, lineAtOrBelow}
+    val (w, h, cw, ch) = (idx.w, idx.h, idx.cfg.cellW, idx.cfg.cellH)
+    require(roi.within(w, h), s"roi $roi outside ${w}x$h mask")
+    val x1 = line(lineAtOrAbove(roi.x1 - 1, w, cw), w, cw) + 1
+    val y1 = line(lineAtOrAbove(roi.y1 - 1, h, ch), h, ch) + 1
+    val x2 = line(lineAtOrBelow(roi.x2, w, cw), w, cw)
+    val y2 = line(lineAtOrBelow(roi.y2, h, ch), h, ch)
+    if (x1 <= x2 && y1 <= y2) Some(Roi(x1, y1, x2, y2)) else None
+  }
+
   /** Eqs. 3–4 and their lower mirrors evaluated on the full `C` histograms
-    * (Eq. 2) of `roi̅` and `roi̲`: the definition [[ChiIndex.bounds]] must
-    * equal exactly.
+    * (Eq. 2) of `roi̅` and `roi̲`: the definition every [[BoundPlan]]
+    * evaluation, [[ChiIndex.bounds]] included, must equal exactly.
     */
   def referenceBounds(idx: ChiIndex, roi: Roi, range: ValueRange): CpBounds = {
     val cfg = idx.cfg
@@ -62,14 +124,52 @@ object Fixtures {
     val (loI, hiI) = (cfg.binAtOrAbove(range.lv), cfg.binAtOrBelow(range.uv))
     def outer(c: Array[Int]): Long = (c(loO) - c(hiO)).toLong
     def inner(c: Array[Int]): Long = if (loI >= hiI) 0L else (c(loI) - c(hiI)).toLong
-    val ro = idx.outerRegion(roi)
-    val cRo = idx.cHist(ro)
-    val ri = idx.innerRegion(roi)
-    val upper2 = ri.fold(roi.area)(r => outer(idx.cHist(r)) + roi.area - r.area)
-    val lower1 = ri.fold(0L)(r => inner(idx.cHist(r)))
+    val ro = outerRegion(idx, roi)
+    val cRo = cHist(idx, ro)
+    val ri = innerRegion(idx, roi)
+    val upper2 = ri.fold(roi.area)(r => outer(cHist(idx, r)) + roi.area - r.area)
+    val lower1 = ri.fold(0L)(r => inner(cHist(idx, r)))
     val lower2 = inner(cRo) - (ro.area - roi.area)
     CpBounds(math.max(math.max(lower1, lower2), 0L), math.min(math.min(outer(cRo), upper2), roi.area))
   }
+
+  /** Interval bounds of `expr` from per-term bounds (§3.3), written
+    * recursively over the expression: the definition [[ExprPlan]] must
+    * equal exactly, since both combine the same doubles in the same order.
+    */
+  def referenceInterval(expr: CpExpr, term: CpTerm => CpBounds): (Double, Double) = expr match {
+    case CpTermExpr(t) =>
+      val b = term(t); (b.lower.toDouble, b.upper.toDouble)
+    case CpAdd(a, b) =>
+      val (al, au) = referenceInterval(a, term); val (bl, bu) = referenceInterval(b, term)
+      (al + bl, au + bu)
+    case CpSub(a, b) =>
+      val (al, au) = referenceInterval(a, term); val (bl, bu) = referenceInterval(b, term)
+      (al - bu, au - bl)
+    case CpScale(c, e) =>
+      val (l, u) = referenceInterval(e, term)
+      if (c >= 0) (c * l, c * u) else (c * u, c * l)
+  }
+
+  /** [[referenceInterval]] of `expr` for `row`'s mask, from [[referenceBounds]]
+    * on `idx`, or `[0, |roi|]` per term when there is no index.
+    */
+  def referenceRowInterval(expr: CpExpr, row: repro.store.CatalogRow, idx: Option[ChiIndex]): (Double, Double) =
+    referenceInterval(expr, t => {
+      val roi = t.roi.resolve(row)
+      idx.fold(CpBounds(0L, roi.area))(referenceBounds(_, roi, t.range))
+    })
+
+  /** `expr`'s [[ExprPlan]] bounds for `row`'s mask over `slab`. */
+  def planBounds(expr: CpExpr, slab: ChiSlab, row: repro.store.CatalogRow): (Double, Double) = {
+    val plan = new ExprPlan(expr, slab)
+    slab.eval(plan, row)
+    (plan.lower, plan.upper)
+  }
+
+  /** A slab of the indexes of `masks`, each built with `cfg`, keyed by mask id. */
+  def slabOf(cfg: ChiConfig, masks: Seq[Mask]): ChiSlab =
+    ChiSlab.empty(cfg).append(Seq(ChiSlab.pack(cfg, masks.map(m => m.id -> ChiIndex.build(m, cfg)))))
 
   /** Deterministic random ROI within a w × h mask. */
   def randomRoi(r: java.util.Random, w: Int, h: Int): Roi = {

@@ -55,7 +55,7 @@ class MaskSpec extends AnyFunSuite {
 
   test("CP of the full mask equals pixel count for the full range") {
     val m = randomMask(7, 13, 9, seed = 42)
-    assert(m.cpFull(ValueRange(0.0, 1.0)) == 13L * 9)
+    assert(m.cp(Roi.full(13, 9), ValueRange(0.0, 1.0)) == 13L * 9)
   }
 
   test("CP with empty value range is 0") {
