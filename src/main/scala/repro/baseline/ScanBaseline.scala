@@ -27,7 +27,7 @@ object ScanBaseline {
     import spark.implicits._
     catalog
       .as[CatalogRow]
-      .map(r => (r, expr.exact(r, store.loadPath(r.path))))
+      .map(r => (r, expr.exact(r, store.loadRow(r))))
       .collect()
   }
 
@@ -64,7 +64,7 @@ object ScanBaseline {
       store: MaskStore,
   ): (Array[(Long, Double)], Long) = {
     val units = Units.images(catalog)
-    (units.map((img, rows) => (img, value.exact(rows, r => store.loadPath(r.path)))), units.members.map(_.size.toLong).sum)
+    (units.map((img, rows) => (img, value.exact(rows, store.loadRow))), units.members.map(_.size.toLong).sum)
   }
 
   /** Group filter: `GROUP BY image_id HAVING value op T`. */

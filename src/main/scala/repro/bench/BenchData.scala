@@ -24,7 +24,10 @@ final case class BenchDataset(
   /** Uncompressed data bytes (float32 pixels). */
   def rawBytes: Long = 4L * ds.w * ds.h * ds.nMasks
 
-  /** Index-to-data size ratio (the paper targets ~5%). */
+  /** The largest index-to-data size ratio, every index at its worst case
+    * ([[ChiConfig.sizeBytes]]; the paper targets ~5%). The indexes of real
+    * masks hold less: Figure 10 measures it.
+    */
   def indexRatio: Double = cfg.sizeBytes(ds.w, ds.h).toDouble * ds.nMasks / rawBytes
 }
 
@@ -38,8 +41,9 @@ object BenchData {
   /** WILDS-lite: 1,500 images × 2 models, 112×112 masks (~150 MB raw).
     * CHI: cell 16×16 (7×7 grid — the paper's WILDS granularity, 448/64),
     * b = 20 (Δ = 0.05, so the 0.05-multiple value ranges used throughout the
-    * evaluation are bin-aligned) ⇒ 7×7×19 counts of 14 bits (bin 0 is
-    * implied) in 204 words, 1,632 B/mask = 3.3% of raw.
+    * evaluation are bin-aligned) ⇒ 7×7×19 counts of at most 14 bits each
+    * (bin 0 is implied) in at most 204 words, plus two header words: at most
+    * 1,648 B/mask = 3.3% of raw.
     */
   val wilds: BenchDataset = BenchDataset(
     MaskDatasetDef("wilds-lite", nImages = 1500, nModels = 2, w = 112, h = 112, seed = 101),
@@ -50,8 +54,9 @@ object BenchData {
   /** ImageNet-lite: 20,000 images × 2 models, 56×56 masks (~500 MB raw).
     * CHI: cell 8×8 (7×7 grid), b = 10 (Δ = 0.1 — at 56² the value
     * dimension prunes far more than the spatial one, and 0.1-aligned bins
-    * put the index at 7×7×9 counts of 12 bits (bin 0 is implied) in 83
-    * words, 664 B/mask = 5.3% of raw; see EXPERIMENTS.md).
+    * put the index at 7×7×9 counts of at most 12 bits (bin 0 is implied) in
+    * at most 83 words, plus a header word: at most 672 B/mask = 5.4% of raw,
+    * 375 B = 3.0% on average; see EXPERIMENTS.md).
     */
   val imagenet: BenchDataset = BenchDataset(
     MaskDatasetDef("imagenet-lite", nImages = 20000, nModels = 2, w = 56, h = 56, seed = 202),

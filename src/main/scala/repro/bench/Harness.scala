@@ -219,13 +219,16 @@ object Harness {
     val store = loaded.store
     val exactsOf = ranges.map { case (lv, uv) =>
       (lv, uv) -> sample.as[CatalogRow].map { r =>
-        val m = store.loadPath(r.path)
+        val m = store.loadRow(r)
         m.cp(Roi(r.ox1, r.oy1, r.ox2, r.oy2), ValueRange(lv, uv)).toDouble
       }.collect().sorted
     }.toMap
 
     configs.flatMap { case (label, cfg) =>
-      val reg = ChiRegistry.broadcast(spark, ChiRegistry.build(spark, sample, loaded.store, cfg))
+      val registry = ChiRegistry.build(spark, sample, loaded.store, cfg)
+      // The words the sample's indexes hold, over the float32 bytes of their masks.
+      val indexRatio = registry.totalBytes.toDouble / (4.0 * bd.ds.w * bd.ds.h * registry.size)
+      val reg = ChiRegistry.broadcast(spark, registry)
       ranges.map { case (lv, uv) =>
         val rows = FilterVerify.boundsPerMask(sample, CpExpr.term(ObjectRoi, lv, uv), reg)
           .map { case (id, lo, hi) => (lo, hi, areas(id)) }
@@ -234,7 +237,7 @@ object Harness {
           rows.count { case (lo, hi, _) => lo <= t && t < hi }.toDouble / rows.length
         val relWidths = rows.map { case (lo, hi, area) => (hi - lo) / math.max(1.0, area.toDouble) }
         BoundsRow(
-          bd.name, label, cfg.sizeBytes(bd.ds.w, bd.ds.h).toDouble / (4.0 * bd.ds.w * bd.ds.h),
+          bd.name, label, indexRatio,
           lv, uv,
           relWidths.sum / relWidths.length,
           fmlAt(exacts((exacts.length * 0.25).toInt)),

@@ -45,7 +45,9 @@ private[catalyst] object Coerce {
 /** Catalyst expression computing the exact CP function over a mask stored on
   * disk: `cp_mask(mask_id, path, x1, y1, x2, y2, lv, uv) → BIGINT`.
   *
-  * Evaluating it loads the mask file (counted by the store) — which is
+  * Evaluating it loads the mask file (counted by the store), and fails
+  * unless the file's header names `mask_id`, so a misplaced file never
+  * answers for another row. Loading is
   * precisely why [[ChiPushdownRule]] rewrites comparisons against it so that
   * it only runs for masks in the uncertain band. `verifyOnly = true` marks
   * instances the rule has already wrapped, making the rewrite idempotent.
@@ -65,6 +67,7 @@ final case class CpMaskExpr(
 
   override def eval(input: InternalRow): Any = {
     import Coerce._
+    val maskId = toLongVal(children(0).eval(input))
     val path = children(1).eval(input).asInstanceOf[UTF8String].toString
     val x1 = toIntVal(children(2).eval(input))
     val y1 = toIntVal(children(3).eval(input))
@@ -73,6 +76,7 @@ final case class CpMaskExpr(
     val lv = toDoubleVal(children(6).eval(input))
     val uv = toDoubleVal(children(7).eval(input))
     val mask = store.loadPath(path)
+    require(mask.id == maskId, s"mask file $path holds mask ${mask.id}, not mask $maskId named by cp_mask")
     mask.cp(Roi(x1, y1, x2, y2), ValueRange(lv, uv))
   }
 

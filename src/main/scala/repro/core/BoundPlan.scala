@@ -8,12 +8,14 @@ import repro.store.CatalogRow
   *
   * The four bins of the outer value range ⊇ `[lv, uv)` and the inner one ⊆
   * it are found once. The corners of the outer region `roi̅` and the inner
-  * region `roi̲` are offsets into one index, found by arithmetic on the cell
-  * size whenever the ROI differs from the last one evaluated: once for a
-  * [[ConstRoi]], shared by every mask, and per row for a per-mask ROI.
-  * Either way [[eval]] reads `C` once per (region, bin) it needs, at most 32
-  * counts and 16 for a bin-aligned range, and allocates nothing; its
-  * result is left in [[lower]] and [[upper]]. Bin 0 of a rectangle is not
+  * region `roi̲` are corner indices, found by arithmetic on the cell size
+  * whenever the ROI differs from the last one evaluated: once for a
+  * [[ConstRoi]], shared by every mask, and per row for a per-mask ROI. Each
+  * index packs its bins at their own widths ([[ChiIndex]]), so [[eval]]
+  * first reads the index's header for the start and width of the bins it
+  * needs. It then reads `C` once per (region, bin) it needs, at most 32
+  * counts and 16 for a bin-aligned range, and allocates nothing; its result
+  * is left in [[lower]] and [[upper]]. Bin 0 of a rectangle is not
   * stored: it is the rectangle's area. The layout is the integral histogram
   * (Porikli, CVPR 2005) over summed-area tables (Crow, SIGGRAPH 1984). A plan
   * holds the state of its last evaluation, so it serves one thread.
@@ -22,27 +24,32 @@ final class BoundPlan(cfg: ChiConfig, w: Int, h: Int, range: ValueRange) {
   import ChiIndex.{line, lineAtOrAbove, lineAtOrBelow}
 
   private val bins = cfg.bins
-  private val bits = ChiIndex.bits(w, h)
   private val nCy = ChiIndex.nCells(h, cfg.cellH)
+  private val nCorners = ChiIndex.nCells(w, cfg.cellW) * nCy
+  private val header = ChiIndex.headerWords(bins)
   private val binLoOuter = cfg.binAtOrBelow(range.lv)
   private val binHiOuter = cfg.binAtOrAbove(range.uv)
   private val binLoInner = cfg.binAtOrAbove(range.lv)
   private val binHiInner = cfg.binAtOrBelow(range.uv)
 
+  /** The highest stored bin an evaluation reads; 0 when it reads none. */
+  private val top = Seq(binLoOuter, binHiOuter, binLoInner, binHiInner).filter(_ < bins).foldLeft(0)(math.max)
+
   // The ROI last placed, `(x1, y1)–(x2, y2)`: its area; whether it lies in the
-  // mask; the bit offsets of the corners of roi̅ (o) and roi̲ (i) in an index,
-  // each -1 on grid line 0; and the areas of both regions.
+  // mask; the corners of roi̅ (o) and roi̲ (i) as corner indices, each -1 on
+  // grid line 0; and the areas of both regions.
   private var placed = false
   private var x1, y1, x2, y2 = 0
   private var area = 0L
   private var inMask = false
-  private var o11, o12, o21, o22, i11, i12, i21, i22 = 0L
+  private var o11, o12, o21, o22, i11, i12, i21, i22 = 0
   private var hasInner = false
   private var outerArea, innerArea = 0L
 
-  // The index being read, from bit `at`.
+  // The index being read: the bit at which each bin 1 … top starts, and its width.
   private var words: Array[Long] = _
-  private var at = 0L
+  private val start = new Array[Long](top + 1)
+  private val width = new Array[Int](top + 1)
 
   /** Bounds of the last [[eval]]. */
   var lower = 0L
@@ -66,7 +73,7 @@ final class BoundPlan(cfg: ChiConfig, w: Int, h: Int, range: ValueRange) {
     else {
       if (!inMask) throw new IllegalArgumentException(s"roi ${Roi(x1, y1, x2, y2)} outside ${w}x$h mask")
       this.words = words
-      at = 64L * base
+      locate(base)
       // Upper bounds: Approach 1 (Eq. 3) on roi̅; Approach 2 (Eq. 4) on roi̲.
       // Lower bounds, mirrored: certain pixels inside roi̲ with values certainly
       // in range; or certain pixels in roi̅ minus the pixels possibly outside roi.
@@ -111,26 +118,42 @@ final class BoundPlan(cfg: ChiConfig, w: Int, h: Int, range: ValueRange) {
     }
   }
 
-  /** Bit offset of corner `(cx, cy)`'s bin 1 in an index, or -1 on grid line 0. */
-  private def offset(cx: Int, cy: Int): Long =
-    if (cx == 0 || cy == 0) -1L else ((cx - 1) * nCy + (cy - 1)).toLong * (bins - 1) * bits
+  /** Index of corner `(cx, cy)` in a bin's counts, or -1 on grid line 0. */
+  private def offset(cx: Int, cy: Int): Int = if (cx == 0 || cy == 0) -1 else (cx - 1) * nCy + (cy - 1)
 
-  /** `H` at the corner at bit offset `corner` of the index, in the bin at bit `bin` of `words` (the index's start included). */
-  private def hAt(corner: Long, bin: Long): Int = if (corner < 0) 0 else ChiIndex.count(words, bin + corner, bits)
+  /** Read the header of the index at word `base`: where bins 1 … [[top]] start, and their widths. */
+  private def locate(base: Int): Unit = {
+    var p = 64L * (base + header)
+    var b = 1
+    while (b <= top) {
+      val bits = ChiIndex.width(words, base, b)
+      start(b) = p
+      width(b) = bits
+      p += bits.toLong * nCorners
+      b += 1
+    }
+  }
+
+  /** `H` at corner `k` in the bin whose counts start at bit `bin` of `words` and take `bits` each. */
+  private def hAt(k: Int, bin: Long, bits: Int): Int = if (k < 0) 0 else ChiIndex.count(words, bin + k.toLong * bits, bits)
 
   /** `C(b)` of Eq. 2 over the rectangle with corners `p11 … p22` and area
     * `rect`: `C(0)` is the rectangle's area and `C(bins) = 0`.
     */
-  private def c(p11: Long, p12: Long, p21: Long, p22: Long, rect: Long, b: Int): Long =
+  private def c(p11: Int, p12: Int, p21: Int, p22: Int, rect: Long, b: Int): Long =
     if (b == bins) 0L
     else if (b == 0) rect
-    else { val bin = at + (b - 1).toLong * bits; (hAt(p22, bin) - hAt(p12, bin) - hAt(p21, bin) + hAt(p11, bin)).toLong }
+    else {
+      val bin = start(b)
+      val bits = width(b)
+      (hAt(p22, bin, bits) - hAt(p12, bin, bits) - hAt(p21, bin, bits) + hAt(p11, bin, bits)).toLong
+    }
 
   /** Pixels of the rectangle in the inner value range, given `lo` and `hi`,
     * its `C` at the outer range's bins: a bin-aligned range's inner bins are
     * its outer ones, so their counts are not read again.
     */
-  private def innerCount(p11: Long, p12: Long, p21: Long, p22: Long, rect: Long, lo: Long, hi: Long): Long =
+  private def innerCount(p11: Int, p12: Int, p21: Int, p22: Int, rect: Long, lo: Long, hi: Long): Long =
     if (binLoInner >= binHiInner) 0L
     else {
       val cLo = if (binLoInner == binLoOuter) lo else c(p11, p12, p21, p22, rect, binLoInner)

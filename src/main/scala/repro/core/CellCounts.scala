@@ -5,8 +5,8 @@ import java.io.{EOFException, InvalidObjectException, ObjectInputStream, ObjectO
 /** `n` CHIs of `w × h` masks indexed with `cfg`, the one form in which every
   * CHI is Java-serialised: a [[ChiIndex]], a [[ChiSlab]] and a
   * [[ChiSlab.Packed]] each write themselves as a small proxy that holds one.
-  * In memory the counts are [[ChiIndex]]'s: index `s` packed in the
-  * [[ChiIndex.slotWords]] words from word `base + s · stride` of `words`.
+  * In memory the counts are [[ChiIndex]]'s: the `n` indexes back to back
+  * from word `base` of `words`, each in the words its header gives.
   *
   * `H` is a summed-area table per bin (Crow, SIGGRAPH 1984), so each entry
   * repeats what its neighbours hold. The wire form writes its 2-D first
@@ -15,12 +15,12 @@ import java.io.{EOFException, InvalidObjectException, ObjectInputStream, ObjectO
   * Bin 0 is not written: it is the cell's pixel count. A count takes 1 byte
   * when a cell holds at most 255 pixels, 2 bytes up to 65,535, else 4
   * ([[CellCounts.width]]); a 56×56 index with 8×8 cells and 10 bins takes
-  * 7·7·9 = 441 bytes instead of the 664 it holds in memory.
+  * 7·7·9 = 441 bytes, against up to 672 in memory.
   *
-  * Reading rebuilds the cumulative counts by prefix sums, exactly as
-  * [[ChiIndex.build]] packs them. It rejects a truncated stream and per-cell
-  * counts no mask can have ([[CellCounts.cellOk]]), so a decoded index never
-  * gives wrong bounds.
+  * Reading rebuilds the cumulative counts by prefix sums and packs them
+  * exactly as [[ChiIndex.build]] does, each index at its own bins' widths.
+  * It rejects a truncated stream and per-cell counts no mask can have
+  * ([[CellCounts.cellOk]]), so a decoded index never gives wrong bounds.
   */
 private[core] final class CellCounts(
     val cfg: ChiConfig,
@@ -35,6 +35,10 @@ private[core] final class CellCounts(
   /** The packed counts, from word 0 once read. */
   def words: Array[Long] = packed
 
+  /** Once read, the word at which each index starts in [[words]], and the end. */
+  @transient private var begins: Array[Int] = _
+  def starts: Array[Int] = begins
+
   private def nCx: Int = ChiIndex.nCells(w, cfg.cellW)
   private def nCy: Int = ChiIndex.nCells(h, cfg.cellH)
 
@@ -44,27 +48,26 @@ private[core] final class CellCounts(
   private def writeObject(out: ObjectOutputStream): Unit = {
     out.defaultWriteObject()
     val (per, ny, width) = (cfg.bins - 1, nCy, CellCounts.width(cfg, w, h))
-    val (bits, stride) = (ChiIndex.bits(w, h), ChiIndex.slotWords(w, h, cfg))
-    val row = ny * per
+    val corners = nCx * ny
     val buf = new Array[Byte](wireBytes)
-    val hs = new Array[Int](nCx * row) // the index's stored counts, unpacked once
+    val hs = new Array[Int](corners * per) // the index's stored counts, bin-major, unpacked once
+    var at = base
     var s = 0
     while (s < n) {
-      var at = 64L * (base + s * stride)
-      var i = 0
-      while (i < hs.length) { hs(i) = ChiIndex.count(packed, at, bits); at += bits; i += 1 }
+      at += ChiIndex.unpack(packed, at, corners, cfg.bins, hs)
       var p = 0
       var cx = 0
       while (cx < nCx) {
         var cy = 0
         while (cy < ny) {
-          val o = (cx * ny + cy) * per
+          val o = cx * ny + cy
           var b = 0
           while (b < per) {
-            var d = hs(o + b)
-            if (cx > 0) d -= hs(o - row + b)
-            if (cy > 0) d -= hs(o - per + b)
-            if (cx > 0 && cy > 0) d += hs(o - row - per + b)
+            val k = b * corners + o
+            var d = hs(k)
+            if (cx > 0) d -= hs(k - ny)
+            if (cy > 0) d -= hs(k - 1)
+            if (cx > 0 && cy > 0) d += hs(k - ny - 1)
             p = CellCounts.put(buf, p, width, d)
             b += 1
           }
@@ -93,20 +96,22 @@ private[core] final class CellCounts(
 
   /** Read `n` indexes' per-cell counts and pack their prefix sums: per row of
     * cells, the counts added to running column sums, whose prefix along the
-    * row is `H` (the last two steps of [[ChiIndex.build]]).
+    * row is `H` (the last two steps of [[ChiIndex.build]]), packed at its
+    * bins' widths into an array grown as needed and trimmed at the end.
     */
   private def decode(in: ObjectInputStream): Unit = {
-    val (bins, nx, ny, width, bits) = (cfg.bins, nCx, nCy, CellCounts.width(cfg, w, h), ChiIndex.bits(w, h))
-    val stride = ChiIndex.slotWords(w, h, cfg)
-    packed = new Array[Long](n * stride)
+    val (bins, nx, ny, width) = (cfg.bins, nCx, nCy, CellCounts.width(cfg, w, h))
+    val corners = nx * ny
+    packed = new Array[Long](n * (ChiIndex.headerWords(bins) + 1))
+    begins = new Array[Int](n + 1)
     val buf = new Array[Byte](wireBytes)
+    val hs = new Array[Int](corners * (bins - 1)) // H of bins 1 … bins − 1, bin-major
     val column = new Array[Int](ny * bins)
     val run = new Array[Int](bins)
     var s = 0
     while (s < n) {
       in.readFully(buf)
       java.util.Arrays.fill(column, 0)
-      val out = new ChiIndex.Packer(packed, s * stride, bits)
       var p = 0
       var cx = 0
       while (cx < nx) {
@@ -127,14 +132,20 @@ private[core] final class CellCounts(
             b += 1
           }
           b = 1
-          while (b < bins) { run(b) += column(c + b); out.put(run(b)); b += 1 }
+          while (b < bins) { run(b) += column(c + b); hs((b - 1) * corners + cx * ny + cy) = run(b); b += 1 }
           cy += 1
         }
         cx += 1
       }
-      out.flush()
+      val ws = ChiIndex.widths(hs, corners, bins)
+      val end = begins(s).toLong + ChiIndex.packedWords(ws, corners)
+      if (end > packed.length)
+        packed = java.util.Arrays.copyOf(packed, math.min(Int.MaxValue - 8L, math.max(end, packed.length * 3L / 2)).toInt)
+      ChiIndex.pack(hs, ws, corners, packed, begins(s))
+      begins(s + 1) = end.toInt
       s += 1
     }
+    if (packed.length != begins(n)) packed = java.util.Arrays.copyOf(packed, begins(n))
   }
 }
 

@@ -58,14 +58,18 @@ final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
   def binAtOrAbove(x: Double): Int =
     if (x <= 0) 0 else if (x > 1) bins else { val b = binAtOrBelow(x); if (edges(b) == x) b else b + 1 }
 
-  /** Index size in bytes for one `w × h` mask: bins 1 … b−1 of the interior
-    * corner cells (the zero border row/column and bin 0, each corner
-    * rectangle's area, are implicit) at [[ChiIndex.bits]] bits per count,
-    * padded to whole 64-bit words ([[ChiIndex.slotWords]]). A 56×56
-    * ImageNet-lite index with 8×8 cells and 10 bins holds 441 counts of
-    * 12 bits in 83 words: 664 B.
+  /** The most bytes the index of one `w × h` mask can hold: its header words
+    * ([[ChiIndex.headerWords]]), and bins 1 … b−1 of each interior corner at
+    * [[ChiIndex.bits]] bits, the bit length of `w·h`, rounded up to a whole
+    * 64-bit word. A 56×56 ImageNet-lite index with 8×8 cells
+    * and 10 bins holds at most one header word and 441 counts of 12 bits, in
+    * 84 words: 672 B. An index holds less whenever a bin's total is below
+    * 2¹¹ ([[ChiIndex.sizeBytes]]).
     */
-  def sizeBytes(w: Int, h: Int): Long = 8L * ChiIndex.slotWords(w, h, this)
+  def sizeBytes(w: Int, h: Int): Long = {
+    val stored = ChiIndex.nCells(w, cellW).toLong * ChiIndex.nCells(h, cellH) * (bins - 1)
+    8L * (ChiIndex.headerWords(bins) + ((stored * ChiIndex.bits(w, h) + 63) >>> 6))
+  }
 }
 
 /** The Cumulative Histogram Index of a single mask (§3.1).
@@ -77,16 +81,21 @@ final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
   * ([[ChiIndex.line]]). Line `0` bounds the empty rectangle, so 2-D
   * inclusion–exclusion (Eq. 2) needs no special cases.
   *
-  * The flat-array layout with `(cx, cy, bin)` acting as offsets mirrors the
-  * paper's optimized index structure: no keys are stored and lookups are O(1)
-  * with no pointer chasing. Bin 0 is not stored: it is the area of the
-  * corner's rectangle. The counts of bins 1 … b−1 are packed at
-  * [[ChiIndex.bits]] bits each, enough for `w·h`, the largest count
-  * (fixed-width bit packing, as in Lemire & Boytsov, SPE 2015), in the 64-bit
-  * words from `base` of `words` ([[ChiIndex.slotWords]] of them);
-  * [[ChiIndex.count]] is the one reader and [[ChiIndex.Packer]] the one
-  * writer. An index built on its own owns its words (`base` 0), and an index
-  * a [[ChiSlab]] hands out is a view of one of its slots.
+  * The flat layout with `(bin, cx, cy)` acting as offsets mirrors the
+  * paper's optimized index structure: no keys are stored and lookups are
+  * arithmetic on one array. Bin 0 is not stored: it is the area of the
+  * corner's rectangle. Bins 1 … b−1 are stored bin-major, each at its own
+  * width: bin `b`'s total `T_b`, its count at the last corner, bounds every
+  * count of the bin, so they take `w_b = bitlen(T_b)` bits each (per-block
+  * binary packing, Lemire & Boytsov, SPE 2015), and a bin no pixel reaches
+  * takes none. The index is [[ChiIndex.headerWords]] header words, with
+  * `w_b` in 5-bit fields, 12 to a word, followed by bin `b`'s counts, one
+  * per corner, from bit `Σ_{b' < b} nCorners·w_b'` after the header; all in
+  * the 64-bit words from `base` of `words`, padded to a whole word.
+  * [[ChiIndex.count]] is the one reader of a count and [[ChiIndex.pack]] the
+  * one writer of an index. An index built on its own owns its words
+  * (`base` 0), and an index a [[ChiSlab]] hands out is a view of one of its
+  * slots.
   */
 final class ChiIndex(
     val maskId: Long,
@@ -99,9 +108,10 @@ final class ChiIndex(
   import ChiIndex.line
 
   private def nCy: Int = ChiIndex.nCells(h, cfg.cellH)
+  private def nCorners: Int = ChiIndex.nCells(w, cfg.cellW) * nCy
 
   /** Number of counts of `H`, bin 0 included: `nCx · nCy · bins`. */
-  def length: Int = ChiIndex.nCells(w, cfg.cellW) * nCy * cfg.bins
+  def length: Int = nCorners * cfg.bins
 
   /** Every count of `H`, bin 0 included, in storage order, as a view of the packed words. */
   def counts: IndexedSeq[Int] = new IndexedSeq[Int] {
@@ -116,18 +126,27 @@ final class ChiIndex(
     if (cx == 0 || cy == 0) 0
     else if (bin == 0) line(cx, w, cfg.cellW) * line(cy, h, cfg.cellH)
     else {
-      val bits = ChiIndex.bits(w, h)
-      ChiIndex.count(words, 64L * base + (((cx - 1) * nCy + (cy - 1)) * (cfg.bins - 1) + bin - 1).toLong * bits, bits)
+      val width = ChiIndex.width(words, base, bin)
+      val corner = (cx - 1) * nCy + (cy - 1)
+      ChiIndex.count(words, ChiIndex.binStart(words, base, nCorners, cfg.bins, bin) + corner.toLong * width, width)
     }
 
-  /** The count at offset `i` of `H` in storage order. */
+  /** The count at offset `i` of `H` in storage order: corner-major, bin 0 included. */
   private def at(i: Int): Int = {
     val corner = i / cfg.bins
     hLookup(corner / nCy + 1, corner % nCy + 1, i % cfg.bins)
   }
 
   /** Every count of `H`, bin 0 included, widened to `Int`, in storage order. */
-  def wideCounts: Array[Int] = Array.tabulate(length)(at)
+  def wideCounts: Array[Int] = {
+    val (bins, n) = (cfg.bins, nCorners)
+    val hs = new Array[Int](n * (bins - 1))
+    ChiIndex.unpack(words, base, n, bins, hs)
+    Array.tabulate(length) { i =>
+      val (k, b) = (i / bins, i % bins)
+      if (b == 0) line(k / nCy + 1, w, cfg.cellW) * line(k % nCy + 1, h, cfg.cellH) else hs((b - 1) * n + k)
+    }
+  }
 
   /** Lower and upper bounds on `CP(mask, roi, range)` (§3.2.1, Eqs. 3–4 for
     * the upper bound and their mirror images for the lower bound), from a
@@ -141,8 +160,8 @@ final class ChiIndex(
     CpBounds(plan.lower, plan.upper)
   }
 
-  /** Size of this index in bytes: its packed words ([[ChiConfig.sizeBytes]]). */
-  def sizeBytes: Long = cfg.sizeBytes(w, h)
+  /** Size of this index in bytes: the words it holds, header included; at most [[ChiConfig.sizeBytes]]. */
+  def sizeBytes: Long = 8L * (((ChiIndex.binStart(words, base, nCorners, cfg.bins, cfg.bins) + 63) >>> 6) - base)
 
   /** An index, a view too, serialises as its own per-cell counts ([[CellCounts]]), not the whole slab. */
   private def writeReplace(): AnyRef = new ChiIndex.Wire(maskId, CellCounts(cfg, w, h, 1, words, base))
@@ -158,44 +177,57 @@ final case class CpBounds(lower: Long, upper: Long) {
 
 object ChiIndex {
 
-  /** Bits per stored count of a `w × h` mask's index: the bit length of
-    * `w·h`, the largest count (12 for 56×56, 14 for 112×112, 18 for 448²).
+  /** The widest a count of a `w × h` mask's index can be: the bit length of
+    * `w·h` (12 for 56×56, 14 for 112×112, 18 for 448²). A bin takes this
+    * width when its total reaches `2^(bits − 1)`, more than half the mask's
+    * pixels.
     */
   def bits(w: Int, h: Int): Int = 64 - java.lang.Long.numberOfLeadingZeros(w.toLong * h)
 
-  /** 64-bit words per index of a `w × h` mask: bins 1 … b−1 of each interior
-    * corner at [[bits]] bits each, rounded up to a whole word so that every
-    * index starts on a word.
+  /** Header words of an index with `bins` bins: a 5-bit width for each of
+    * bins 1 … bins − 1, 12 to a word; none for a single bin.
     */
-  def slotWords(w: Int, h: Int, cfg: ChiConfig): Int = {
-    val stored = nCells(w, cfg.cellW).toLong * nCells(h, cfg.cellH) * (cfg.bins - 1)
-    ((stored * bits(w, h) + 63) >>> 6).toInt
+  def headerWords(bins: Int): Int = (bins + 10) / 12
+
+  /** Bits per count of bin `b ≥ 1` of the index at word `base`: its header field. */
+  def width(words: Array[Long], base: Int, b: Int): Int = (words(base + (b - 1) / 12) >>> (5 * ((b - 1) % 12))).toInt & 31
+
+  /** The bit of `words` at which bin `b`'s counts start in the index at word
+    * `base` with `nCorners` corners and `bins` bins; for `b = bins`, the bit
+    * after its last count.
+    */
+  def binStart(words: Array[Long], base: Int, nCorners: Int, bins: Int, b: Int): Long = {
+    var p = 64L * (base + headerWords(bins))
+    var i = 1
+    while (i < b) { p += width(words, base, i).toLong * nCorners; i += 1 }
+    p
   }
 
   /** The count packed at `bits` bits from bit `p` of `words`: the one reader
-    * of a count. Stored count `i` of the index at word `base` starts at bit
-    * `64·base + i·bits`, and bin `b ≥ 1` of corner `k` is `i = k·(bins − 1) + b − 1`.
-    * It also reads the next word (the same one at the array's end) and keeps
-    * its bits only when the count straddles the two words, so it has no branch.
+    * of a count. Bin `b`'s count at corner `k` of an index starts at bit
+    * `binStart(b) + k · width(b)`. It also reads the next word (the same one
+    * at the array's end) and keeps its bits only when the count straddles
+    * the two words, so it has no branch. Both reads are clamped to the
+    * array, so a count of width 0 reads 0 wherever `p` lies.
     */
   def count(words: Array[Long], p: Long, bits: Int): Int = {
-    val at = (p >>> 6).toInt
+    val last = words.length - 1
+    val at = math.min((p >>> 6).toInt, last)
     val shift = p.toInt & 63
-    val next = words(math.min(at + 1, words.length - 1))
+    val next = words(math.min(at + 1, last))
     ((words(at) >>> shift | next << 1 << (63 - shift)) & ((1L << bits) - 1)).toInt
   }
 
-  /** Packs counts of `bits` bits each, in storage order, into `words` from
-    * word `at` on: the one writer of counts. It keeps the word being filled
-    * in a register and stores each word once, when it is full or at
-    * [[flush]].
+  /** Packs counts, in storage order, into `words` from word `at` on. It
+    * keeps the word being filled in a register and stores each word once,
+    * when it is full or at [[flush]].
     */
-  private[core] final class Packer(words: Array[Long], private var at: Int, bits: Int) {
+  private final class Packer(words: Array[Long], private var at: Int) {
     private var acc = 0L
     private var used = 0
 
     /** Append `v`, which must fit in `bits` bits. */
-    def put(v: Int): Unit = {
+    def put(v: Int, bits: Int): Unit = {
       acc |= v.toLong << used
       used += bits
       if (used >= 64) {
@@ -208,6 +240,88 @@ object ChiIndex {
 
     /** Store the last, partly filled word. */
     def flush(): Unit = if (used > 0) words(at) = acc
+  }
+
+  /** Bits per count of each stored bin of the counts `hs`, which hold bins
+    * 1 … bins − 1 bin-major (bin `b`'s count at corner `k` at
+    * `hs((b − 1) · nCorners + k)`): the bit length of the bin's largest
+    * count, which for the counts of any mask is its total `T_b` at the last
+    * corner. Entry 0 is unused.
+    */
+  private[core] def widths(hs: Array[Int], nCorners: Int, bins: Int): Array[Int] = {
+    val ws = new Array[Int](bins)
+    var b = 1
+    while (b < bins) {
+      var any = 0 // the OR of the bin's counts has the bit length of their maximum
+      var i = (b - 1) * nCorners
+      val end = i + nCorners
+      while (i < end) { any |= hs(i); i += 1 }
+      ws(b) = 32 - Integer.numberOfLeadingZeros(any)
+      b += 1
+    }
+    ws
+  }
+
+  /** Words of an index with `nCorners` corners and bin widths `ws` ([[widths]]). */
+  private[core] def packedWords(ws: Array[Int], nCorners: Int): Int = {
+    var n = 0L
+    var b = 1
+    while (b < ws.length) { n += ws(b).toLong * nCorners; b += 1 }
+    headerWords(ws.length) + ((n + 63) >>> 6).toInt
+  }
+
+  /** Write the index of the counts `hs`, bin-major as [[widths]] takes them,
+    * at bin widths `ws`, from word `at` of `words`: its header words, then
+    * each bin's counts. The one writer of an index; it takes
+    * [[packedWords]] words.
+    */
+  private[core] def pack(hs: Array[Int], ws: Array[Int], nCorners: Int, words: Array[Long], at: Int): Unit = {
+    val bins = ws.length
+    var hw = 0
+    while (hw < headerWords(bins)) {
+      var field = 0L
+      for (b <- math.min(12 * hw + 12, bins - 1) until 12 * hw by -1) field = field << 5 | ws(b)
+      words(at + hw) = field
+      hw += 1
+    }
+    val out = new Packer(words, at + hw)
+    var i = 0
+    var b = 1
+    while (b < bins) {
+      val bits = ws(b)
+      val end = i + nCorners
+      while (i < end) { out.put(hs(i), bits); i += 1 }
+      b += 1
+    }
+    out.flush()
+  }
+
+  /** Read the index at word `base` into `hs`, bin-major as [[widths]] takes
+    * them; returns the words it holds.
+    */
+  private[core] def unpack(words: Array[Long], base: Int, nCorners: Int, bins: Int, hs: Array[Int]): Int = {
+    var p = 64L * (base + headerWords(bins))
+    var i = 0
+    var b = 1
+    while (b < bins) {
+      val bits = width(words, base, b)
+      val end = i + nCorners
+      while (i < end) { hs(i) = count(words, p, bits); p += bits; i += 1 }
+      b += 1
+    }
+    (((p + 63) >>> 6) - base).toInt
+  }
+
+  /** The index of mask `maskId` with the counts `hs`, bin-major as
+    * [[widths]] takes them, in words of its own. Checks nothing: its callers
+    * build or check the counts.
+    */
+  private[core] def packed(maskId: Long, w: Int, h: Int, cfg: ChiConfig, hs: Array[Int]): ChiIndex = {
+    val nCorners = nCells(w, cfg.cellW) * nCells(h, cfg.cellH)
+    val ws = widths(hs, nCorners, cfg.bins)
+    val words = new Array[Long](packedWords(ws, nCorners))
+    pack(hs, ws, nCorners, words, 0)
+    new ChiIndex(maskId, w, h, cfg, words)
   }
 
   /** Number of grid cells along a dimension of `dim` pixels (last may be partial). */
@@ -243,16 +357,10 @@ object ChiIndex {
     val (nCx, nCy, bins) = (nCells(w, cfg.cellW), nCells(h, cfg.cellH), cfg.bins)
     val n = nCx * nCy * bins
     require(wide.length == n, s"CHI of mask $maskId has ${wide.length} counts, expected $n for ${w}x$h and $cfg")
-    val words = new Array[Long](slotWords(w, h, cfg))
-    val out = new Packer(words, 0, bits(w, h))
-    var i = 0
-    while (i < n) {
+    wide.indices.foreach { i =>
       val v = wide(i)
       require(v >= 0 && v.toLong <= w.toLong * h, s"CHI of mask $maskId: count $v at $i is outside [0, ${w.toLong * h}]")
-      if (i % bins != 0) out.put(v) // bin 0 is checked below, not stored
-      i += 1
     }
-    out.flush()
     def hAt(cx: Int, cy: Int, b: Int): Int = if (cx == 0 || cy == 0) 0 else wide(((cx - 1) * nCy + (cy - 1)) * bins + b)
     for (cx <- 1 to nCx; cy <- 1 to nCy) {
       val (x, y) = (line(cx, w, cfg.cellW), line(cy, h, cfg.cellH))
@@ -265,15 +373,16 @@ object ChiIndex {
         prev = d
       }
     }
-    new ChiIndex(maskId, w, h, cfg, words)
+    val nCorners = nCx * nCy
+    packed(maskId, w, h, cfg, Array.tabulate(nCorners * (bins - 1))(i => wide((i % nCorners) * bins + i / nCorners + 1)))
   }
 
   /** Build the CHI of `mask` in one pass over its pixels, one row of cells at
     * a time: the row's per-cell histograms (checking that every pixel lies in
     * [0, 1)), their suffix sums along the bin axis (reverse cumulative), added
-    * to running column sums, whose prefix sums along the row give `H`, packed
-    * once into the index's words. Bin 0, the rectangle's area, is not summed.
-    * O(w·h + cells·bins).
+    * to running column sums, whose prefix sums along the row give `H`, which
+    * is then packed at its bins' widths. Bin 0, the rectangle's area, is not
+    * summed. O(w·h + cells·bins).
     */
   def build(mask: Mask, cfg: ChiConfig): ChiIndex = {
     val w = mask.w
@@ -282,12 +391,11 @@ object ChiIndex {
     val bins = cfg.bins
     val nCx = nCells(w, cfg.cellW)
     val nCy = nCells(h, cfg.cellH)
-    val bits = ChiIndex.bits(w, h)
-    val words = new Array[Long](slotWords(w, h, cfg))
+    val nCorners = nCx * nCy
+    val hs = new Array[Int](nCorners * (bins - 1)) // H of bins 1 … bins − 1, bin-major
     val cells = new Array[Int](nCy * bins) // plain histograms of the current row of cells
     val column = new Array[Int](nCy * bins) // suffix sums over cell rows 0..cx, per (cy, bin)
     val run = new Array[Int](bins) // column sums over cells 0..cy of the current row
-    val out = new Packer(words, 0, bits)
 
     var cx = 0
     while (cx < nCx) {
@@ -317,17 +425,16 @@ object ChiIndex {
       var cy = 0
       while (cy < nCy) {
         val base = cy * bins
+        val corner = cx * nCy + cy
         var suffix = 0
         var b = bins - 1
         while (b >= 1) { suffix += cells(base + b); column(base + b) += suffix; b -= 1 }
         b = 1
-        while (b < bins) { run(b) += column(base + b); out.put(run(b)); b += 1 }
+        while (b < bins) { run(b) += column(base + b); hs((b - 1) * nCorners + corner) = run(b); b += 1 }
         cy += 1
       }
       cx += 1
     }
-
-    out.flush()
-    new ChiIndex(mask.id, w, h, cfg, words)
+    packed(mask.id, w, h, cfg, hs)
   }
 }

@@ -12,11 +12,13 @@ import repro.store.MaskStore
   * When a MaskSearch session starts the registry is loaded (or built) once and
   * held in memory for the session (§3.2.1). Engines classify on the driver
   * against it; the SQL path broadcasts it to executors, where the rewritten
-  * filter reads bounds row by row from the mask slab. In memory a 56×56
-  * ImageNet-lite index holds 664 B ([[ChiConfig.sizeBytes]]), so
-  * [[totalBytes]] is 664 B times [[size]]. A broadcast ships the two slabs as
-  * their per-cell counts ([[CellCounts]]: 441 B per such index), their slot
-  * tables and the aggregates' members.
+  * filter reads bounds row by row from the mask slab. In memory each index
+  * holds the words its bins' widths need ([[ChiIndex]]): on ImageNet-lite,
+  * 375 B per 56×56 mask index and 279 B per INTERSECT index on average,
+  * against at most 672 B ([[ChiConfig.sizeBytes]]); [[totalBytes]] sums
+  * them. A broadcast ships the two slabs as their per-cell counts
+  * ([[CellCounts]]: 441 B per such index), their slot tables and the
+  * aggregates' members.
   */
 final class ChiRegistry(val cfg: ChiConfig, val masks: ChiSlab, val aggregates: ChiSlab) extends Serializable {
   require(masks.cfg == cfg && aggregates.cfg == cfg, s"slabs of ${masks.cfg} and ${aggregates.cfg} in a registry of $cfg")
@@ -24,13 +26,10 @@ final class ChiRegistry(val cfg: ChiConfig, val masks: ChiSlab, val aggregates: 
   def get(maskId: Long): Option[ChiIndex] = masks.get(maskId)
   def contains(maskId: Long): Boolean = masks.contains(maskId)
 
-  /** The index of the INTERSECT of image `imageId`'s masks; `aggregates.membersOf` names them. */
-  def aggregate(imageId: Long): Option[ChiIndex] = aggregates.get(imageId)
-
   /** Number of indexes held: masks and aggregated masks. */
   def size: Int = masks.size + aggregates.size
 
-  /** Bytes of the packed counts held: [[ChiConfig.sizeBytes]] per index. */
+  /** Bytes of the words the indexes hold ([[ChiSlab.bytes]]), at most [[ChiConfig.sizeBytes]] per index. */
   def totalBytes: Long = masks.bytes + aggregates.bytes
 
   /** A copy extended with additional per-mask indexes (incremental indexing).

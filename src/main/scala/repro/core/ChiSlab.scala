@@ -3,13 +3,14 @@ package repro.core
 import repro.store.CatalogRow
 
 /** The CHIs (§3.1) of many `w × h` masks indexed with one [[ChiConfig]], in
-  * one dense slab: slot `s` holds an index's packed counts ([[ChiIndex]]) in
-  * the `stride` 64-bit words from word `s · stride` of `words`. An `Int` slot
-  * table maps a key — a mask id, or an image id for aggregated masks — to its
-  * slot, so every lookup is arithmetic on one array. A slab built ahead of
-  * time fills its slots in key order, so slot = key for a dataset's dense
-  * mask ids; an incremental session's slab fills them in the order its
-  * queries index masks.
+  * one dense slab: slot `s` holds an index ([[ChiIndex]]) in the 64-bit
+  * words from `starts(s)` to `starts(s + 1)` of `words`, the slots back to
+  * back. Each index takes the words its bins' widths need, so slots differ
+  * in size. An `Int` slot table maps a key — a mask id, or an image id for
+  * aggregated masks — to its slot, so every lookup is arithmetic on one
+  * array. A slab built ahead of time fills its slots in key order, so slot =
+  * key for a dataset's dense mask ids; an incremental session's slab fills
+  * them in the order its queries index masks.
   *
   * A slab of aggregated masks also records, per slot, the ids of the masks
   * each index was built from ([[membersOf]]), so that its bounds serve only a
@@ -17,30 +18,29 @@ import repro.store.CatalogRow
   *
   * A slab is immutable to its readers and grows by [[append]], which returns
   * a new slab. The arrays have room beyond `size` slots (growth by half, so
-  * appends cost amortised O(1) per count) and are shared with the slab
+  * appends cost amortised O(1) per word) and are shared with the slab
   * appended to, when that slab is the longest one using them: the older one
   * still reads only its own `size` slots, and treats a table entry at or
   * above `size` as absent.
   *
   * A slab serialises (as a broadcast ships it) only its live slots: their
   * per-cell counts ([[CellCounts]], 441 B for a 56×56 index that holds
-  * 664 B in memory), its slot table and its members. Reading it back
-  * rebuilds the same packed words, and rejects a slot table that names a
-  * slot at or past `size`, or one slot twice.
+  * 375 B in memory on average over ImageNet-lite), its slot table and its
+  * members. Reading it back rebuilds the same packed words and starts, and
+  * rejects a slot table that names a slot at or past `size`, or one slot
+  * twice.
   */
 final class ChiSlab private (
     val cfg: ChiConfig,
     val w: Int,
     val h: Int,
     private[core] val words: Array[Long],
+    starts: Array[Int],
     slots: Array[Int],
     members: Array[Array[Long]],
     val size: Int,
     tail: ChiSlab.Tail,
 ) extends Serializable {
-
-  /** Words per index ([[ChiIndex.slotWords]]); 0 until the first index fixes the shape, and when `bins` is 1. */
-  val stride: Int = ChiIndex.slotWords(w, h, cfg)
 
   /** The slot of `key`'s index, or -1 when the slab holds none. */
   def slot(key: Long): Int =
@@ -48,7 +48,7 @@ final class ChiSlab private (
     else { val s = slots(key.toInt); if (s < size) s else -1 }
 
   /** The word at which `key`'s counts start, or -1 when it has no index. */
-  def base(key: Long): Int = { val s = slot(key); if (s < 0) -1 else s * stride }
+  def base(key: Long): Int = { val s = slot(key); if (s < 0) -1 else starts(s) }
 
   def contains(key: Long): Boolean = slot(key) >= 0
 
@@ -89,8 +89,8 @@ final class ChiSlab private (
   /** Every index, as views, by ascending key. */
   def indexes: Iterator[ChiIndex] = Iterator.range(0, slots.length).flatMap(k => get(k.toLong))
 
-  /** Bytes of the live indexes' words. */
-  def bytes: Long = 8L * stride * size
+  /** Bytes of the live indexes' words: the words they hold, not the arrays' room to grow. */
+  def bytes: Long = 8L * starts(size)
 
   /** This slab with the indexes of `pieces` appended, in order. Every key
     * must be in [0, 2³¹ − 1) and new to the slab, and every piece must have
@@ -114,14 +114,18 @@ final class ChiSlab private (
     keys.foreach(k => require(!contains(k), s"a CHI for key $k is already in the slab"))
     val n = size + keys.length
     val maxKey = keys.last.toInt
-    val st = ChiIndex.slotWords(nw, nh, cfg)
+    val used = starts(size)
+    val need = used.toLong + added.map(_.words.length.toLong).sum
+    require(need < Int.MaxValue, s"a CHI slab of $need words")
     tail.synchronized {
-      val inPlace = size > 0 && tail.filled == size && words.length >= n * st && (!recorded || members.length >= n)
-      val (ws, mem, t) =
-        if (inPlace) (words, members, tail)
+      val inPlace = size > 0 && tail.filled == size && words.length >= need && starts.length > n &&
+        (!recorded || members.length >= n)
+      val (ws, st, mem, t) =
+        if (inPlace) (words, starts, members, tail)
         else {
           val slotsCap = math.max(n, size + size / 2)
-          (java.util.Arrays.copyOf(words, slotsCap * st),
+          (java.util.Arrays.copyOf(words, math.max(need.toInt, used + used / 2)),
+            java.util.Arrays.copyOf(starts, slotsCap + 1),
             if (recorded) java.util.Arrays.copyOf(members, slotsCap) else members, new ChiSlab.Tail(size))
         }
       val table =
@@ -133,16 +137,20 @@ final class ChiSlab private (
           t2
         }
       var s = size
+      var at = used
       added.foreach { p =>
-        System.arraycopy(p.words, 0, ws, s * st, p.words.length)
+        System.arraycopy(p.words, 0, ws, at, p.words.length)
         p.keys.indices.foreach { i =>
           table(p.keys(i).toInt) = s
+          st(s) = at + p.starts(i)
           if (recorded) mem(s) = p.members(i)
           s += 1
         }
+        at += p.words.length
       }
+      st(n) = at
       t.filled = n
-      new ChiSlab(cfg, nw, nh, ws, table, mem, n, t)
+      new ChiSlab(cfg, nw, nh, ws, st, table, mem, n, t)
     }
   }
 
@@ -167,7 +175,7 @@ object ChiSlab {
   private[core] final class Tail(var filled: Int)
 
   def empty(cfg: ChiConfig): ChiSlab =
-    new ChiSlab(cfg, 0, 0, Array.emptyLongArray, Array.emptyIntArray, NoMembers, 0, new Tail(0))
+    new ChiSlab(cfg, 0, 0, Array.emptyLongArray, Array(0), Array.emptyIntArray, NoMembers, 0, new Tail(0))
 
   private val NoMembers: Array[Array[Long]] = Array.empty
 
@@ -184,14 +192,15 @@ object ChiSlab {
       }
       if (members.nonEmpty && (members.length != n || members.contains(null)))
         throw invalid(s"members recorded for ${members.count(_ != null)} of them")
-      new ChiSlab(counts.cfg, counts.w, counts.h, counts.words, slots, members, n, new Tail(n))
+      new ChiSlab(counts.cfg, counts.w, counts.h, counts.words, counts.starts, slots, members, n, new Tail(n))
     }
   }
 
   /** Indexes of `w × h` masks in storage order, as a build task returns them:
-    * `keys(i)`'s packed counts from word `i · stride` of `words`, and the
-    * ids of the masks it was built from at `members(i)`, ascending, or no
-    * `members` at all. Serialised as per-cell counts ([[CellCounts]]).
+    * `keys(i)`'s index in the words from `starts(i)` to `starts(i + 1)` of
+    * `words`, back to back from word 0 to the array's end, and the ids of the
+    * masks it was built from at `members(i)`, ascending, or no `members` at
+    * all. Serialised as per-cell counts ([[CellCounts]]).
     */
   final case class Packed(
       cfg: ChiConfig,
@@ -199,8 +208,12 @@ object ChiSlab {
       w: Int,
       h: Int,
       words: Array[Long],
+      starts: Array[Int],
       members: Array[Array[Long]] = NoMembers,
   ) {
+    require(starts.length == keys.length + 1 && starts(0) == 0 && starts(keys.length) == words.length,
+      s"packed CHIs: ${keys.length} keys, ${starts.length} starts, ${words.length} words")
+
     private def writeReplace(): AnyRef = new Packed.Wire(keys, members, CellCounts(cfg, w, h, keys.length, words))
   }
 
@@ -209,7 +222,7 @@ object ChiSlab {
       private def readResolve(): AnyRef = {
         if (keys.length != counts.n || (members.nonEmpty && (members.length != keys.length || members.contains(null))))
           throw new java.io.InvalidObjectException(s"packed CHIs: ${keys.length} keys, ${counts.n} indexes, ${members.length} members")
-        Packed(counts.cfg, keys, counts.w, counts.h, counts.words, members)
+        Packed(counts.cfg, keys, counts.w, counts.h, counts.words, counts.starts, members)
       }
     }
   }
@@ -218,7 +231,7 @@ object ChiSlab {
     * mask ids each was built from when `members` gives them (one per index).
     */
   def pack(cfg: ChiConfig, indexes: Iterable[(Long, ChiIndex)], members: Iterable[Iterable[Long]] = Nil): Packed =
-    if (indexes.isEmpty) Packed(cfg, Array.emptyLongArray, 0, 0, Array.emptyLongArray)
+    if (indexes.isEmpty) Packed(cfg, Array.emptyLongArray, 0, 0, Array.emptyLongArray, Array(0))
     else {
       require(members.isEmpty || members.size == indexes.size, s"${members.size} member lists for ${indexes.size} CHIs")
       val first = indexes.head._2
@@ -226,9 +239,10 @@ object ChiSlab {
         require(i.cfg == cfg, s"CHI of mask ${i.maskId} was built with ${i.cfg}, not the registry's $cfg")
         require(i.w == first.w && i.h == first.h, s"CHI of mask ${i.maskId} is for ${i.w}x${i.h} masks, not ${first.w}x${first.h}")
       }
-      val n = ChiIndex.slotWords(first.w, first.h, cfg)
-      val words = new Array[Long](n * indexes.size)
-      indexes.iterator.zipWithIndex.foreach { case ((_, i), s) => System.arraycopy(i.words, i.base, words, s * n, n) }
-      Packed(cfg, indexes.map(_._1).toArray, first.w, first.h, words, members.map(_.toArray.sorted).toArray)
+      val sizes = indexes.iterator.map(_._2.sizeBytes.toInt / 8).toArray
+      val starts = sizes.scanLeft(0)(_ + _)
+      val words = new Array[Long](starts.last)
+      indexes.iterator.zipWithIndex.foreach { case ((_, i), s) => System.arraycopy(i.words, i.base, words, starts(s), sizes(s)) }
+      Packed(cfg, indexes.map(_._1).toArray, first.w, first.h, words, starts, members.map(_.toArray.sorted).toArray)
     }
 }

@@ -16,7 +16,7 @@ object TestData {
   /** 60 images × 2 models of 32×32 masks ≈ 0.5 MB — unit-test scale. */
   val ds: MaskDatasetDef = MaskDatasetDef("unit", nImages = 60, nModels = 2, w = 32, h = 32, seed = 7)
 
-  /** Cell 8×8, 8 bins ⇒ 4×4 corners × bins 1…7 × 11 bits = 20 words = 160 B per 4 KiB mask (3.9%). */
+  /** Cell 8×8, 8 bins ⇒ at most a header word and 4×4 corners × bins 1…7 × 11 bits: 21 words = 168 B per 4 KiB mask (4.1%). */
   val cfg: ChiConfig = ChiConfig(8, 8, 8)
 
   lazy val (store: MaskStore, catalog: DataFrame) = {

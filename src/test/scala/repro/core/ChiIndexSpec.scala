@@ -102,18 +102,24 @@ class ChiIndexSpec extends AnyFunSuite {
   }
 
   test("index size accounting") {
-    // 3×3 corner cells × bin 1 (bin 0 is the rectangle's area) × 6 bits (w·h = 36): 54 bits, one word.
-    assert(ChiIndex.bits(6, 6) == 6 && ChiIndex.slotWords(6, 6, fig4Cfg) == 1)
-    assert(fig4.sizeBytes == 8L)
-    assert(fig4Cfg.sizeBytes(6, 6) == fig4.sizeBytes)
+    // A header word, then 3×3 corner cells × bin 1 (bin 0 is the rectangle's area) at 4 bits, as
+    // bin 1's total is 9 pixels: 36 bits, one word. At worst 6 bits (w·h = 36): 54 bits, still one word.
+    assert(ChiIndex.bits(6, 6) == 6 && ChiIndex.width(fig4.words, 0, 1) == 4 && fig4.words.length == 2)
+    assert(fig4.sizeBytes == 16L && packedBytes(fig4Mask, fig4Cfg) == 16L)
+    assert(fig4Cfg.sizeBytes(6, 6) == 16L)
   }
 
-  test("a 56x56 index packs 441 counts in 664 bytes, in sizeBytes and serialised") {
+  test("a 56x56 index packs 441 counts at its bins widths, in sizeBytes and serialised") {
     val cfg = ChiConfig(8, 8, 10)
-    val idx = ChiIndex.build(randomMask(1, 56, 56, seed = 21), cfg)
-    // 7×7 corners × bins 1…9 × 12 bits (w·h = 3,136) = 5,292 bits: 83 words.
-    assert(idx.counts.length == 7 * 7 * 10 && ChiIndex.bits(56, 56) == 12 && idx.words.length == 83)
-    assert(idx.sizeBytes == 664L && cfg.sizeBytes(56, 56) == idx.sizeBytes)
+    val m = randomMask(1, 56, 56, seed = 21)
+    val idx = ChiIndex.build(m, cfg)
+    // A header word, then 7×7 corners × bins 1…9 at 12, 12, 12, 11, 11, 11, 10, 10 and 9 bits, the bit
+    // lengths of the bins' totals: 4,802 bits, 76 words. At worst every bin at 12 bits (w·h = 3,136):
+    // 5,292 bits, 83 words, plus the header.
+    assert(idx.counts.length == 7 * 7 * 10 && ChiIndex.bits(56, 56) == 12)
+    assert((1 until 10).map(ChiIndex.width(idx.words, 0, _)) == Seq(12, 12, 12, 11, 11, 11, 10, 10, 9))
+    assert(idx.words.length == 77 && idx.sizeBytes == 616L && packedBytes(m, cfg) == 616L)
+    assert(cfg.sizeBytes(56, 56) == 672L)
     def serialised(n: Int): Long = {
       val bytes = new java.io.ByteArrayOutputStream()
       val out = new java.io.ObjectOutputStream(bytes)
@@ -129,9 +135,11 @@ class ChiIndexSpec extends AnyFunSuite {
   test("a 300x300 index packs 17-bit counts: every hLookup equals brute force") {
     val cfg = ChiConfig(128, 100, 3)
     val idx = ChiIndex.build(wideMask, cfg)
-    // 3×3 corners × bins 1…2 × 17 bits (w·h = 90,000) = 306 bits: 5 words.
-    assert(ChiIndex.bits(300, 300) == 17 && idx.words.length == 5 && idx.sizeBytes == 40L)
-    assert(cfg.sizeBytes(300, 300) == idx.sizeBytes)
+    // A header word, then 3×3 corners × bins 1…2 at 17 and 16 bits, the bit lengths of the bins' totals: 297 bits, 5 words.
+    // At worst 17 bits each (w·h = 90,000): 306 bits, 5 words, plus the header.
+    assert(ChiIndex.bits(300, 300) == 17 && ChiIndex.width(idx.words, 0, 1) == 17 && ChiIndex.width(idx.words, 0, 2) == 16)
+    assert(idx.words.length == 6 && idx.sizeBytes == 48L && packedBytes(wideMask, cfg) == 48L)
+    assert(cfg.sizeBytes(300, 300) == 48L)
     val xs = lines(300, 128)
     val ys = lines(300, 100)
     for (cx <- xs.indices; cy <- ys.indices; b <- 0 until cfg.bins) {

@@ -14,7 +14,7 @@ class ChiRegistrySpec extends SparkSpec {
   test("buildWithAggregates indexes every mask plus one aggregate per image") {
     assert(registry.size == ds.nMasks + ds.nImages)
     assert((0 until ds.nMasks).forall(id => registry.contains(id)))
-    assert((0 until ds.nImages).forall(i => registry.aggregate(i).isDefined))
+    assert((0 until ds.nImages).forall(i => registry.aggregates.get(i).isDefined))
   }
 
   test("plain build indexes exactly the masks") {
@@ -27,7 +27,7 @@ class ChiRegistrySpec extends SparkSpec {
     val rows = repro.store.MaskStore.asRows(catalog).collect().filter(_.image_id == 4L).sortBy(_.mask_id)
     val inter = Mask.intersect(rows.toSeq.map(r => store.loadPath(r.path)))
     val local = ChiIndex.build(inter, cfg)
-    assert(registry.aggregate(4L).get.counts.toSeq == local.counts.toSeq)
+    assert(registry.aggregates.get(4L).get.counts.toSeq == local.counts.toSeq)
   }
 
   test("per-mask indexes match a locally built index") {
@@ -39,13 +39,28 @@ class ChiRegistrySpec extends SparkSpec {
   }
 
   test("index size matches the closed form and is a small fraction of the data") {
-    val expectedPerMask = cfg.sizeBytes(ds.w, ds.h)
-    // bins 1 … b−1 of every interior corner at bits(w, h) each, padded to whole words.
+    val worst = cfg.sizeBytes(ds.w, ds.h)
+    // One header word, and bins 1 … b−1 of every interior corner at bits(w, h) each, padded to whole words.
     val stored = ChiIndex.nCells(ds.w, cfg.cellW) * ChiIndex.nCells(ds.h, cfg.cellH) * (cfg.bins - 1)
-    assert(expectedPerMask == 8L * ((stored * ChiIndex.bits(ds.w, ds.h) + 63) / 64) && expectedPerMask == 160L)
-    assert(registry.totalBytes == expectedPerMask * (ds.nMasks + ds.nImages))
+    assert(worst == 8L * (1 + (stored * ChiIndex.bits(ds.w, ds.h) + 63) / 64) && worst == 168L)
+    // Each index holds its header and each bin at the bit length of its total (Fixtures.packedBytes).
+    val rows = MaskStore.asRows(catalog).collect()
+    val masks = rows.map(r => r.mask_id -> store.loadPath(r.path)).toMap
+    val maskBytes = rows.toSeq.map { r =>
+      val b = Fixtures.packedBytes(masks(r.mask_id), cfg)
+      assert(registry.get(r.mask_id).get.sizeBytes == b && b <= worst, s"mask ${r.mask_id}")
+      b
+    }
+    val aggBytes = rows.groupBy(_.image_id).toSeq.map { case (img, group) =>
+      val b = Fixtures.packedBytes(Mask.intersect(group.toSeq.sortBy(_.mask_id).map(r => masks(r.mask_id))), cfg)
+      assert(registry.aggregates.get(img).get.sizeBytes == b && b <= worst, s"image $img")
+      b
+    }
+    assert(registry.masks.bytes == maskBytes.sum && registry.aggregates.bytes == aggBytes.sum)
+    assert(registry.totalBytes == maskBytes.sum + aggBytes.sum)
+    assert(registry.totalBytes < worst * (ds.nMasks + ds.nImages))
     val rawBytes = 4L * ds.w * ds.h * ds.nMasks
-    val ratio = expectedPerMask.toDouble * ds.nMasks / rawBytes
+    val ratio = registry.masks.bytes.toDouble / rawBytes
     assert(ratio < 0.15, f"index/data ratio $ratio%.3f")
   }
 
@@ -80,7 +95,7 @@ class ChiRegistrySpec extends SparkSpec {
     rows.foreach(row => sameIndex(r.get(row.mask_id), row.mask_id, ChiIndex.build(store.loadPath(row.path), cfg)))
     rows.groupBy(_.image_id).foreach { case (img, group) =>
       val inter = Mask.intersect(group.toSeq.sortBy(_.mask_id).map(row => store.loadPath(row.path)))
-      sameIndex(r.aggregate(img), img, ChiIndex.build(inter, cfg))
+      sameIndex(r.aggregates.get(img), img, ChiIndex.build(inter, cfg))
     }
   }
 
@@ -107,8 +122,8 @@ class ChiRegistrySpec extends SparkSpec {
     assert(loaded.masks.size == ds.nMasks && loaded.aggregates.size == ds.nImages)
     (0L until ds.nMasks).foreach(id => assert(loaded.get(id).get.counts.toSeq == registry.get(id).get.counts.toSeq, s"mask $id"))
     (0L until ds.nImages).foreach(i =>
-      assert(loaded.aggregate(i).get.counts.toSeq == registry.aggregate(i).get.counts.toSeq, s"image $i"))
-    assert(!loaded.contains(ds.nMasks.toLong) && loaded.aggregate(ds.nImages.toLong).isEmpty)
+      assert(loaded.aggregates.get(i).get.counts.toSeq == registry.aggregates.get(i).get.counts.toSeq, s"image $i"))
+    assert(!loaded.contains(ds.nMasks.toLong) && loaded.aggregates.get(ds.nImages.toLong).isEmpty)
   }
 
   test("save and load round-trip a 300x300 index whose counts need 32 bits") {
@@ -161,7 +176,7 @@ class ChiRegistrySpec extends SparkSpec {
     }
     (0L until ds.nMasks).foreach(id => same(back.get(id).get, registry.get(id).get))
     (0L until ds.nImages).foreach { i =>
-      same(back.aggregate(i).get, registry.aggregate(i).get)
+      same(back.aggregates.get(i).get, registry.aggregates.get(i).get)
       assert(back.aggregates.membersOf(i) == registry.aggregates.membersOf(i), s"members of image $i")
     }
   }

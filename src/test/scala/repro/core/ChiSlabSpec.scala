@@ -71,9 +71,12 @@ class ChiSlabSpec extends AnyFunSuite {
     val other = { val r = new java.util.Random(301); Mask(301, 300, 300, Array.fill(300 * 300)(0.5f + r.nextFloat() * 0.49f)) }
     val masks = Seq(wideMask, other)
     val slab = slabOf(cfg, masks)
-    // 5×5 corners × bins 1…3 × 17 bits = 1,275 bits: 20 words per slot.
+    // A header word, then 5×5 corners × bins 1…3 at the bit length of each bin's total:
+    // 17 + 16 + 15 bits (1,200 bits, 19 words) for mask 300 and 17 + 17 + 16 (1,250 bits, 20 words) for mask 301.
     assert(slab.get(300L).get.wideCounts.max > 65535 && slab.get(301L).get.wideCounts.max > 65535)
-    assert(slab.stride == 20 && slab.bytes == 2 * 160L)
+    assert(masks.map(packedBytes(_, cfg)) == Seq(160L, 168L))
+    assert(slab.get(300L).get.sizeBytes == 160L && slab.get(301L).get.sizeBytes == 168L && slab.bytes == 160L + 168L)
+    assert(slab.base(300L) == 0 && slab.base(301L) == 20 && cfg.sizeBytes(300, 300) == 168L)
     checkViews(cfg, masks, slab, seed = 2)
   }
 

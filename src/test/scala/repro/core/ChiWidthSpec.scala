@@ -4,12 +4,15 @@ import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, 
 
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Tests for the bit-packed CHI layout at the edges of its width: counts are
-  * packed at the bit length of `w·h`, so each shape below sits on one side of
-  * a width step, packs counts across a 64-bit word boundary, or stores
-  * nothing at all (`b = 1`). At each, every `hLookup` equals a brute-force
-  * count, every bound equals [[Fixtures.referenceBounds]], and an index and a
-  * slab read back from the wire, and a slab appended to, hold the same.
+/** Tests for the bit-packed CHI layout at the edges of its widths: each bin
+  * is packed at the bit length of its total, at most that of `w·h`, so each
+  * shape below sits on one side of a width step, packs counts across a 64-bit
+  * word boundary, or stores nothing at all (`b = 1`), and each mask built to
+  * order puts bin totals of 0, 1, 2^k − 1, 2^k and `w·h` side by side. At
+  * each, every `hLookup` equals a brute-force count, every bound equals
+  * [[Fixtures.referenceBounds]], and an index and a slab read back from the
+  * wire, an index read back from its counts, and a slab appended to, hold
+  * the same.
   */
 class ChiWidthSpec extends AnyFunSuite {
   import Fixtures._
@@ -73,8 +76,8 @@ class ChiWidthSpec extends AnyFunSuite {
     test(s"packed counts at $bits bits: ${w}x$h $cfg ($what)") {
       assert(ChiIndex.bits(w, h) == bits)
       val stored = ChiIndex.nCells(w, cfg.cellW) * ChiIndex.nCells(h, cfg.cellH) * (cfg.bins - 1)
-      assert(ChiIndex.slotWords(w, h, cfg) == (stored * bits + 63) / 64)
-      assert(cfg.sizeBytes(w, h) == 8L * ChiIndex.slotWords(w, h, cfg))
+      val header = if (cfg.bins == 1) 0 else 1
+      assert(cfg.sizeBytes(w, h) == 8L * (header + (stored * bits + 63) / 64))
       if (bits % 8 != 0 && stored * bits > 64)
         assert((0 until stored).exists(i => i * bits % 64 + bits > 64), "no count straddles a word")
       val masks = Seq(
@@ -85,17 +88,99 @@ class ChiWidthSpec extends AnyFunSuite {
       )
       masks.foreach { m =>
         val idx = ChiIndex.build(m, cfg)
-        assert(idx.sizeBytes == cfg.sizeBytes(w, h))
+        assert(idx.sizeBytes == packedBytes(m, cfg) && idx.sizeBytes <= cfg.sizeBytes(w, h))
+        if (m.id == 3) assert(idx.sizeBytes == 8L * header, "an all-zero mask stores its header only")
+        if (m.id == 4) assert(idx.sizeBytes == cfg.sizeBytes(w, h), "every bin full is the worst case")
         check(idx, m, m.id)
         check(roundTrip(idx), m, m.id)
         assert(ChiIndex.fromCounts(m.id, w, h, cfg, idx.wideCounts).counts == idx.counts)
       }
-      // A slab grown by two appends, and read back, holds every index at its word-aligned slot.
+      // A slab grown by two appends, and read back, holds every index at its word-aligned slot, after the ones before it.
       val slab = ChiSlab.empty(cfg).append(Seq(pack(cfg, masks.take(2)))).append(Seq(pack(cfg, masks.drop(2))))
-      assert(slab.size == 4 && slab.stride == ChiIndex.slotWords(w, h, cfg) && slab.bytes == 4 * cfg.sizeBytes(w, h))
+      assert(slab.size == 4 && slab.bytes == masks.map(packedBytes(_, cfg)).sum)
       for (s <- Seq(slab, roundTrip(slab)); m <- masks) {
-        assert(s.base(m.id) == s.slot(m.id) * s.stride)
+        assert(s.base(m.id) == masks.take(s.slot(m.id)).map(packedBytes(_, cfg) / 8).sum)
         check(s.get(m.id).get, m, m.id + 10)
+      }
+    }
+  }
+
+  /** A `w × h` mask whose pixels at or above `boundary(b)` number `totals(b − 1)`, for bins 1 … bins − 1, at random places. */
+  private def withTotals(id: Long, w: Int, h: Int, cfg: ChiConfig, totals: Seq[Int], seed: Long): Mask = {
+    require(totals.length == cfg.bins - 1 && (w * h +: totals :+ 0).sliding(2).forall(p => p(0) >= p(1)))
+    val perBin = (w * h +: totals :+ 0).sliding(2).map(p => p(0) - p(1)).toSeq // pixels in bin 0 … bins − 1
+    val values = perBin.zipWithIndex.flatMap { case (n, b) => Seq.fill(n)(((b + 0.5) / cfg.bins).toFloat) }
+    val r = new java.util.Random(seed)
+    Mask(id, w, h, scala.util.Random.javaRandomToRandom(r).shuffle(values).toArray)
+  }
+
+  private def bitLength(v: Int): Int = 32 - Integer.numberOfLeadingZeros(v)
+
+  // (w, h, cfg, bin totals, words the index holds, what it covers)
+  for ((w, h, cfg, totals, words, what) <- Seq(
+      (16, 16, ChiConfig(4, 4, 6), Seq(256, 128, 127, 1, 0), 8, "w·h, 2^7, 2^7 − 1, 1 and 0: 9, 8, 7, 1 and 0 bits"),
+      (300, 300, ChiConfig(64, 64, 4), Seq(90000, 65536, 65535), 21, "300x300: w·h, 2^16 and 2^16 − 1"),
+      (12, 12, ChiConfig(3, 3, 20), Seq(144, 128, 127, 64, 63, 32, 31, 16, 15, 8, 7, 4, 3, 2, 1, 1, 0, 0, 0), 20,
+        "b = 20: two header words, bins 13 to 15 in the second"),
+      (16, 16, ChiConfig(4, 4, 3), Seq(15, 0), 2, "a last bin of width 0 that starts at the index's end"),
+      (8, 8, ChiConfig(4, 4, 1), Seq(), 0, "b = 1: no header, no count"),
+    )) {
+    test(s"bins at their own widths: ${w}x$h $cfg ($what)") {
+      val corners = ChiIndex.nCells(w, cfg.cellW) * ChiIndex.nCells(h, cfg.cellH)
+      val m = withTotals(1, w, h, cfg, totals, w * 31L + cfg.bins)
+      val idx = ChiIndex.build(m, cfg)
+      assert(ChiIndex.headerWords(cfg.bins) == math.ceil((cfg.bins - 1) / 12.0).toInt)
+      assert((1 until cfg.bins).map(ChiIndex.width(idx.words, 0, _)) == totals.map(bitLength))
+      assert(idx.words.length == words && idx.sizeBytes == 8L * words && packedBytes(m, cfg) == 8L * words)
+      assert(idx.sizeBytes <= cfg.sizeBytes(w, h))
+      // Bin b's counts start where bin b − 1's end, after the header.
+      for (b <- 1 until cfg.bins)
+        assert(ChiIndex.binStart(idx.words, 0, corners, cfg.bins, b) ==
+          64L * ChiIndex.headerWords(cfg.bins) + corners.toLong * totals.take(b - 1).map(bitLength).sum)
+      val straddles = for {
+        b <- 1 until cfg.bins
+        bits = bitLength(totals(b - 1))
+        k <- 0 until corners
+        p = ChiIndex.binStart(idx.words, 0, corners, cfg.bins, b) + k.toLong * bits
+        if bits > 0 && p % 64 + bits > 64
+      } yield (b, k)
+      if (totals.exists(t => t > 0 && 64 % bitLength(t) != 0)) assert(straddles.nonEmpty, "no count straddles a word")
+      check(idx, m, 1)
+      check(roundTrip(idx), m, 2)
+      assert(roundTrip(idx).words.toSeq == idx.words.toSeq)
+      val back = ChiIndex.fromCounts(m.id, w, h, cfg, idx.wideCounts)
+      assert(back.words.toSeq == idx.words.toSeq && back.counts == idx.counts)
+      check(back, m, 3)
+    }
+  }
+
+  test("a slab appended piecewise holds indexes of mixed sizes, also where appends share arrays") {
+    val cfg = ChiConfig(4, 4, 6)
+    val masks = Seq(
+      withTotals(0, 16, 16, cfg, Seq(256, 128, 127, 1, 0), 1),
+      randomMask(1, 16, 16, 2),
+      quantisedMask(2, 16, 16, cfg.bins, 3),
+      Mask(3, 16, 16, Array.fill(256)(Math.nextDown(1.0f))),
+      withTotals(4, 16, 16, cfg, Seq(3, 2, 1, 1, 1), 4),
+      Mask(5, 16, 16, Array.fill(256)(0.0f)),
+      withTotals(6, 16, 16, cfg, Seq(200, 150, 100, 50, 0), 5),
+      withTotals(7, 16, 16, cfg, Seq(64, 63, 0, 0, 0), 6),
+    )
+    val sizes = masks.map(packedBytes(_, cfg) / 8)
+    assert(sizes.distinct.size >= 5, s"slot sizes $sizes")
+    val a = ChiSlab.empty(cfg).append(Seq(pack(cfg, masks.take(2)), pack(cfg, masks.slice(2, 4))))
+    val b = a.append(Seq(pack(cfg, masks.slice(4, 5)))) // grows by half: room to spare
+    val c = b.append(Seq(pack(cfg, masks.slice(5, 6)))) // in place, in b's arrays
+    val d = b.append(Seq(pack(cfg, masks.slice(6, 8)))) // b is no longer the longest: copies
+    val e = c.append(Seq(pack(cfg, masks.slice(6, 7)))) // in place again, after c's slot
+    assert(c.words eq b.words, "c appends in place")
+    assert(!(d.words eq b.words), "d copies")
+    for ((slab, held) <- Seq(a -> Seq(0, 1, 2, 3), b -> (0 to 4), c -> (0 to 5), d -> Seq(0, 1, 2, 3, 4, 6, 7), e -> (0 to 6))) {
+      assert(slab.size == held.size && slab.bytes == 8L * held.map(sizes).sum, s"slab of ${held.mkString(",")}")
+      assert((0 until 8).filterNot(held.contains).forall(k => !slab.contains(k)))
+      for (s <- Seq(slab, roundTrip(slab)); k <- held) {
+        assert(s.base(k) == held.takeWhile(_ != k).map(sizes).sum, s"base of $k")
+        check(s.get(k).get, masks(k), 20L + k)
       }
     }
   }

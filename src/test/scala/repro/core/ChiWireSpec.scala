@@ -134,11 +134,8 @@ class ChiWireSpec extends AnyFunSuite {
     val cfg = ChiConfig(8, 8, 4)
     val wide = ChiIndex.build(Mask(7, 16, 16, Array.fill(256)(0.0f)), cfg).wideCounts
     edit(wide)
-    val words = new Array[Long](ChiIndex.slotWords(16, 16, cfg))
-    val out = new ChiIndex.Packer(words, 0, ChiIndex.bits(16, 16))
-    for (i <- wide.indices if i % 4 != 0) out.put(wide(i))
-    out.flush()
-    new ChiIndex(7, 16, 16, cfg, words)
+    // Bins 1 … 3 of the 4 corners, bin-major, packed unchecked.
+    ChiIndex.packed(7, 16, 16, cfg, Array.tabulate(4 * 3)(i => wide((i % 4) * 4 + i / 4 + 1)))
   }
 
   /** Offset of corner `(cx, cy)`'s bin `b` in a 2x2-cell, 4-bin index. */

@@ -167,6 +167,17 @@ object Fixtures {
     (plan.lower, plan.upper)
   }
 
+  /** Bytes of `m`'s index with `cfg`, worked out from its pixels: a header
+    * word per 12 stored bins, then bin `b`'s count at every corner in the
+    * bit length of `T_b`, the mask's pixels at or above `boundary(b)`, all
+    * padded to a whole word.
+    */
+  def packedBytes(m: Mask, cfg: ChiConfig): Long = {
+    val corners = ChiIndex.nCells(m.w, cfg.cellW).toLong * ChiIndex.nCells(m.h, cfg.cellH)
+    val bits = (1 until cfg.bins).map(b => 32 - Integer.numberOfLeadingZeros(m.data.count(_ >= cfg.boundary(b)))).sum
+    8L * (math.ceil((cfg.bins - 1) / 12.0).toLong + (corners * bits + 63) / 64)
+  }
+
   /** A slab of the indexes of `masks`, each built with `cfg`, keyed by mask id. */
   def slabOf(cfg: ChiConfig, masks: Seq[Mask]): ChiSlab =
     ChiSlab.empty(cfg).append(Seq(ChiSlab.pack(cfg, masks.map(m => m.id -> ChiIndex.build(m, cfg)))))

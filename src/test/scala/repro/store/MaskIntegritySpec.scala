@@ -3,7 +3,11 @@ package repro.store
 import java.nio.{ByteBuffer, ByteOrder}
 import java.nio.file.{Files, Paths}
 
+import org.apache.spark.sql.functions.expr
+
 import repro.{SparkSpec, TestData}
+import repro.baseline.ScanBaseline
+import repro.catalyst.MaskSearchSession
 import repro.core._
 
 /** Mask files that do not match what the catalog says about them: a
@@ -87,5 +91,34 @@ class MaskIntegritySpec extends SparkSpec {
     val e = intercept[Exception](s.runFilter(Seq(row.copy(path = store.pathFor(row.mask_id + 1))), pred))
     assert(messages(e).contains(s"holds mask ${row.mask_id + 1}"), messages(e))
     assert(s.indexedCount == 0, "nothing is indexed from a mismatched file")
+  }
+
+  /** The first model-1 catalog row, and a one-row catalog of it whose path is mask `id + 1`'s file. */
+  private def misplaced(): (CatalogRow, org.apache.spark.sql.DataFrame) = {
+    val row = MaskStore.asRows(catalogM1).collect().minBy(_.mask_id)
+    (row, spark.createDataFrame(Seq(row.copy(path = store.pathFor(row.mask_id + 1)))))
+  }
+
+  test("SQL cp_mask rejects a file whose header names another mask, with and without the rule") {
+    val (row, df) = misplaced()
+    MaskSearchSession.registerFunctions(spark, store)
+    val emptyBc = ChiRegistry.broadcast(spark, ChiRegistry.empty(cfg))
+    for (ruleOn <- Seq(false, true)) {
+      if (ruleOn) MaskSearchSession.enableRule(spark, emptyBc) else MaskSearchSession.disableRule(spark)
+      try {
+        val e = intercept[Exception](df.filter(expr("cp_mask(mask_id, path, 1, 1, 8, 8, 0.5, 1.0) > 10")).collect())
+        assert(messages(e).contains(s"holds mask ${row.mask_id + 1}, not mask ${row.mask_id}"), s"rule $ruleOn: ${messages(e)}")
+      } finally MaskSearchSession.disableRule(spark)
+    }
+  }
+
+  test("the scan baseline rejects a file whose header names another mask, per mask and per group") {
+    val (row, df) = misplaced()
+    val pred = Predicate(CpExpr.term(FullRoi, 0.5, 1.0), Gt, 10)
+    val e = intercept[Exception](ScanBaseline.filterMasks(df, pred, store))
+    assert(messages(e).contains(s"holds mask ${row.mask_id + 1}"), messages(e))
+    val value = ScalarAggValue(MaxAgg, CpExpr.term(FullRoi, 0.5, 1.0))
+    val g = intercept[Exception](ScanBaseline.topKGroups(df, value, 1, descending = true, store))
+    assert(messages(g).contains(s"holds mask ${row.mask_id + 1}"), messages(g))
   }
 }
