@@ -16,6 +16,20 @@ class ChiIndexSpec extends AnyFunSuite {
   private def lines(dim: Int, cell: Int): Seq[Int] =
     (0 to ChiIndex.nCells(dim, cell)).map(ChiIndex.line(_, dim, cell))
 
+  /** Bytes each further copy of `idx` adds to a Java-serialised array of them:
+    * its packed words plus a fixed per-object overhead.
+    */
+  private def serialisedPerIndex(idx: ChiIndex): Long = {
+    def serialised(n: Int): Long = {
+      val bytes = new java.io.ByteArrayOutputStream()
+      val out = new java.io.ObjectOutputStream(bytes)
+      out.writeObject((0 until n).map(i => new ChiIndex(i, idx.w, idx.h, idx.cfg, idx.words.clone())).toArray)
+      out.close()
+      bytes.size.toLong
+    }
+    (serialised(101) - serialised(1)) / 100
+  }
+
   test("boundaries cover the dimension, including a partial last cell") {
     assert(lines(6, 2) == Seq(0, 2, 4, 6))
     assert(lines(7, 2) == Seq(0, 2, 4, 6, 7))
@@ -109,6 +123,20 @@ class ChiIndexSpec extends AnyFunSuite {
     assert(fig4Cfg.sizeBytes(6, 6) == 16L)
   }
 
+  test("a 56x56 index packs 441 counts in 664 bytes, in sizeBytes and serialised") {
+    val cfg = ChiConfig(8, 8, 10)
+    // Every pixel in the top bin: each bin's total is w·h = 3,136, the worst case.
+    val m = Mask(1, 56, 56, Array.fill(56 * 56)(0.95f))
+    val idx = ChiIndex.build(m, cfg)
+    // 7×7 corners × bins 1…9 × 12 bits = 5,292 bits: 83 words, 664 bytes, after a header word.
+    assert(idx.counts.length == 7 * 7 * 10 && ChiIndex.bits(56, 56) == 12)
+    assert((1 until 10).forall(ChiIndex.width(idx.words, 0, _) == 12))
+    assert(idx.words.length == 1 + 83 && (idx.words.length - 1) * 8 == 664)
+    assert(idx.sizeBytes == 8L + 664L && packedBytes(m, cfg) == idx.sizeBytes && cfg.sizeBytes(56, 56) == idx.sizeBytes)
+    val perIndex = serialisedPerIndex(idx)
+    assert(perIndex <= idx.sizeBytes + 64, s"$perIndex bytes per serialised index")
+  }
+
   test("a 56x56 index packs 441 counts at its bins widths, in sizeBytes and serialised") {
     val cfg = ChiConfig(8, 8, 10)
     val m = randomMask(1, 56, 56, seed = 21)
@@ -120,15 +148,7 @@ class ChiIndexSpec extends AnyFunSuite {
     assert((1 until 10).map(ChiIndex.width(idx.words, 0, _)) == Seq(12, 12, 12, 11, 11, 11, 10, 10, 9))
     assert(idx.words.length == 77 && idx.sizeBytes == 616L && packedBytes(m, cfg) == 616L)
     assert(cfg.sizeBytes(56, 56) == 672L)
-    def serialised(n: Int): Long = {
-      val bytes = new java.io.ByteArrayOutputStream()
-      val out = new java.io.ObjectOutputStream(bytes)
-      out.writeObject((0 until n).map(i => new ChiIndex(i, idx.w, idx.h, cfg, idx.words.clone())).toArray)
-      out.close()
-      bytes.size.toLong
-    }
-    // Each further index adds its per-cell counts plus a fixed per-object overhead.
-    val perIndex = (serialised(101) - serialised(1)) / 100
+    val perIndex = serialisedPerIndex(idx)
     assert(perIndex <= idx.sizeBytes + 64, s"$perIndex bytes per serialised index")
   }
 
