@@ -1,5 +1,6 @@
 package repro.bench
 
+import java.io.{ObjectOutputStream, OutputStream}
 import java.nio.file.{Files, Paths}
 
 import scala.reflect.runtime.universe.TypeTag
@@ -192,6 +193,7 @@ object Harness {
       dataset: String,
       cfgLabel: String,
       indexRatio: Double,
+      wireRatio: Double,
       lv: Double,
       uv: Double,
       meanRelWidth: Double,
@@ -202,7 +204,10 @@ object Harness {
 
   /** §4.4 / Fig 10: distribution of CHI bounds (and the FML they induce) for
     * a sample of masks, across index granularities and value ranges. The
-    * object bounding box is the ROI, as in the paper.
+    * object bounding box is the ROI, as in the paper. Each row gives the
+    * sample registry's size over the raw bytes of its masks twice: as the
+    * words it holds (`indexRatio`) and Java-serialised, as a broadcast ships
+    * it (`wireRatio`).
     */
   def runFig10(spark: SparkSession, loaded: BenchData.Loaded, sampleSize: Int): Seq[BoundsRow] = {
     import spark.implicits._
@@ -226,8 +231,9 @@ object Harness {
 
     configs.flatMap { case (label, cfg) =>
       val registry = ChiRegistry.build(spark, sample, loaded.store, cfg)
-      // The words the sample's indexes hold, over the float32 bytes of their masks.
-      val indexRatio = registry.totalBytes.toDouble / (4.0 * bd.ds.w * bd.ds.h * registry.size)
+      // The words the sample's indexes hold, and their serialised bytes, over the float32 bytes of their masks.
+      val rawBytes = 4.0 * bd.ds.w * bd.ds.h * registry.size
+      val (indexRatio, wireRatio) = (registry.totalBytes / rawBytes, serializedBytes(registry) / rawBytes)
       val reg = ChiRegistry.broadcast(spark, registry)
       ranges.map { case (lv, uv) =>
         val rows = FilterVerify.boundsPerMask(sample, CpExpr.term(ObjectRoi, lv, uv), reg)
@@ -237,7 +243,7 @@ object Harness {
           rows.count { case (lo, hi, _) => lo <= t && t < hi }.toDouble / rows.length
         val relWidths = rows.map { case (lo, hi, area) => (hi - lo) / math.max(1.0, area.toDouble) }
         BoundsRow(
-          bd.name, label, indexRatio,
+          bd.name, label, indexRatio, wireRatio,
           lv, uv,
           relWidths.sum / relWidths.length,
           fmlAt(exacts((exacts.length * 0.25).toInt)),
@@ -246,6 +252,18 @@ object Harness {
         )
       }
     }
+  }
+
+  /** Bytes of `o` Java-serialised, counted as they are written. */
+  private def serializedBytes(o: AnyRef): Long = {
+    var n = 0L
+    val out = new ObjectOutputStream(new OutputStream {
+      def write(b: Int): Unit = n += 1
+      override def write(b: Array[Byte], off: Int, len: Int): Unit = n += len
+    })
+    out.writeObject(o)
+    out.close()
+    n
   }
 
   // ---------------------------------------------------------------- Fig 11

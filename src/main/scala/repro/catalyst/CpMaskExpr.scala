@@ -45,10 +45,11 @@ private[catalyst] object Coerce {
 /** Catalyst expression computing the exact CP function over a mask stored on
   * disk: `cp_mask(mask_id, path, x1, y1, x2, y2, lv, uv) → BIGINT`.
   *
-  * Evaluating it loads the mask file (counted by the store), and fails
-  * unless the file's header names `mask_id`, so a misplaced file never
-  * answers for another row. Loading is
-  * precisely why [[ChiPushdownRule]] rewrites comparisons against it so that
+  * Evaluating it loads the mask file ([[MaskStore.loadMask]], counted by
+  * the store), which fails, naming the mask and the path, when the file
+  * cannot be read or its header names another mask, so a misplaced file
+  * never answers for another row. Loading is precisely why
+  * [[ChiPushdownRule]] rewrites comparisons against it so that
   * it only runs for masks in the uncertain band. `verifyOnly = true` marks
   * instances the rule has already wrapped, making the rewrite idempotent.
   */
@@ -75,8 +76,7 @@ final case class CpMaskExpr(
     val y2 = toIntVal(children(5).eval(input))
     val lv = toDoubleVal(children(6).eval(input))
     val uv = toDoubleVal(children(7).eval(input))
-    val mask = store.loadPath(path)
-    require(mask.id == maskId, s"mask file $path holds mask ${mask.id}, not mask $maskId named by cp_mask")
+    val mask = store.loadMask(maskId, path)
     mask.cp(Roi(x1, y1, x2, y2), ValueRange(lv, uv))
   }
 

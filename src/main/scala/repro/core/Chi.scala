@@ -218,11 +218,12 @@ object ChiIndex {
     ((words(at) >>> shift | next << 1 << (63 - shift)) & ((1L << bits) - 1)).toInt
   }
 
-  /** Packs counts, in storage order, into `words` from word `at` on. It
-    * keeps the word being filled in a register and stores each word once,
-    * when it is full or at [[flush]].
+  /** Packs counts into `words` from word `at` on: an index's in storage
+    * order, or a wire stream's ([[CellCounts]]). It keeps the word being
+    * filled in a register and stores each word once, when it is full or at
+    * [[flush]].
     */
-  private final class Packer(words: Array[Long], private var at: Int) {
+  private[core] final class Packer(val words: Array[Long], private var at: Int) {
     private var acc = 0L
     private var used = 0
 
@@ -240,6 +241,9 @@ object ChiIndex {
 
     /** Store the last, partly filled word. */
     def flush(): Unit = if (used > 0) words(at) = acc
+
+    /** The word after the last one written to, partly filled or not. */
+    def end: Int = if (used > 0) at + 1 else at
   }
 
   /** Bits per count of each stored bin of the counts `hs`, which hold bins

@@ -16,9 +16,10 @@ import repro.store.MaskStore
   * holds the words its bins' widths need ([[ChiIndex]]): on ImageNet-lite,
   * 375 B per 56×56 mask index and 279 B per INTERSECT index on average,
   * against at most 672 B ([[ChiConfig.sizeBytes]]); [[totalBytes]] sums
-  * them. A broadcast ships the two slabs as their per-cell counts
-  * ([[CellCounts]]: 441 B per such index), their slot tables and the
-  * aggregates' members.
+  * them. A broadcast ships the two slabs as their per-cell counts, each at
+  * the bit length of its cell's count one bin below ([[CellCounts]]: 105 B
+  * per such mask index and 64 B per INTERSECT index), their slot tables and
+  * the aggregates' members.
   */
 final class ChiRegistry(val cfg: ChiConfig, val masks: ChiSlab, val aggregates: ChiSlab) extends Serializable {
   require(masks.cfg == cfg && aggregates.cfg == cfg, s"slabs of ${masks.cfg} and ${aggregates.cfg} in a registry of $cfg")

@@ -24,9 +24,9 @@ import repro.store.CatalogRow
   * above `size` as absent.
   *
   * A slab serialises (as a broadcast ships it) only its live slots: their
-  * per-cell counts ([[CellCounts]], 441 B for a 56×56 index that holds
-  * 375 B in memory on average over ImageNet-lite), its slot table and its
-  * members. Reading it back rebuilds the same packed words and starts, and
+  * per-cell counts in one bitstream ([[CellCounts]], 105 B for a 56×56
+  * index that holds 375 B in memory, on average over ImageNet-lite), its
+  * slot table and its members. Reading it back rebuilds the same packed words and starts, and
   * rejects a slot table that names a slot at or past `size`, or one slot
   * twice.
   */

@@ -1,6 +1,6 @@
 package repro.store
 
-import java.io.{DataOutputStream, FileOutputStream, BufferedOutputStream, File}
+import java.io.{BufferedOutputStream, File, FileOutputStream, IOException}
 import java.nio.{ByteBuffer, ByteOrder}
 import java.nio.file.{Files, Paths}
 
@@ -48,13 +48,24 @@ final class MaskStore(val base: String, val loads: LongAccumulator) extends Seri
     Mask(id, w, h, data)
   }
 
-  /** Load the mask of a catalog row, counting the load. Fails unless the
-    * file's header names the row's mask and shape: a misplaced or stale file
-    * must not answer for another mask.
+  /** Load mask `maskId` from `path`, counting the load. Fails, naming both,
+    * when the file cannot be read (say, it was deleted after the catalog named
+    * it), and unless its header names `maskId`: a misplaced or stale file must
+    * not answer for another mask.
+    */
+  def loadMask(maskId: Long, path: String): Mask = {
+    val m =
+      try loadPath(path)
+      catch { case e: IOException => throw new IOException(s"cannot read mask $maskId from $path: $e", e) }
+    require(m.id == maskId, s"mask file $path holds mask ${m.id}, not mask $maskId")
+    m
+  }
+
+  /** Load the mask of a catalog row, counting the load: [[loadMask]], and
+    * fails unless the file's header also has the row's shape.
     */
   def loadRow(row: CatalogRow): Mask = {
-    val m = loadPath(row.path)
-    require(m.id == row.mask_id, s"mask file ${row.path} holds mask ${m.id}, not mask ${row.mask_id} of its catalog row")
+    val m = loadMask(row.mask_id, row.path)
     require(m.w == row.w && m.h == row.h,
       s"mask file ${row.path} holds a ${m.w}x${m.h} mask; its catalog row says ${row.w}x${row.h} for mask ${row.mask_id}")
     m

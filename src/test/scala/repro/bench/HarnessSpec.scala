@@ -33,8 +33,8 @@ class HarnessSpec extends SparkSpec {
       Set("dataset", "qtype", "nQueries", "timeMs", "medianFml"))
     roundTrip(FmlScatter("d", 0.9, Seq(0.0, 0.5), Seq(10L, 60L)),
       Set("dataset", "pearsonR", "fml", "timeMs"))
-    roundTrip(BoundsRow("d", "fine", 0.3, 0.6, 1.0, 0.02, 0.1, 0.2, 0.3),
-      Set("dataset", "cfgLabel", "indexRatio", "lv", "uv", "meanRelWidth", "fmlAtQ1", "fmlAtMedian", "fmlAtQ3"))
+    roundTrip(BoundsRow("d", "fine", 0.3, 0.1, 0.6, 1.0, 0.02, 0.1, 0.2, 0.3),
+      Set("dataset", "cfgLabel", "indexRatio", "wireRatio", "lv", "uv", "meanRelWidth", "fmlAtQ1", "fmlAtMedian", "fmlAtQ3"))
     roundTrip(WorkloadCurves("d", 0.5, 2, Seq(1L, 2L), Seq(3L, 4L), Seq(5L, 6L)),
       Set("dataset", "pSeen", "nQueries", "cumScan", "cumMs", "cumMsii"))
 
@@ -53,5 +53,6 @@ class HarnessSpec extends SparkSpec {
     assert(TestData.store.loads.value - loads0 == (3 + 2) * sample)
     assert(rows.map(r => (r.cfgLabel, r.lv, r.uv)) ==
       Seq("coarse", "default", "fine").flatMap(c => Seq((c, 0.6, 1.0), (c, 0.8, 1.0))))
+    assert(rows.forall(r => r.indexRatio > 0 && r.wireRatio > 0))
   }
 }

@@ -178,6 +178,18 @@ object Fixtures {
     8L * (math.ceil((cfg.bins - 1) / 12.0).toLong + (corners * bits + 63) / 64)
   }
 
+  /** Bits of `m`'s per-cell counts on the wire with `cfg`, worked out from its
+    * pixels: in each cell, bin `b`'s count (the cell's pixels at or above
+    * `boundary(b)`) takes the bit length of the cell's count at bin `b − 1`,
+    * its pixel count for `b = 1`.
+    */
+  def wireBits(m: Mask, cfg: ChiConfig): Long =
+    (for (x0 <- 0 until m.w by cfg.cellW; y0 <- 0 until m.h by cfg.cellH) yield {
+      val cell = for (x <- x0 until math.min(x0 + cfg.cellW, m.w); y <- y0 until math.min(y0 + cfg.cellH, m.h))
+        yield m.data(x * m.h + y)
+      (1 until cfg.bins).map(b => 32 - Integer.numberOfLeadingZeros(cell.count(_ >= cfg.boundary(b - 1)))).sum.toLong
+    }).sum
+
   /** A slab of the indexes of `masks`, each built with `cfg`, keyed by mask id. */
   def slabOf(cfg: ChiConfig, masks: Seq[Mask]): ChiSlab =
     ChiSlab.empty(cfg).append(Seq(ChiSlab.pack(cfg, masks.map(m => m.id -> ChiIndex.build(m, cfg)))))

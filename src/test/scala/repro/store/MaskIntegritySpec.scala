@@ -11,9 +11,10 @@ import repro.catalyst.MaskSearchSession
 import repro.core._
 
 /** Mask files that do not match what the catalog says about them: a
-  * truncated or padded file, a header with a non-positive side, and a file
-  * whose header names another mask or another shape. Each must fail with an
-  * error that names the file or the mask, never answer for the wrong pixels.
+  * truncated or padded file, a header with a non-positive side, a file whose
+  * header names another mask or another shape, and a file deleted after the
+  * catalog named it. Each must fail with an error that names the file or the
+  * mask, never answer for the wrong pixels.
   */
 class MaskIntegritySpec extends SparkSpec {
   import TestData._
@@ -120,5 +121,38 @@ class MaskIntegritySpec extends SparkSpec {
     val value = ScalarAggValue(MaxAgg, CpExpr.term(FullRoi, 0.5, 1.0))
     val g = intercept[Exception](ScanBaseline.topKGroups(df, value, 1, descending = true, store))
     assert(messages(g).contains(s"holds mask ${row.mask_id + 1}"), messages(g))
+  }
+
+  /** A one-row catalog of model-1 mask `id`, whose path is a scratch copy of its file, and that copy deleted. */
+  private def deleted(id: Long): (CatalogRow, MaskStore, org.apache.spark.sql.DataFrame) = {
+    val (s, path) = scratch(id)
+    val row = MaskStore.asRows(catalogM1).collect().find(_.mask_id == id).get.copy(path = path)
+    Files.delete(Paths.get(path))
+    (row, s, spark.createDataFrame(Seq(row)))
+  }
+
+  test("verification names the mask and its path when its file is deleted after the catalog named it") {
+    val id = MaskStore.asRows(catalogM1).collect().map(_.mask_id).min
+    val (row, s, df) = deleted(id)
+    val emptyBc = ChiRegistry.broadcast(spark, ChiRegistry.empty(cfg))
+    val pred = Predicate(CpExpr.term(FullRoi, 0.5, 1.0), Gt, 10)
+    val e = intercept[Exception](FilterVerify.execute(df, pred, s, emptyBc))
+    assert(messages(e).contains(s"cannot read mask $id from ${row.path}"), messages(e))
+  }
+
+  test("SQL cp_mask names the mask and its path when its file is deleted after the catalog named it, with and without the rule") {
+    val id = MaskStore.asRows(catalogM1).collect().map(_.mask_id).max
+    val (row, s, df) = deleted(id)
+    MaskSearchSession.registerFunctions(spark, s)
+    val emptyBc = ChiRegistry.broadcast(spark, ChiRegistry.empty(cfg))
+    try
+      for (ruleOn <- Seq(false, true)) {
+        if (ruleOn) MaskSearchSession.enableRule(spark, emptyBc) else MaskSearchSession.disableRule(spark)
+        try {
+          val e = intercept[Exception](df.filter(expr("cp_mask(mask_id, path, 1, 1, 8, 8, 0.5, 1.0) > 10")).collect())
+          assert(messages(e).contains(s"cannot read mask $id from ${row.path}"), s"rule $ruleOn: ${messages(e)}")
+        } finally MaskSearchSession.disableRule(spark)
+      }
+    finally MaskSearchSession.registerFunctions(spark, store)
   }
 }
