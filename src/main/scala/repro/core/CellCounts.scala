@@ -1,10 +1,12 @@
 package repro.core
 
-import java.io.{EOFException, InvalidObjectException, ObjectInputStream, ObjectOutputStream, StreamCorruptedException}
+import java.io._
 
 /** `n` CHIs of `w × h` masks indexed with `cfg`, the one form in which every
-  * CHI is Java-serialised: a [[ChiIndex]], a [[ChiSlab]] and a
-  * [[ChiSlab.Packed]] each write themselves as a small proxy that holds one.
+  * CHI is serialised: a [[ChiIndex]], a [[ChiSlab]] and a [[ChiSlab.Packed]]
+  * each Java-serialise as a small proxy that holds one, and
+  * [[ChiRegistry.save]] writes each slab's stream ([[write]]) as a `binary`
+  * column, which [[ChiRegistry.load]] reads back ([[CellCounts.read]]).
   * In memory the counts are [[ChiIndex]]'s: the `n` indexes back to back
   * from word `base` of `words`, each in the words its header gives.
   *
@@ -24,7 +26,8 @@ import java.io.{EOFException, InvalidObjectException, ObjectInputStream, ObjectO
   * the cumulative counts and packs them as [[ChiIndex.build]] does. It
   * rejects a word count above that worst case, a truncated stream, counts
   * past its words, bits or words after its last count, and per-cell counts no
-  * mask can have ([[CellCounts.cellOk]]), which the writer refuses too.
+  * mask can have ([[CellCounts.cellOk]]), which the writer refuses too; on
+  * disk, also bytes after the stream.
   */
 private[core] final class CellCounts(
     val cfg: ChiConfig,
@@ -57,6 +60,11 @@ private[core] final class CellCounts(
 
   private def writeObject(out: ObjectOutputStream): Unit = {
     out.defaultWriteObject()
+    write(out)
+  }
+
+  /** Write the stream: its word count, then its words. */
+  def write(out: DataOutput): Unit = {
     val (per, ny, corners) = (cfg.bins - 1, nCy, nCx * nCy)
     val bits = new ChiIndex.Packer(new Array[Long](maxWords.toInt), 0)
     val hs = new Array[Int](corners * per) // the index's stored counts, bin-major, unpacked once
@@ -94,21 +102,22 @@ private[core] final class CellCounts(
 
   private def readObject(in: ObjectInputStream): Unit = {
     in.defaultReadObject()
-    try decode(in)
+    try read(in)
     catch {
       // The stream ends inside the counts: at a block boundary, or within a block.
-      case e @ (_: EOFException | _: StreamCorruptedException) =>
-        throw new InvalidObjectException(s"truncated CHI stream: $n indexes of ${w}x$h masks and $cfg expected ($e)")
+      case e @ (_: EOFException | _: StreamCorruptedException) => throw new InvalidObjectException(truncated(e))
       case e: IllegalArgumentException => throw new InvalidObjectException(e.getMessage)
     }
   }
+
+  private def truncated(e: Throwable) = s"truncated CHI stream: $n indexes of ${w}x$h masks and $cfg expected ($e)"
 
   private def invalid(what: String) = new InvalidObjectException(s"CHI stream of $n indexes of ${w}x$h masks and $cfg$what")
 
   /** Read the stream's words, then each index's per-cell counts from them, and pack their prefix sums (the last two
     * steps of [[ChiIndex.build]]) at its bins' widths into an array grown as needed and trimmed at the end.
     */
-  private def decode(in: ObjectInputStream): Unit = {
+  private def read(in: DataInput): Unit = {
     val nWords = in.readInt()
     if (w < 0 || h < 0 || n < 0 || (n > 0 && (w == 0 || h == 0)) || nWords < 0 || nWords > maxWords ||
         n.toLong * (w / cfg.cellW + 1) * (h / cfg.cellH + 1) * cfg.bins > Int.MaxValue) {
@@ -170,6 +179,29 @@ private[core] object CellCounts {
   /** The wire form of the `n` indexes of `w × h` masks from word `base` of `words`. */
   def apply(cfg: ChiConfig, w: Int, h: Int, n: Int, words: Array[Long], base: Int = 0): CellCounts =
     new CellCounts(cfg, w, h, n, words, base)
+
+  /** The stream of the `n` indexes of `w × h` masks from word 0 of `words`, as bytes. */
+  def bytes(cfg: ChiConfig, w: Int, h: Int, n: Int, words: Array[Long]): Array[Byte] = {
+    val out = new ByteArrayOutputStream()
+    CellCounts(cfg, w, h, n, words).write(new DataOutputStream(out))
+    out.toByteArray
+  }
+
+  /** The counts of `n` indexes of `w × h` masks from `bytes`, a stream and
+    * nothing after it; an [[IllegalArgumentException]] that names the fault
+    * otherwise.
+    */
+  def read(cfg: ChiConfig, w: Int, h: Int, n: Int, bytes: Array[Byte]): CellCounts = {
+    val counts = new CellCounts(cfg, w, h, n, null, 0)
+    val in = new DataInputStream(new ByteArrayInputStream(bytes))
+    try counts.read(in)
+    catch {
+      case e: EOFException => throw new IllegalArgumentException(counts.truncated(e))
+      case e: InvalidObjectException => throw new IllegalArgumentException(e.getMessage)
+    }
+    require(in.available() == 0, s"CHI stream of $n indexes of ${w}x$h masks and $cfg: ${in.available()} bytes after its words")
+    counts
+  }
 
   /** Bits of the largest count in [0, `v`]: the width of a count bounded by `v`. */
   def bitLength(v: Int): Int = 32 - Integer.numberOfLeadingZeros(v)

@@ -15,14 +15,16 @@ final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
     */
   def boundary(b: Int): Double = b.toDouble / bins
 
-  /** Every `boundary`, so the range selectors do no division. */
-  private val edges: Array[Double] = Array.tabulate(bins + 1)(boundary)
+  /** Every `boundary`, so the range selectors do no division. This field and
+    * the two below derive from `bins`: not serialised, rebuilt on read.
+    */
+  @transient private val edges: Array[Double] = Array.tabulate(bins + 1)(boundary)
 
   /** The smallest float at or above each `boundary`. Float → double is
     * monotone, so a float pixel `v` has `v ≥ boundary(b)` iff
     * `v ≥ floatEdges(b)`.
     */
-  private val floatEdges: Array[Float] = Array.tabulate(bins + 1) { b =>
+  @transient private val floatEdges: Array[Float] = Array.tabulate(bins + 1) { b =>
     val f = boundary(b).toFloat
     if (f.toDouble < boundary(b)) Math.nextUp(f) else f
   }
@@ -32,7 +34,7 @@ final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
     * the edges' double rounding cannot undo a relative shrink of 2⁻²⁰, which
     * moves `v · bins` by less than one bin.
     */
-  private val binsDown: Float = (bins * (1.0 - 1.0 / (1 << 20))).toFloat
+  @transient private val binsDown: Float = (bins * (1.0 - 1.0 / (1 << 20))).toFloat
 
   /** The `b` with `boundary(b) ≤ x < boundary(b + 1)`, for `x` in [0, 1). `x · bins`
     * lands within one bin of it; one comparison with each neighbouring edge settles which.
@@ -70,6 +72,9 @@ final case class ChiConfig(cellW: Int, cellH: Int, bins: Int) {
     val stored = ChiIndex.nCells(w, cellW).toLong * ChiIndex.nCells(h, cellH) * (bins - 1)
     8L * (ChiIndex.headerWords(bins) + ((stored * ChiIndex.bits(w, h) + 63) >>> 6))
   }
+
+  /** A read config is built anew, so its derived fields are set and its `require` holds. */
+  private def readResolve(): AnyRef = ChiConfig(cellW, cellH, bins)
 }
 
 /** The Cumulative Histogram Index of a single mask (§3.1).
@@ -135,17 +140,6 @@ final class ChiIndex(
   private def at(i: Int): Int = {
     val corner = i / cfg.bins
     hLookup(corner / nCy + 1, corner % nCy + 1, i % cfg.bins)
-  }
-
-  /** Every count of `H`, bin 0 included, widened to `Int`, in storage order. */
-  def wideCounts: Array[Int] = {
-    val (bins, n) = (cfg.bins, nCorners)
-    val hs = new Array[Int](n * (bins - 1))
-    ChiIndex.unpack(words, base, n, bins, hs)
-    Array.tabulate(length) { i =>
-      val (k, b) = (i / bins, i % bins)
-      if (b == 0) line(k / nCy + 1, w, cfg.cellW) * line(k % nCy + 1, h, cfg.cellH) else hs((b - 1) * n + k)
-    }
   }
 
   /** Lower and upper bounds on `CP(mask, roi, range)` (§3.2.1, Eqs. 3–4 for
@@ -348,37 +342,6 @@ object ChiIndex {
       if (counts.n != 1) throw new java.io.InvalidObjectException(s"CHI of mask $maskId holds ${counts.n} indexes")
       new ChiIndex(maskId, counts.w, counts.h, counts.cfg, counts.words)
     }
-  }
-
-  /** An index from counts in storage order ([[ChiIndex.wideCounts]]), e.g. as
-    * persisted. Fails unless there are `nCx·nCy·bins` of them, each in
-    * [0, w·h], so none is truncated when narrowed, and they are the counts
-    * of some mask: bin 0 is each rectangle's area, and the per-cell counts
-    * (their 2-D first difference) lie in their cell and do not increase over
-    * bins — the rule the wire form's reader applies ([[CellCounts.cellOk]]).
-    */
-  def fromCounts(maskId: Long, w: Int, h: Int, cfg: ChiConfig, wide: Array[Int]): ChiIndex = {
-    val (nCx, nCy, bins) = (nCells(w, cfg.cellW), nCells(h, cfg.cellH), cfg.bins)
-    val n = nCx * nCy * bins
-    require(wide.length == n, s"CHI of mask $maskId has ${wide.length} counts, expected $n for ${w}x$h and $cfg")
-    wide.indices.foreach { i =>
-      val v = wide(i)
-      require(v >= 0 && v.toLong <= w.toLong * h, s"CHI of mask $maskId: count $v at $i is outside [0, ${w.toLong * h}]")
-    }
-    def hAt(cx: Int, cy: Int, b: Int): Int = if (cx == 0 || cy == 0) 0 else wide(((cx - 1) * nCy + (cy - 1)) * bins + b)
-    for (cx <- 1 to nCx; cy <- 1 to nCy) {
-      val (x, y) = (line(cx, w, cfg.cellW), line(cy, h, cfg.cellH))
-      require(hAt(cx, cy, 0) == x * y, s"CHI of mask $maskId: bin 0 holds ${hAt(cx, cy, 0)} pixels at corner ($cx, $cy), not the ${x * y} of its rectangle")
-      val area = (x - line(cx - 1, w, cfg.cellW)) * (y - line(cy - 1, h, cfg.cellH))
-      var prev = area
-      for (b <- 1 until bins) {
-        val d = hAt(cx, cy, b) - hAt(cx - 1, cy, b) - hAt(cx, cy - 1, b) + hAt(cx - 1, cy - 1, b)
-        if (!CellCounts.cellOk(d, prev)) throw CellCounts.cellError(s"CHI of mask $maskId", cx - 1, cy - 1, b, d, prev, area)
-        prev = d
-      }
-    }
-    val nCorners = nCx * nCy
-    packed(maskId, w, h, cfg, Array.tabulate(nCorners * (bins - 1))(i => wide((i % nCorners) * bins + i / nCorners + 1)))
   }
 
   /** Build the CHI of `mask` in one pass over its pixels, one row of cells at

@@ -19,7 +19,7 @@ import repro.store.MaskStore
   * them. A broadcast ships the two slabs as their per-cell counts, each at
   * the bit length of its cell's count one bin below ([[CellCounts]]: 105 B
   * per such mask index and 64 B per INTERSECT index), their slot tables and
-  * the aggregates' members.
+  * the aggregates' members; [[ChiRegistry.save]] writes the same counts.
   */
 final class ChiRegistry(val cfg: ChiConfig, val masks: ChiSlab, val aggregates: ChiSlab) extends Serializable {
   require(masks.cfg == cfg && aggregates.cfg == cfg, s"slabs of ${masks.cfg} and ${aggregates.cfg} in a registry of $cfg")
@@ -41,12 +41,6 @@ final class ChiRegistry(val cfg: ChiConfig, val masks: ChiSlab, val aggregates: 
 }
 
 object ChiRegistry {
-
-  /** Persisted registries store the index of image `i`'s INTERSECT mask under
-    * `mask_id = AggIdBase + i` (§3.4: "the index for the aggregated masks is
-    * ... built ahead of time").
-    */
-  private[core] val AggIdBase: Long = 1L << 40
 
   def empty(cfg: ChiConfig): ChiRegistry = new ChiRegistry(cfg, ChiSlab.empty(cfg), ChiSlab.empty(cfg))
 
@@ -94,69 +88,82 @@ object ChiRegistry {
     */
   val BinningVersion: Int = 2
 
-  /** Persist a registry as Parquet (`mask_id, w, h, counts` + config and
-    * `binning` columns, aggregated masks under `AggIdBase + image_id` with
-    * the ids of the masks they intersect in `members`, null on mask rows) —
-    * the paper's "persisted to disk for future sessions" (§3.6). Counts are
-    * written as `int`, bin 0 included ([[ChiIndex.wideCounts]]), whatever
-    * their packing in memory, so the format does not depend on it.
+  /** One persisted slab: its name, mask shape, config and binning version,
+    * its keys in ascending order, the ids of the masks each aggregate was
+    * built from (none for the mask slab), and its indexes' per-cell counts in
+    * that order ([[CellCounts]]).
+    */
+  private[core] final case class SlabRow(slab: String, w: Int, h: Int, cell_w: Int, cell_h: Int, bins: Int, binning: Int,
+      keys: Array[Long], members: Option[Array[Array[Long]]], cells: Array[Byte])
+
+  private val Masks = "masks"
+  private val Aggregates = "aggregates"
+
+  /** Persist a registry as Parquet, one [[SlabRow]] per slab, the mask slab
+    * and the aggregate slab, whatever their size: the paper's "persisted to
+    * disk for future sessions" (§3.6). The counts take the form they take on
+    * the wire, each per-cell count at the bit length of its cell's count one
+    * bin below ([[CellCounts]]): 5.7 MB for ImageNet-lite's 60,000 indexes.
     */
   def save(spark: SparkSession, registry: ChiRegistry, path: String): Unit = {
     import spark.implicits._
     val cfg = registry.cfg
-    val aggs = registry.aggregates
-    (registry.masks.indexes.map(i => (i.maskId, i, Option.empty[Array[Long]])) ++
-      aggs.indexes.map(i => (AggIdBase + i.maskId, i, aggs.membersOf(i.maskId).map(_.toArray))))
-      .map { case (id, i, members) => (id, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, BinningVersion, i.wideCounts, members) }
-      .toSeq
-      .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts", "members")
-      .write.mode("overwrite").parquet(path)
+    def row(name: String, slab: ChiSlab): SlabRow = {
+      val members = if (name == Aggregates) slab.indexes.map(i => slab.membersOf(i.maskId).get).toSeq else Nil
+      val p = ChiSlab.pack(cfg, slab.indexes.map(i => i.maskId -> i).toSeq, members)
+      SlabRow(name, p.w, p.h, cfg.cellW, cfg.cellH, cfg.bins, BinningVersion, p.keys,
+        Option.when(name == Aggregates)(p.members), CellCounts.bytes(cfg, p.w, p.h, p.keys.length, p.words))
+    }
+    Seq(row(Masks, registry.masks), row(Aggregates, registry.aggregates)).toDS().write.mode("overwrite").parquet(path)
   }
 
-  /** True iff the registry persisted at `path` carries a binning version and
-    * aggregate members, i.e. was saved since the value-to-bin rule was
-    * defined once and aggregates record the masks they were built from.
+  /** True iff the registry persisted at `path` carries a binning version,
+    * aggregate members and per-cell streams, i.e. was saved since the
+    * value-to-bin rule was defined once and in the form [[save]] writes.
     */
   def isCurrent(spark: SparkSession, path: String): Boolean = {
     val columns = spark.read.parquet(path).columns
-    columns.contains("binning") && columns.contains("members")
+    Seq("binning", "members", "cells").forall(columns.contains)
   }
 
-  /** Load a previously persisted registry. Fails unless every row has the
-    * current binning version and the same config, every aggregate row names
-    * its members, and every index has the number of counts its shape and
-    * config give, each in [0, w·h], that some mask can have
-    * ([[ChiIndex.fromCounts]]).
+  /** Load a previously persisted registry. Fails unless it holds one mask
+    * slab and one aggregate slab, both of the current binning version and
+    * the same config, every aggregate names its members, and each slab's
+    * stream holds counts some mask can have, as many as its keys and shape
+    * call for ([[CellCounts.read]]); then the slabs' own checks on keys and
+    * members apply ([[ChiSlab.append]]).
     */
   def load(spark: SparkSession, path: String): ChiRegistry = {
     import spark.implicits._
     val table = spark.read.parquet(path)
     require(table.columns.contains("binning"),
       s"CHI registry at $path has no binning version: it was built with an older value-to-bin rule; rebuild it")
-    val withMembers =
-      if (table.columns.contains("members")) table
-      else table.withColumn("members", org.apache.spark.sql.functions.lit(null).cast("array<bigint>"))
-    val rows = withMembers
-      .select("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts", "members")
-      .as[(Long, Int, Int, Int, Int, Int, Int, Array[Int], Option[Array[Long]])]
-      .collect()
-    require(rows.nonEmpty, s"empty CHI registry at $path")
-    val versions = rows.map(_._7).distinct
+    require(table.columns.contains("cells"),
+      s"CHI registry at $path holds int counts, saved before the registry was saved as per-cell streams; rebuild it")
+    val rows = table.as[SlabRow].collect()
+    require(rows.map(_.slab).sorted.sameElements(Seq(Aggregates, Masks)),
+      s"CHI registry at $path holds the slabs [${rows.map(_.slab).mkString(", ")}], not one of $Masks and one of $Aggregates")
+    val versions = rows.map(_.binning).distinct
     require(versions.sameElements(Seq(BinningVersion)),
       s"CHI registry at $path has binning version ${versions.mkString(", ")}, expected $BinningVersion; rebuild it")
-    val cfgs = rows.map(r => ChiConfig(r._4, r._5, r._6)).distinct
+    val cfgs = rows.map(r => ChiConfig(r.cell_w, r.cell_h, r.bins)).distinct
     require(cfgs.length == 1, s"CHI registry at $path mixes configs ${cfgs.mkString(", ")}")
     val cfg = cfgs.head
-    val (aggs, masks) = rows.sortBy(_._1).partition(_._1 >= AggIdBase)
-    def indexes(rs: Array[(Long, Int, Int, Int, Int, Int, Int, Array[Int], Option[Array[Long]])], key: Long => Long) =
-      rs.toSeq.map { case (id, w, h, _, _, _, _, c, _) => key(id) -> ChiIndex.fromCounts(key(id), w, h, cfg, c) }
-    val members = aggs.map { r =>
-      r._9.filter(_.nonEmpty).getOrElse(throw new IllegalArgumentException(
-        s"CHI registry at $path: the aggregate of image ${r._1 - AggIdBase} names no members; rebuild it"))
+    def slab(name: String): ChiSlab = {
+      val r = rows.find(_.slab == name).get
+      val members = r.members.getOrElse(Array.empty[Array[Long]])
+      if (name == Aggregates) r.keys.indices.foreach { i =>
+        require(i < members.length && members(i).nonEmpty,
+          s"CHI registry at $path: the aggregate of image ${r.keys(i)} names no members; rebuild it")
+      }
+      require(members.length == (if (name == Aggregates) r.keys.length else 0),
+        s"CHI registry at $path: its $name slab records ${members.length} member lists for ${r.keys.length} indexes")
+      val counts =
+        try CellCounts.read(cfg, r.w, r.h, r.keys.length, r.cells)
+        catch { case e: IllegalArgumentException => throw new IllegalArgumentException(s"CHI registry at $path, $name slab: ${e.getMessage}", e) }
+      ChiSlab.empty(cfg).append(Seq(ChiSlab.Packed(cfg, r.keys, r.w, r.h, counts.words, counts.starts, members)))
     }
-    new ChiRegistry(cfg,
-      ChiSlab.empty(cfg).append(Seq(ChiSlab.pack(cfg, indexes(masks, identity)))),
-      ChiSlab.empty(cfg).append(Seq(ChiSlab.pack(cfg, indexes(aggs, _ - AggIdBase), members.map(_.toSeq)))))
+    new ChiRegistry(cfg, slab(Masks), slab(Aggregates))
   }
 
   /** Broadcast the registry to executors (the SQL path's bound expressions read it there). */

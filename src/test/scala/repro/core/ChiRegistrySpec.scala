@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions.rand
 
 import repro.{SparkSpec, StageTasks, TestData}
@@ -130,11 +131,11 @@ class ChiRegistrySpec extends SparkSpec {
     val path = "target/testdata/chi-roundtrip-wide"
     val wideCfg = ChiConfig(64, 64, 4)
     val idx = ChiIndex.build(Fixtures.wideMask, wideCfg)
-    assert(ChiIndex.bits(300, 300) == 17 && idx.wideCounts.max > 65535)
+    assert(ChiIndex.bits(300, 300) == 17 && idx.counts.max > 65535)
     ChiRegistry.save(spark, ChiRegistry.empty(wideCfg) ++ Seq(idx), path)
     val got = ChiRegistry.load(spark, path).get(idx.maskId).get
     assert(got.counts == idx.counts && got.words.toSeq == idx.words.toSeq)
-    assert(got.wideCounts.toSeq == idx.wideCounts.toSeq)
+    assert(got.counts.toSeq == idx.counts.toSeq)
     val r = new java.util.Random(3)
     for (_ <- 0 until 50) {
       val roi = Fixtures.randomRoi(r, 300, 300)
@@ -168,7 +169,7 @@ class ChiRegistrySpec extends SparkSpec {
     assert(back.cfg == registry.cfg && back.masks.size == ds.nMasks && back.aggregates.size == ds.nImages)
     val r = new java.util.Random(9)
     def same(got: ChiIndex, want: ChiIndex): Unit = {
-      assert(got.wideCounts.toSeq == want.wideCounts.toSeq, s"counts of ${want.maskId}")
+      assert(got.counts.toSeq == want.counts.toSeq, s"counts of ${want.maskId}")
       for (_ <- 0 until 5) {
         val (roi, range) = (Fixtures.randomRoi(r, ds.w, ds.h), Fixtures.randomRange(r))
         assert(got.bounds(roi, range) == want.bounds(roi, range), s"${want.maskId} $roi $range")
@@ -181,55 +182,61 @@ class ChiRegistrySpec extends SparkSpec {
     }
   }
 
-  /** Persist `rows` in the registry's Parquet schema, as [[ChiRegistry.save]] would. */
-  private def saveRows(path: String, rows: Seq[(Long, Int, Int, Int, Int, Int, Int, Array[Int])]): Unit = {
-    val spark0 = spark
-    import spark0.implicits._
-    rows.toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts").write.mode("overwrite").parquet(path)
-  }
+  /** Where registries persisted as Parquet rows of int counts stored the aggregate of image `i`: `mask_id = 2⁴⁰ + i`. */
+  private val OldAggIdBase = 1L << 40
 
-  /** Three of `registry`'s indexes as persisted rows. */
-  private def savedRows: Seq[(Long, Int, Int, Int, Int, Int, Int, Array[Int])] =
-    Seq(0L, 1L, 2L).map { id =>
-      val i = registry.get(id).get
-      (id, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, ChiRegistry.BinningVersion, i.wideCounts)
-    }
+  /** `registry` saved with `path`'s name, then rewritten by `edit`. */
+  private def savedAndEdited(path: String)(edit: Row => Row): Unit = {
+    ChiRegistry.save(spark, registry, path)
+    Persisted.rewrite(spark, path)(edit)
+  }
 
   test("load rejects a registry whose rows disagree on the config") {
     val path = "target/testdata/chi-mixed-config"
-    val rows = savedRows
-    saveRows(path, rows.updated(1, rows(1).copy(_4 = cfg.cellW * 2)))
+    savedAndEdited(path)(r => if (r.getAs[String]("slab") == "aggregates") Persisted.set(r, "cell_w", cfg.cellW * 2) else r)
     val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
     assert(e.getMessage.contains("mixes configs"), e.getMessage)
   }
 
   test("load rejects an index with the wrong number of counts") {
     val path = "target/testdata/chi-short-counts"
-    val rows = savedRows
-    saveRows(path, rows.updated(2, rows(2).copy(_8 = rows(2)._8.dropRight(1))))
+    ChiRegistry.save(spark, registry, path)
+    Persisted.editCells(spark, path, "masks")(_.dropRight(8))
     val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
-    assert(e.getMessage.contains("CHI of mask 2 has 127 counts, expected 128"), e.getMessage)
+    assert(e.getMessage.contains(s"truncated CHI stream: ${ds.nMasks} indexes of 32x32 masks"), e.getMessage)
   }
 
   test("load rejects a count below 0 or above w·h instead of truncating it") {
+    // Mask 0's first count, cell (0, 0) at bin 1, takes the 7 bits of the cell's 64 pixels: 65 to 127 fit them.
     val path = "target/testdata/chi-bad-count"
-    val rows = savedRows
-    for (bad <- Seq(-1, ds.w * ds.h + 1, 65536 + 5)) {
-      saveRows(path, rows.updated(0, rows(0).copy(_8 = rows(0)._8.updated(3, bad))))
+    for (bad <- Seq(65, 70, 127)) {
+      ChiRegistry.save(spark, registry, path)
+      Persisted.editWords(spark, path, "masks")(ws => (ws.length, ws.updated(0, ws(0) & ~0x7fL | bad).toSeq))
       val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
-      assert(e.getMessage.contains(s"CHI of mask 0: count $bad at 3 is outside [0, ${ds.w * ds.h}]"), e.getMessage)
+      assert(e.getMessage.contains(s"CHI in slot 0 of ${ds.nMasks}: cell (0, 0) has $bad pixels at bin 1, outside [0, 64]"),
+        e.getMessage)
     }
   }
 
-  /** `registry` persisted the way it was before the binning version existed. */
-  private def saveUnversioned(path: String): Unit = {
+  /** `registry` as rows of int counts, bin 0 included, the layout of registries saved before the per-cell streams:
+    * `columns` picks the ones a layout had, in order, from `mask_id, w, h, cell_w, cell_h, bins, binning, counts,
+    * members`.
+    */
+  private def saveIntCounts(path: String, columns: String*): Unit = {
     val spark0 = spark
     import spark0.implicits._
-    (registry.masks.indexes.map(i => i.maskId -> i) ++ registry.aggregates.indexes.map(i => (ChiRegistry.AggIdBase + i.maskId) -> i))
-      .map { case (id, i) => (id, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, i.wideCounts) }.toSeq
-      .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "counts")
+    val aggs = registry.aggregates
+    (registry.masks.indexes.map(i => (i.maskId, i, Option.empty[Array[Long]])) ++
+      aggs.indexes.map(i => (OldAggIdBase + i.maskId, i, aggs.membersOf(i.maskId).map(_.toArray))))
+      .map { case (id, i, m) => (id, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, ChiRegistry.BinningVersion, i.counts.toArray, m) }
+      .toSeq
+      .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts", "members")
+      .select(columns.head, columns.tail: _*)
       .write.mode("overwrite").parquet(path)
   }
+
+  /** `registry` persisted the way it was before the binning version existed. */
+  private def saveUnversioned(path: String): Unit = saveIntCounts(path, "mask_id", "w", "h", "cell_w", "cell_h", "bins", "counts")
 
   test("save writes the binning version of every index") {
     val path = "target/testdata/chi-binning"
@@ -259,27 +266,56 @@ class ChiRegistrySpec extends SparkSpec {
   }
 
   /** `registry` persisted the way it was before aggregates recorded their members. */
-  private def saveWithoutMembers(path: String): Unit = {
-    val spark0 = spark
-    import spark0.implicits._
-    (registry.masks.indexes.map(i => i.maskId -> i) ++ registry.aggregates.indexes.map(i => (ChiRegistry.AggIdBase + i.maskId) -> i))
-      .map { case (id, i) => (id, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, ChiRegistry.BinningVersion, i.wideCounts) }.toSeq
-      .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts")
-      .write.mode("overwrite").parquet(path)
-  }
+  private def saveWithoutMembers(path: String): Unit =
+    saveIntCounts(path, "mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts")
 
   test("load rejects aggregates saved without their members, and the bench cache rebuilds them") {
     val path = "target/testdata/chi-no-members"
     saveWithoutMembers(path)
     assert(!ChiRegistry.isCurrent(spark, path))
     val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
-    assert(e.getMessage.contains("the aggregate of image 0 names no members"), e.getMessage)
+    assert(e.getMessage.contains("holds int counts") && e.getMessage.contains("rebuild it"), e.getMessage)
+    // Saved as per-cell streams, an aggregate slab without members is rejected too.
+    val current = "target/testdata/chi-no-members-current"
+    savedAndEdited(current)(r => if (r.getAs[String]("slab") == "aggregates") Persisted.set(r, "members", null) else r)
+    val e2 = intercept[IllegalArgumentException](ChiRegistry.load(spark, current))
+    assert(e2.getMessage.contains("the aggregate of image 0 names no members"), e2.getMessage)
     var builds = 0
     def build = { builds += 1; registry }
     assert(repro.bench.BenchData.cachedRegistry(spark, path)(build) eq registry)
     assert(builds == 1 && ChiRegistry.isCurrent(spark, path))
     val second = repro.bench.BenchData.cachedRegistry(spark, path)(build)
     assert(builds == 1 && second.aggregates.membersOf(3L) == registry.aggregates.membersOf(3L))
+  }
+
+  test("a registry saved with int counts is not current; load says rebuild it, and the bench cache rebuilds it") {
+    val path = "target/testdata/chi-int-counts"
+    saveIntCounts(path, "mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts", "members")
+    assert(!ChiRegistry.isCurrent(spark, path))
+    val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
+    assert(e.getMessage.contains(s"CHI registry at $path holds int counts") && e.getMessage.contains("rebuild it"), e.getMessage)
+    var builds = 0
+    def build = { builds += 1; registry }
+    assert(repro.bench.BenchData.cachedRegistry(spark, path)(build) eq registry)
+    assert(builds == 1 && ChiRegistry.isCurrent(spark, path))
+    val second = repro.bench.BenchData.cachedRegistry(spark, path)(build)
+    assert(builds == 1 && second.size == registry.size)
+    (0L until ds.nMasks).foreach(id => assert(second.get(id).get.counts.toSeq == registry.get(id).get.counts.toSeq, s"mask $id"))
+    assert(second.aggregates.membersOf(3L) == registry.aggregates.membersOf(3L))
+  }
+
+  test("an empty registry, as a session persists it before its first query, saves and loads back empty") {
+    val path = "target/testdata/chi-empty"
+    new IncrementalSession(spark, store, cfg).persist(path)
+    assert(ChiRegistry.isCurrent(spark, path))
+    val back = ChiRegistry.load(spark, path)
+    assert(back.cfg == cfg && back.size == 0 && back.masks.size == 0 && back.aggregates.size == 0)
+    assert((back ++ Seq(registry.get(0L).get)).contains(0L))
+    // A table of no rows is no registry: it fails loudly.
+    val noRows = "target/testdata/chi-no-rows"
+    spark.read.parquet(path).limit(0).write.mode("overwrite").parquet(noRows)
+    val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, noRows))
+    assert(e.getMessage.contains(s"CHI registry at $noRows holds the slabs []"), e.getMessage)
   }
 
   test("load of an empty registry path fails loudly") {

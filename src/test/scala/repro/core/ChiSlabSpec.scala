@@ -40,7 +40,7 @@ class ChiSlabSpec extends AnyFunSuite {
       val local = ChiIndex.build(m, cfg)
       val view = slab.get(m.id).getOrElse(fail(s"no view for ${m.id}"))
       assert(view.counts == local.counts, s"counts of ${m.id}")
-      assert(view.wideCounts.toSeq == local.wideCounts.toSeq)
+      assert(view.counts.toSeq == local.counts.toSeq)
       for (x1 <- 1 to m.w by cfg.cellW; y1 <- 1 to m.h by cfg.cellH) {
         val roi = Roi(x1, y1, m.w, m.h)
         assert(cHist(view, roi).toSeq == cHist(local, roi).toSeq, s"cHist of ${m.id} on $roi")
@@ -73,7 +73,7 @@ class ChiSlabSpec extends AnyFunSuite {
     val slab = slabOf(cfg, masks)
     // A header word, then 5×5 corners × bins 1…3 at the bit length of each bin's total:
     // 17 + 16 + 15 bits (1,200 bits, 19 words) for mask 300 and 17 + 17 + 16 (1,250 bits, 20 words) for mask 301.
-    assert(slab.get(300L).get.wideCounts.max > 65535 && slab.get(301L).get.wideCounts.max > 65535)
+    assert(slab.get(300L).get.counts.max > 65535 && slab.get(301L).get.counts.max > 65535)
     assert(masks.map(packedBytes(_, cfg)) == Seq(160L, 168L))
     assert(slab.get(300L).get.sizeBytes == 160L && slab.get(301L).get.sizeBytes == 168L && slab.bytes == 160L + 168L)
     assert(slab.base(300L) == 0 && slab.base(301L) == 20 && cfg.sizeBytes(300, 300) == 168L)

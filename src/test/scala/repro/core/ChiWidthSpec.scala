@@ -2,8 +2,6 @@ package repro.core
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 
-import org.scalatest.funsuite.AnyFunSuite
-
 /** Tests for the bit-packed CHI layout at the edges of its widths: each bin
   * is packed at the bit length of its total, at most that of `w·h`, so each
   * shape below sits on one side of a width step, packs counts across a 64-bit
@@ -11,10 +9,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * order puts bin totals of 0, 1, 2^k − 1, 2^k and `w·h` side by side. At
   * each, every `hLookup` equals a brute-force count, every bound equals
   * [[Fixtures.referenceBounds]], and an index and a slab read back from the
-  * wire, an index read back from its counts, and a slab appended to, hold
-  * the same.
+  * wire, a registry saved and loaded, and a slab appended to, hold the same.
   */
-class ChiWidthSpec extends AnyFunSuite {
+class ChiWidthSpec extends repro.SparkSpec {
   import Fixtures._
 
   private def roundTrip[A](a: A): A = {
@@ -93,8 +90,9 @@ class ChiWidthSpec extends AnyFunSuite {
         if (m.id == 4) assert(idx.sizeBytes == cfg.sizeBytes(w, h), "every bin full is the worst case")
         check(idx, m, m.id)
         check(roundTrip(idx), m, m.id)
-        assert(ChiIndex.fromCounts(m.id, w, h, cfg, idx.wideCounts).counts == idx.counts)
       }
+      val loaded = saveLoad(cfg, masks)
+      masks.foreach(m => assert(loaded.get(m.id).get.counts == ChiIndex.build(m, cfg).counts, s"mask ${m.id}"))
       // A slab grown by two appends, and read back, holds every index at its word-aligned slot, after the ones before it.
       val slab = ChiSlab.empty(cfg).append(Seq(pack(cfg, masks.take(2)))).append(Seq(pack(cfg, masks.drop(2))))
       assert(slab.size == 4 && slab.bytes == masks.map(packedBytes(_, cfg)).sum)
@@ -103,6 +101,13 @@ class ChiWidthSpec extends AnyFunSuite {
         check(s.get(m.id).get, m, m.id + 10)
       }
     }
+  }
+
+  /** A registry of the indexes of `masks`, saved and loaded. */
+  private def saveLoad(cfg: ChiConfig, masks: Seq[Mask]): ChiRegistry = {
+    val path = "target/testdata/chi-width"
+    ChiRegistry.save(spark, ChiRegistry.empty(cfg) ++ masks.map(ChiIndex.build(_, cfg)), path)
+    ChiRegistry.load(spark, path)
   }
 
   /** A `w × h` mask whose pixels at or above `boundary(b)` number `totals(b − 1)`, for bins 1 … bins − 1, at random places. */
@@ -148,8 +153,8 @@ class ChiWidthSpec extends AnyFunSuite {
       check(idx, m, 1)
       check(roundTrip(idx), m, 2)
       assert(roundTrip(idx).words.toSeq == idx.words.toSeq)
-      val back = ChiIndex.fromCounts(m.id, w, h, cfg, idx.wideCounts)
-      assert(back.words.toSeq == idx.words.toSeq && back.counts == idx.counts)
+      val back = saveLoad(cfg, Seq(m)).get(m.id).get
+      assert(back.words.slice(back.base, back.base + words).toSeq == idx.words.toSeq && back.counts == idx.counts)
       check(back, m, 3)
     }
   }

@@ -2,8 +2,6 @@ package repro.core
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, InvalidObjectException, ObjectInputStream, ObjectOutputStream}
 
-import org.scalatest.funsuite.AnyFunSuite
-
 import repro.store.CatalogRow
 
 /** Tests for the wire form of every Java-serialised CHI ([[CellCounts]]):
@@ -11,10 +9,11 @@ import repro.store.CatalogRow
   * bounds, in exactly the bits their pixels call for ([[Fixtures.wireBits]]:
   * each per-cell count at the bit length of the cell's count one bin below),
   * and counts no mask can have, or a stream whose words do not frame its
-  * counts, are rejected with an error that names the problem. Also the same
-  * validity rule on the Parquet load path ([[ChiIndex.fromCounts]]).
+  * counts, are rejected with an error that names the problem, also when
+  * [[ChiRegistry.load]] reads the stream from disk. And a [[ChiConfig]]
+  * serialises without its derived arrays.
   */
-class ChiWireSpec extends AnyFunSuite {
+class ChiWireSpec extends repro.SparkSpec {
   import Fixtures._
 
   private def bytes(o: AnyRef): Array[Byte] = {
@@ -99,7 +98,7 @@ class ChiWireSpec extends AnyFunSuite {
       }
       val slab = slabOf(cfg, masks)
       sameSlab(roundTrip(slab), slab, masks.map(_.id) :+ 999L)
-      if (w == 300) assert(roundTrip(slab).get(300L).get.wideCounts.max > 65535)
+      if (w == 300) assert(roundTrip(slab).get(300L).get.counts.max > 65535)
     }
   }
 
@@ -196,7 +195,7 @@ class ChiWireSpec extends AnyFunSuite {
   /** A 16x16 all-zero mask's index with 8x8 cells and 4 bins, its counts changed by `edit`. */
   private def edited(edit: Array[Int] => Unit): ChiIndex = {
     val cfg = ChiConfig(8, 8, 4)
-    val wide = ChiIndex.build(Mask(7, 16, 16, Array.fill(256)(0.0f)), cfg).wideCounts
+    val wide = ChiIndex.build(Mask(7, 16, 16, Array.fill(256)(0.0f)), cfg).counts.toArray
     edit(wide)
     // Bins 1 … 3 of the 4 corners, bin-major, packed unchecked.
     ChiIndex.packed(7, 16, 16, cfg, Array.tabulate(4 * 3)(i => wide((i % 4) * 4 + i / 4 + 1)))
@@ -327,24 +326,56 @@ class ChiWireSpec extends AnyFunSuite {
     }
   }
 
+  /** `idx` saved alone at `path`, its stream's words replaced by `edit`'s, then loaded. */
+  private def loadedWith(idx: ChiIndex, path: String)(edit: Array[Long] => (Int, Seq[Long])): ChiRegistry = {
+    ChiRegistry.save(spark, ChiRegistry.empty(idx.cfg) ++ Seq(idx), path)
+    Persisted.editWords(spark, path, "masks")(edit)
+    ChiRegistry.load(spark, path)
+  }
+
   test("fromCounts accepts the counts of a built index, and rejects a bin 0 that is not the rectangle's area") {
-    val idx = edited(_ => ())
-    assert(ChiIndex.fromCounts(7, 16, 16, idx.cfg, idx.wideCounts).wideCounts.toSeq == idx.wideCounts.toSeq)
-    val bad = idx.wideCounts.updated(at(2, 1, 0), 100)
-    val e = intercept[IllegalArgumentException](ChiIndex.fromCounts(7, 16, 16, idx.cfg, bad))
-    assert(e.getMessage.contains("bin 0 holds 100 pixels at corner (2, 1), not the 128 of its rectangle"), e.getMessage)
+    // Bin 0 is not stored: every loaded bin-0 count is its rectangle's area.
+    for (idx <- Seq(allZero, twoInBin2)) {
+      val back = loadedWith(idx, "target/testdata/chi-wire-load")(ws => (ws.length, ws.toSeq)).get(7L).get
+      assert(back.counts.toSeq == idx.counts.toSeq)
+      for (cx <- 0 to 2; cy <- 0 to 2)
+        assert(back.hLookup(cx, cy, 0) == ChiIndex.line(cx, 16, 8) * ChiIndex.line(cy, 16, 8), s"corner ($cx, $cy)")
+    }
   }
 
   test("fromCounts rejects per-cell counts that increase over bins") {
-    val bad = edited(_ => ()).wideCounts.updated(at(1, 1, 2), 3)
-    val e = intercept[IllegalArgumentException](ChiIndex.fromCounts(7, 16, 16, ChiConfig(8, 8, 4), bad))
-    assert(e.getMessage.contains("CHI of mask 7: cell (0, 0) has 3 pixels at bin 2 but 0 at bin 1"), e.getMessage)
+    val path = "target/testdata/chi-wire-increase"
+    val e = intercept[IllegalArgumentException](loadedWith(twoInBin2, path)(ws => (1, Seq(ws(0) | 1L << 7))))
+    assert(e.getMessage.contains(s"CHI registry at $path, masks slab: CHI in slot 0 of 1: cell (0, 0) has 3 pixels at bin 2 " +
+      "but 2 at bin 1: per-cell counts increase over bins"), e.getMessage)
   }
 
   test("fromCounts rejects a per-cell count outside its cell") {
-    // 5 pixels of cell (0, 0) at bin 1 make cell (0, 1), whose corner still reads 0, hold -5.
-    val bad = edited(_ => ()).wideCounts.updated(at(1, 1, 1), 5)
-    val e = intercept[IllegalArgumentException](ChiIndex.fromCounts(7, 16, 16, ChiConfig(8, 8, 4), bad))
-    assert(e.getMessage.contains("CHI of mask 7: cell (0, 1) has -5 pixels at bin 1, outside [0, 64]"), e.getMessage)
+    val e = intercept[IllegalArgumentException](loadedWith(allZero, "target/testdata/chi-wire-outside")(ws => (1, Seq(ws(0) | 70L))))
+    assert(e.getMessage.contains("cell (0, 0) has 70 pixels at bin 1, outside [0, 64]"), e.getMessage)
+  }
+
+  test("a serialised ChiConfig carries no derived arrays, and reads back with every bin decision unchanged") {
+    assert(bytes(ChiConfig(8, 8, 10)).length == 76) // class descriptor and three ints
+    for (bins <- Seq(10, 20, 1 << 19)) {
+      val cfg = ChiConfig(8, 8, bins)
+      val back = roundTrip(cfg)
+      assert(back == cfg && !(back eq cfg))
+      for (b <- 0 to bins) {
+        val e = cfg.boundary(b)
+        val f = e.toFloat
+        for (v <- Seq(Math.nextDown(f), f, Math.nextUp(f)) if v >= 0f && v < 1f)
+          assert(back.binOf(v) == cfg.binOf(v), s"binOf($v), b = $bins")
+        for (x <- Seq(Math.nextDown(e), e, Math.nextUp(e), Math.nextDown(f).toDouble, f.toDouble, Math.nextUp(f).toDouble)) {
+          assert(back.binAtOrBelow(x) == cfg.binAtOrBelow(x), s"binAtOrBelow($x), b = $bins")
+          assert(back.binAtOrAbove(x) == cfg.binAtOrAbove(x), s"binAtOrAbove($x), b = $bins")
+        }
+      }
+    }
+    // Its fields end the stream, `bins` first: a config of 0 bins is refused on read.
+    val bs = bytes(ChiConfig(8, 8, 10))
+    bs(bs.length - 9) = 0
+    val e = intercept[IllegalArgumentException](read[ChiConfig](bs))
+    assert(e.getMessage.contains("bad CHI config ChiConfig(8,8,0)"), e.getMessage)
   }
 }

@@ -75,6 +75,27 @@ class IncrementalSessionSpec extends SparkSpec {
     assert(res.stats.masksLoaded < 20)
   }
 
+  test("a snapshot whose slots are out of key order saves and loads with every view and bound unchanged") {
+    val s = new IncrementalSession(spark, store, cfg)
+    val (later, earlier) = (allRows.slice(30, 50), allRows.take(20))
+    s.runFilter(later, pred(30))
+    s.runFilter(earlier, pred(30)) // smaller ids, in slots after the first query's
+    val snap = s.snapshot
+    assert(snap.masks.slot(earlier.head.mask_id) > snap.masks.slot(later.head.mask_id))
+    s.persist("target/testdata/chi-incremental-order")
+    val back = ChiRegistry.load(spark, "target/testdata/chi-incremental-order")
+    assert(back.size == 40)
+    val r = new java.util.Random(5)
+    (earlier ++ later).foreach { row =>
+      val (got, want) = (back.get(row.mask_id).get, snap.get(row.mask_id).get)
+      assert(got.counts == want.counts && got.sizeBytes == want.sizeBytes, s"mask ${row.mask_id}")
+      for (_ <- 0 until 10) {
+        val (roi, range) = (Fixtures.randomRoi(r, ds.w, ds.h), Fixtures.randomRange(r))
+        assert(got.bounds(roi, range) == Fixtures.referenceBounds(want, roi, range), s"mask ${row.mask_id} $roi $range")
+      }
+    }
+  }
+
   test("preloading a registry built with another config is rejected") {
     val other = ChiConfig(16, 16, 4)
     val s = new IncrementalSession(spark, store, cfg)
