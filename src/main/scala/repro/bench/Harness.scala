@@ -297,8 +297,7 @@ object Harness {
     val t0 = System.nanoTime()
     val fullRegistry = ChiRegistry.build(spark, loaded.catalog, loaded.store, loaded.bd.cfg)
     val buildMs = (System.nanoTime() - t0) / 1_000_000
-    val msSession = new IncrementalSession(spark, loaded.store, loaded.bd.cfg)
-    msSession.preload(fullRegistry)
+    val msSession = new IncrementalSession(spark, loaded.store, loaded.bd.cfg, fullRegistry)
     val msiiSession = new IncrementalSession(spark, loaded.store, loaded.bd.cfg)
 
     var cumScan = Vector.empty[Long]; var accScan = 0L

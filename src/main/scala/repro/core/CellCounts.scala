@@ -3,10 +3,10 @@ package repro.core
 import java.io._
 
 /** `n` CHIs of `w × h` masks indexed with `cfg`, the one form in which every
-  * CHI is serialised: a [[ChiIndex]], a [[ChiSlab]] and a [[ChiSlab.Packed]]
-  * each Java-serialise as a small proxy that holds one, and
-  * [[ChiRegistry.save]] writes each slab's stream ([[write]]) as a `binary`
-  * column, which [[ChiRegistry.load]] reads back ([[CellCounts.read]]).
+  * CHI is serialised: a [[ChiIndex]] and a [[ChiSlab]] each Java-serialise as
+  * a small proxy that holds one, and [[ChiRegistry.save]] writes each slab's
+  * stream ([[write]]) as a `binary` column, which [[ChiRegistry.load]] reads
+  * back ([[CellCounts.read]]).
   * In memory the counts are [[ChiIndex]]'s: the `n` indexes back to back
   * from word `base` of `words`, each in the words its header gives.
   *

@@ -18,8 +18,9 @@ import repro.store.MaskStore
   * against at most 672 B ([[ChiConfig.sizeBytes]]); [[totalBytes]] sums
   * them. A broadcast ships the two slabs as their per-cell counts, each at
   * the bit length of its cell's count one bin below ([[CellCounts]]: 105 B
-  * per such mask index and 64 B per INTERSECT index), their slot tables and
-  * the aggregates' members; [[ChiRegistry.save]] writes the same counts.
+  * per such mask index and 64 B per INTERSECT index), their keys in slot
+  * order and the aggregates' members; [[ChiRegistry.save]] writes the same
+  * streams, keys and members.
   */
 final class ChiRegistry(val cfg: ChiConfig, val masks: ChiSlab, val aggregates: ChiSlab) extends Serializable {
   require(masks.cfg == cfg && aggregates.cfg == cfg, s"slabs of ${masks.cfg} and ${aggregates.cfg} in a registry of $cfg")
@@ -32,12 +33,6 @@ final class ChiRegistry(val cfg: ChiConfig, val masks: ChiSlab, val aggregates: 
 
   /** Bytes of the words the indexes hold ([[ChiSlab.bytes]]), at most [[ChiConfig.sizeBytes]] per index. */
   def totalBytes: Long = masks.bytes + aggregates.bytes
-
-  /** A copy extended with additional per-mask indexes (incremental indexing).
-    * Each must have been built with this registry's config, and be new to it.
-    */
-  def ++(more: Iterable[ChiIndex]): ChiRegistry =
-    new ChiRegistry(cfg, masks.append(Seq(ChiSlab.pack(cfg, more.map(i => i.maskId -> i)))), aggregates)
 }
 
 object ChiRegistry {
@@ -46,14 +41,15 @@ object ChiRegistry {
 
   /** Build the CHI for every mask in `catalog`: each task loads its masks
     * from the store, computes their indexes (O(w·h) per mask, §3.1) and
-    * returns them packed in one array. Index-build loads go through the store
-    * and are therefore counted by its accumulator — benchmarks reset the
-    * counter after the build so per-query numbers match the paper's Table 2
-    * semantics ("masks loaded during query execution").
+    * returns them as one slab ([[ChiSlab.of]]), which the driver appends.
+    * Index-build loads go through the store and are therefore counted by its
+    * accumulator — benchmarks reset the counter after the build so per-query
+    * numbers match the paper's Table 2 semantics ("masks loaded during query
+    * execution").
     */
   def build(spark: SparkSession, catalog: DataFrame, store: MaskStore, cfg: ChiConfig): ChiRegistry = {
     val pieces = Units.masks(catalog, hold = false).slices { units =>
-      ChiSlab.pack(cfg, units.map { case (id, rows) => id -> ChiIndex.build(store.loadRow(rows.head), cfg) }.toSeq)
+      ChiSlab.of(cfg, units.map { case (id, rows) => id -> ChiIndex.build(store.loadRow(rows.head), cfg) }.toSeq)
     }
     new ChiRegistry(cfg, ChiSlab.empty(cfg).append(pieces.toSeq), ChiSlab.empty(cfg))
   }
@@ -76,7 +72,7 @@ object ChiRegistry {
         val ms = rows.map(store.loadRow)
         (ms.map(m => m.id -> ChiIndex.build(m, cfg)), img -> ChiIndex.build(Mask.intersect(ms), cfg), ms.map(_.id))
       }.toSeq
-      (ChiSlab.pack(cfg, built.flatMap(_._1)), ChiSlab.pack(cfg, built.map(_._2), built.map(_._3)))
+      (ChiSlab.of(cfg, built.flatMap(_._1)), ChiSlab.of(cfg, built.map(_._2), built.map(_._3)))
     }
     new ChiRegistry(cfg, ChiSlab.empty(cfg).append(pieces.map(_._1).toSeq), ChiSlab.empty(cfg).append(pieces.map(_._2).toSeq))
   }
@@ -89,7 +85,7 @@ object ChiRegistry {
   val BinningVersion: Int = 2
 
   /** One persisted slab: its name, mask shape, config and binning version,
-    * its keys in ascending order, the ids of the masks each aggregate was
+    * its keys in slot order, the ids of the masks each aggregate was
     * built from (none for the mask slab), and its indexes' per-cell counts in
     * that order ([[CellCounts]]).
     */
@@ -108,12 +104,9 @@ object ChiRegistry {
   def save(spark: SparkSession, registry: ChiRegistry, path: String): Unit = {
     import spark.implicits._
     val cfg = registry.cfg
-    def row(name: String, slab: ChiSlab): SlabRow = {
-      val members = if (name == Aggregates) slab.indexes.map(i => slab.membersOf(i.maskId).get).toSeq else Nil
-      val p = ChiSlab.pack(cfg, slab.indexes.map(i => i.maskId -> i).toSeq, members)
-      SlabRow(name, p.w, p.h, cfg.cellW, cfg.cellH, cfg.bins, BinningVersion, p.keys,
-        Option.when(name == Aggregates)(p.members), CellCounts.bytes(cfg, p.w, p.h, p.keys.length, p.words))
-    }
+    def row(name: String, slab: ChiSlab): SlabRow =
+      SlabRow(name, slab.w, slab.h, cfg.cellW, cfg.cellH, cfg.bins, BinningVersion, slab.keys.map(_.toLong),
+        Option.when(name == Aggregates)(slab.members), CellCounts.bytes(cfg, slab.w, slab.h, slab.size, slab.words))
     Seq(row(Masks, registry.masks), row(Aggregates, registry.aggregates)).toDS().write.mode("overwrite").parquet(path)
   }
 
@@ -130,8 +123,8 @@ object ChiRegistry {
     * slab and one aggregate slab, both of the current binning version and
     * the same config, every aggregate names its members, and each slab's
     * stream holds counts some mask can have, as many as its keys and shape
-    * call for ([[CellCounts.read]]); then the slabs' own checks on keys and
-    * members apply ([[ChiSlab.append]]).
+    * call for ([[CellCounts.read]]); then the checks every slab passes on its
+    * keys and members apply ([[ChiSlab.checked]]).
     */
   def load(spark: SparkSession, path: String): ChiRegistry = {
     import spark.implicits._
@@ -158,10 +151,8 @@ object ChiRegistry {
       }
       require(members.length == (if (name == Aggregates) r.keys.length else 0),
         s"CHI registry at $path: its $name slab records ${members.length} member lists for ${r.keys.length} indexes")
-      val counts =
-        try CellCounts.read(cfg, r.w, r.h, r.keys.length, r.cells)
-        catch { case e: IllegalArgumentException => throw new IllegalArgumentException(s"CHI registry at $path, $name slab: ${e.getMessage}", e) }
-      ChiSlab.empty(cfg).append(Seq(ChiSlab.Packed(cfg, r.keys, r.w, r.h, counts.words, counts.starts, members)))
+      try ChiSlab(r.keys.map(ChiSlab.key), members, CellCounts.read(cfg, r.w, r.h, r.keys.length, r.cells))
+      catch { case e: IllegalArgumentException => throw new IllegalArgumentException(s"CHI registry at $path, $name slab: ${e.getMessage}", e) }
     }
     new ChiRegistry(cfg, slab(Masks), slab(Aggregates))
   }

@@ -3,49 +3,43 @@ package repro.core
 import repro.store.CatalogRow
 
 /** The CHIs (§3.1) of many `w × h` masks indexed with one [[ChiConfig]], in
-  * one dense slab: slot `s` holds an index ([[ChiIndex]]) in the 64-bit
-  * words from `starts(s)` to `starts(s + 1)` of `words`, the slots back to
-  * back. Each index takes the words its bins' widths need, so slots differ
-  * in size. An `Int` slot table maps a key — a mask id, or an image id for
-  * aggregated masks — to its slot, so every lookup is arithmetic on one
-  * array. A slab built ahead of time fills its slots in key order, so slot =
-  * key for a dataset's dense mask ids; an incremental session's slab fills
-  * them in the order its queries index masks.
+  * one dense slab: slot `s` holds the index ([[ChiIndex]]) of key `keys(s)` —
+  * a mask id, or an image id for aggregated masks — in the 64-bit words from
+  * `starts(s)` to `starts(s + 1)` of `words`, the slots back to back. Each
+  * index takes the words its bins' widths need, so slots differ in size. An
+  * `Int` slot table maps a key to its slot, so every lookup is arithmetic on
+  * one array. A slab built ahead of time fills its slots in key order, so
+  * slot = key for a dataset's dense mask ids; an incremental session's slab
+  * fills them in the order its queries index masks.
   *
   * A slab of aggregated masks also records, per slot, the ids of the masks
   * each index was built from ([[membersOf]]), so that its bounds serve only a
   * unit of exactly those masks ([[builtFrom]]).
   *
-  * A slab is immutable to its readers and grows by [[append]], which returns
-  * a new slab. The arrays have room beyond `size` slots (growth by half, so
-  * appends cost amortised O(1) per word) and are shared with the slab
-  * appended to, when that slab is the longest one using them: the older one
-  * still reads only its own `size` slots, and treats a table entry at or
-  * above `size` as absent.
-  *
-  * A slab serialises (as a broadcast ships it) only its live slots: their
-  * per-cell counts in one bitstream ([[CellCounts]], 105 B for a 56×56
-  * index that holds 375 B in memory, on average over ImageNet-lite), its
-  * slot table and its members. Reading it back rebuilds the same packed words and starts, and
-  * rejects a slot table that names a slot at or past `size`, or one slot
-  * twice.
+  * A slab is one immutable value of exactly the size it holds: build tasks
+  * return one ([[ChiSlab.of]]), and [[append]] copies slabs into a new one.
+  * It serialises (as a task result or a broadcast ships it) as its keys in
+  * slot order, its members and its per-cell counts in one bitstream
+  * ([[CellCounts]], 105 B for a 56×56 index that holds 375 B in memory, on
+  * average over ImageNet-lite): no table sized by the largest key. Reading it
+  * back rebuilds the same words, starts and slot table, and runs the key and
+  * member checks every slab passes ([[ChiSlab.checked]]).
   */
 final class ChiSlab private (
     val cfg: ChiConfig,
     val w: Int,
     val h: Int,
+    private[core] val keys: Array[Int],
     private[core] val words: Array[Long],
-    starts: Array[Int],
+    private val starts: Array[Int],
+    private[core] val members: Array[Array[Long]],
     slots: Array[Int],
-    members: Array[Array[Long]],
-    val size: Int,
-    tail: ChiSlab.Tail,
 ) extends Serializable {
 
+  def size: Int = keys.length
+
   /** The slot of `key`'s index, or -1 when the slab holds none. */
-  def slot(key: Long): Int =
-    if (key < 0 || key >= slots.length) -1
-    else { val s = slots(key.toInt); if (s < size) s else -1 }
+  def slot(key: Long): Int = if (key < 0 || key >= slots.length) -1 else slots(key.toInt)
 
   /** The word at which `key`'s counts start, or -1 when it has no index. */
   def base(key: Long): Int = { val s = slot(key); if (s < 0) -1 else starts(s) }
@@ -71,7 +65,7 @@ final class ChiSlab private (
   /** The ids of the masks `key`'s index was built from, ascending, when the slab records them. */
   def membersOf(key: Long): Option[IndexedSeq[Long]] = {
     val s = slot(key)
-    Option.when(s >= 0 && s < members.length)(scala.collection.immutable.ArraySeq.unsafeWrapArray(members(s)))
+    Option.when(s >= 0 && members.nonEmpty)(scala.collection.immutable.ArraySeq.unsafeWrapArray(members(s)))
   }
 
   /** True iff the slab holds `key`'s index and records that it was built
@@ -79,170 +73,125 @@ final class ChiSlab private (
     */
   def builtFrom(key: Long, rows: Seq[CatalogRow]): Boolean = {
     val s = slot(key)
-    s >= 0 && s < members.length && members(s).length == rows.size && {
+    s >= 0 && members.nonEmpty && members(s).length == rows.size && {
       val ids = rows.iterator.map(_.mask_id).toArray
       java.util.Arrays.sort(ids)
       java.util.Arrays.equals(ids, members(s))
     }
   }
 
-  /** Every index, as views, by ascending key. */
-  def indexes: Iterator[ChiIndex] = Iterator.range(0, slots.length).flatMap(k => get(k.toLong))
+  /** Bytes of the indexes' words. */
+  def bytes: Long = 8L * words.length
 
-  /** Bytes of the live indexes' words: the words they hold, not the arrays' room to grow. */
-  def bytes: Long = 8L * starts(size)
-
-  /** This slab with the indexes of `pieces` appended, in order. Every key
-    * must be in [0, 2³¹ − 1) and new to the slab, and every piece must have
-    * the slab's config and mask shape, and record members when the slab does
-    * (the first piece fixes shape and members for an empty slab).
+  /** A new slab of this one's indexes, then those of `pieces`, in order, in
+    * arrays of exactly the size they need. Every piece must have the slab's
+    * config and mask shape, and record members when the slab does (the first
+    * piece fixes shape and members for an empty slab); every key must pass
+    * [[ChiSlab.checked]] and be new to the slab.
     */
-  def append(pieces: Seq[ChiSlab.Packed]): ChiSlab = {
-    val added = pieces.filter(_.keys.nonEmpty)
+  def append(pieces: Seq[ChiSlab]): ChiSlab = {
+    val added = pieces.filter(_.size > 0)
     if (added.isEmpty) return this
-    val (nw, nh) = if (size == 0) (added.head.w, added.head.h) else (w, h)
-    val recorded = if (size == 0) added.head.members.nonEmpty else members.nonEmpty
+    val parts = if (size == 0) added else this +: added
+    val first = parts.head
+    val recorded = first.members.nonEmpty
     added.foreach { p =>
-      require(p.cfg == cfg, s"CHI of mask ${p.keys.head} was built with ${p.cfg}, not the slab's $cfg")
-      require(p.w == nw && p.h == nh, s"CHI of mask ${p.keys.head} is for ${p.w}x${p.h} masks, not the slab's ${nw}x$nh")
+      require(p.cfg == cfg, s"CHI of key ${p.keys(0)} was built with ${p.cfg}, not the slab's $cfg")
+      require(p.w == first.w && p.h == first.h,
+        s"CHI of key ${p.keys(0)} is for ${p.w}x${p.h} masks, not the slab's ${first.w}x${first.h}")
       require(p.members.nonEmpty == recorded,
-        s"CHI of key ${p.keys.head} ${if (recorded) "does not record" else "records"} its members, unlike the slab")
+        s"CHI of key ${p.keys(0)} ${if (recorded) "does not record" else "records"} its members, unlike the slab")
     }
-    val keys = added.flatMap(_.keys).sorted
-    require(keys.head >= 0 && keys.last < Int.MaxValue, s"CHI keys ${keys.head} to ${keys.last} leave [0, ${Int.MaxValue})")
-    keys.iterator.zip(keys.iterator.drop(1)).foreach { case (a, b) => require(a != b, s"two CHIs for key $a") }
-    keys.foreach(k => require(!contains(k), s"a CHI for key $k is already in the slab"))
-    val n = size + keys.length
-    val maxKey = keys.last.toInt
-    val used = starts(size)
-    val need = used.toLong + added.map(_.words.length.toLong).sum
+    val need = parts.map(_.words.length.toLong).sum
     require(need < Int.MaxValue, s"a CHI slab of $need words")
-    tail.synchronized {
-      val inPlace = size > 0 && tail.filled == size && words.length >= need && starts.length > n &&
-        (!recorded || members.length >= n)
-      val (ws, st, mem, t) =
-        if (inPlace) (words, starts, members, tail)
-        else {
-          val slotsCap = math.max(n, size + size / 2)
-          (java.util.Arrays.copyOf(words, math.max(need.toInt, used + used / 2)),
-            java.util.Arrays.copyOf(starts, slotsCap + 1),
-            if (recorded) java.util.Arrays.copyOf(members, slotsCap) else members, new ChiSlab.Tail(size))
-        }
-      val table =
-        if (inPlace && slots.length > maxKey) slots
-        else {
-          val t2 = Array.fill(math.max(maxKey + 1, slots.length + slots.length / 2))(-1)
-          var k = 0
-          while (k < slots.length) { if (slots(k) < size) t2(k) = slots(k); k += 1 }
-          t2
-        }
-      var s = size
-      var at = used
-      added.foreach { p =>
-        System.arraycopy(p.words, 0, ws, at, p.words.length)
-        p.keys.indices.foreach { i =>
-          table(p.keys(i).toInt) = s
-          st(s) = at + p.starts(i)
-          if (recorded) mem(s) = p.members(i)
-          s += 1
-        }
-        at += p.words.length
-      }
-      st(n) = at
-      t.filled = n
-      new ChiSlab(cfg, nw, nh, ws, st, table, mem, n, t)
+    val ws = new Array[Long](need.toInt)
+    val st = new Array[Int](parts.map(_.size).sum + 1)
+    var s = 0
+    var at = 0
+    parts.foreach { p =>
+      System.arraycopy(p.words, 0, ws, at, p.words.length)
+      var i = 0
+      while (i < p.size) { st(s + i) = at + p.starts(i); i += 1 }
+      s += p.size
+      at += p.words.length
     }
+    st(s) = at
+    ChiSlab.checked(cfg, first.w, first.h, Array.concat(parts.map(_.keys): _*), ws, st,
+      if (recorded) Array.concat(parts.map(_.members): _*) else ChiSlab.NoMembers, held = size)
   }
 
-  /** The live slots only: their per-cell counts, the table without slots past
-    * `size`, and their members.
-    */
-  private def writeReplace(): AnyRef = {
-    val used = slots.lastIndexWhere(s => s >= 0 && s < size) + 1
-    new ChiSlab.Wire(
-      Array.tabulate(used)(k => if (slots(k) < size) slots(k) else -1),
-      if (members.isEmpty) members else members.take(size),
-      CellCounts(cfg, w, h, size, words),
-    )
-  }
+  /** Its keys in slot order, its members and its per-cell counts. */
+  private def writeReplace(): AnyRef = new ChiSlab.Wire(keys, members, CellCounts(cfg, w, h, size, words))
 }
 
 object ChiSlab {
 
-  /** How many slots of a slab's arrays some slab has filled: only the slab
-    * of that size may append in place.
-    */
-  private[core] final class Tail(var filled: Int)
-
   def empty(cfg: ChiConfig): ChiSlab =
-    new ChiSlab(cfg, 0, 0, Array.emptyLongArray, Array(0), Array.emptyIntArray, NoMembers, 0, new Tail(0))
+    new ChiSlab(cfg, 0, 0, Array.emptyIntArray, Array.emptyLongArray, Array(0), NoMembers, Array.emptyIntArray)
 
   private val NoMembers: Array[Array[Long]] = Array.empty
 
-  /** A slab's wire form: slot table, members and per-cell counts. */
-  private final class Wire(slots: Array[Int], members: Array[Array[Long]], counts: CellCounts) extends Serializable {
-    private def readResolve(): AnyRef = {
-      val n = counts.n
-      def invalid(what: String) = new java.io.InvalidObjectException(s"CHI slab of $n indexes: $what")
-      val seen = new Array[Boolean](n)
-      slots.indices.foreach { k =>
-        val s = slots(k)
-        if (s < -1 || s >= n) throw invalid(s"key $k names slot $s, outside [0, $n)")
-        if (s >= 0) { if (seen(s)) throw invalid(s"slot $s is named twice, last by key $k"); seen(s) = true }
-      }
-      if (members.nonEmpty && (members.length != n || members.contains(null)))
-        throw invalid(s"members recorded for ${members.count(_ != null)} of them")
-      new ChiSlab(counts.cfg, counts.w, counts.h, counts.words, counts.starts, slots, members, n, new Tail(n))
-    }
+  /** `key` as a slab key: in [0, 2³¹ − 1), so that a slot table of `key + 1` entries can be allocated. */
+  private[core] def key(key: Long): Int = {
+    require(key >= 0 && key < Int.MaxValue, s"CHI key $key leaves [0, ${Int.MaxValue})")
+    key.toInt
   }
 
-  /** Indexes of `w × h` masks in storage order, as a build task returns them:
-    * `keys(i)`'s index in the words from `starts(i)` to `starts(i + 1)` of
-    * `words`, back to back from word 0 to the array's end, and the ids of the
-    * masks it was built from at `members(i)`, ascending, or no `members` at
-    * all. Serialised as per-cell counts ([[CellCounts]]).
+  /** The slab of `keys(s)`'s index at slot `s`, in the words from
+    * `starts(s)` to `starts(s + 1)` of `words`, with `members(s)` when
+    * `members` is not empty. The one place a slab's keys and members are
+    * checked: every key must pass [[key]] and appear once (a key repeated
+    * within the first `held` slots is one the slab appended to already held),
+    * and members, when recorded, must be one list per key.
     */
-  final case class Packed(
-      cfg: ChiConfig,
-      keys: Array[Long],
-      w: Int,
-      h: Int,
-      words: Array[Long],
-      starts: Array[Int],
-      members: Array[Array[Long]] = NoMembers,
-  ) {
-    require(starts.length == keys.length + 1 && starts(0) == 0 && starts(keys.length) == words.length,
-      s"packed CHIs: ${keys.length} keys, ${starts.length} starts, ${words.length} words")
-
-    private def writeReplace(): AnyRef = new Packed.Wire(keys, members, CellCounts(cfg, w, h, keys.length, words))
-  }
-
-  object Packed {
-    private final class Wire(keys: Array[Long], members: Array[Array[Long]], counts: CellCounts) extends Serializable {
-      private def readResolve(): AnyRef = {
-        if (keys.length != counts.n || (members.nonEmpty && (members.length != keys.length || members.contains(null))))
-          throw new java.io.InvalidObjectException(s"packed CHIs: ${keys.length} keys, ${counts.n} indexes, ${members.length} members")
-        Packed(counts.cfg, keys, counts.w, counts.h, counts.words, counts.starts, members)
-      }
+  private def checked(cfg: ChiConfig, w: Int, h: Int, keys: Array[Int], words: Array[Long], starts: Array[Int],
+      members: Array[Array[Long]], held: Int): ChiSlab = {
+    require(members.isEmpty || (members.length == keys.length && !members.contains(null)),
+      s"CHI slab of ${keys.length} indexes records ${members.count(_ != null)} member lists")
+    val slots = Array.fill(keys.iterator.map(k => key(k.toLong)).maxOption.fold(0)(_ + 1))(-1)
+    var s = 0
+    while (s < keys.length) {
+      val k = keys(s)
+      require(slots(k) < 0, if (slots(k) < held) s"a CHI for key $k is already in the slab" else s"two CHIs for key $k")
+      slots(k) = s
+      s += 1
     }
+    new ChiSlab(cfg, w, h, keys, words, starts, members, slots)
   }
 
-  /** `indexes`, each built with `cfg`, packed under their keys, with the
-    * mask ids each was built from when `members` gives them (one per index).
+  /** The slab of `counts`'s indexes under `keys`, in slot order, with
+    * `members` when it records them: a serialised or persisted slab read
+    * back, checked as every slab is.
     */
-  def pack(cfg: ChiConfig, indexes: Iterable[(Long, ChiIndex)], members: Iterable[Iterable[Long]] = Nil): Packed =
-    if (indexes.isEmpty) Packed(cfg, Array.emptyLongArray, 0, 0, Array.emptyLongArray, Array(0))
+  private[core] def apply(keys: Array[Int], members: Array[Array[Long]], counts: CellCounts): ChiSlab = {
+    require(keys.length == counts.n, s"CHI slab of ${counts.n} indexes under ${keys.length} keys")
+    checked(counts.cfg, counts.w, counts.h, keys, counts.words, counts.starts, members, held = 0)
+  }
+
+  /** A slab's wire form: keys in slot order, members and per-cell counts. */
+  private final class Wire(keys: Array[Int], members: Array[Array[Long]], counts: CellCounts) extends Serializable {
+    private def readResolve(): AnyRef =
+      try ChiSlab(keys, members, counts)
+      catch { case e: IllegalArgumentException => throw new java.io.InvalidObjectException(e.getMessage) }
+  }
+
+  /** The slab of `indexes`, each built with `cfg`, under their keys in that
+    * order, with the mask ids each was built from when `members` gives them
+    * (one per index), ascending.
+    */
+  def of(cfg: ChiConfig, indexes: Iterable[(Long, ChiIndex)], members: Iterable[Iterable[Long]] = Nil): ChiSlab =
+    if (indexes.isEmpty) empty(cfg)
     else {
-      require(members.isEmpty || members.size == indexes.size, s"${members.size} member lists for ${indexes.size} CHIs")
       val first = indexes.head._2
       indexes.foreach { case (_, i) =>
-        require(i.cfg == cfg, s"CHI of mask ${i.maskId} was built with ${i.cfg}, not the registry's $cfg")
+        require(i.cfg == cfg, s"CHI of mask ${i.maskId} was built with ${i.cfg}, not the slab's $cfg")
         require(i.w == first.w && i.h == first.h, s"CHI of mask ${i.maskId} is for ${i.w}x${i.h} masks, not ${first.w}x${first.h}")
       }
       val sizes = indexes.iterator.map(_._2.sizeBytes.toInt / 8).toArray
       val starts = sizes.scanLeft(0)(_ + _)
       val words = new Array[Long](starts.last)
       indexes.iterator.zipWithIndex.foreach { case ((_, i), s) => System.arraycopy(i.words, i.base, words, starts(s), sizes(s)) }
-      Packed(cfg, indexes.map(_._1).toArray, first.w, first.h, words, starts, members.map(_.toArray.sorted).toArray)
+      checked(cfg, first.w, first.h, indexes.iterator.map(e => key(e._1)).toArray, words, starts,
+        members.map(_.toArray.sorted).toArray, held = 0)
     }
 }

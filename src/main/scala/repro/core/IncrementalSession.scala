@@ -8,13 +8,14 @@ import repro.store.{CatalogRow, MaskStore}
 
 /** A MaskSearch session with incremental indexing (§3.6) — the paper's MS-II.
   *
-  * The session starts with an empty (or previously persisted) registry and
-  * runs the [[Kernel]]'s threshold policy with every mask its own unit. An
-  * indexed mask is classified from its bounds on the driver; a mask the
-  * session has not indexed yet is always Case 3, answered the baseline way
-  * — loaded from disk and evaluated exactly — and its CHI is built as a side
-  * effect of that load and appended to the registry's slab for future
-  * queries.
+  * The session starts from `start`, an empty registry by default or one a
+  * previous session persisted, and runs the [[Kernel]]'s threshold policy
+  * with every mask its own unit. An indexed mask is classified from its
+  * bounds on the driver; a mask the session has not indexed yet is always
+  * Case 3, answered the baseline way — loaded from disk and evaluated exactly
+  * — and its CHI is built as a side effect of that load. After each query the
+  * session's registry is replaced by one whose mask slab is a copy with the
+  * new indexes appended ([[ChiSlab.append]]), so a [[snapshot]] never changes.
   *
   * So the cost of indexing a mask is paid at most once, and only if some
   * query actually touches the mask. `persist` saves the registry for future
@@ -24,17 +25,16 @@ final class IncrementalSession(
     spark: SparkSession,
     store: MaskStore,
     val cfg: ChiConfig,
+    start: ChiRegistry,
 ) {
+  require(start.cfg == cfg, s"a session of $cfg cannot start from a CHI registry of ${start.cfg}")
 
-  private var registry = ChiRegistry.empty(cfg)
+  /** A session that starts with no index. */
+  def this(spark: SparkSession, store: MaskStore, cfg: ChiConfig) = this(spark, store, cfg, ChiRegistry.empty(cfg))
+
+  private var registry = start
 
   def indexedCount: Int = registry.size
-
-  /** Add the per-mask indexes of `r` that the session does not hold yet. */
-  def preload(r: ChiRegistry): Unit = {
-    val reg = registry
-    registry = reg ++ r.masks.indexes.filterNot(i => reg.contains(i.maskId)).toSeq
-  }
 
   /** The current registry (immutable: later queries do not change it). */
   def snapshot: ChiRegistry = registry
@@ -55,7 +55,7 @@ final class IncrementalSession(
       .map(r => (r, !reg.contains(r.mask_id) && scheduled.add(r.mask_id))).toArray
 
     // One job loads every Case 3 mask and verifies it; each task returns the
-    // ids that pass and the indexes it built, packed. Local copies keep the
+    // ids that pass and the indexes it built, as one slab. Local copies keep the
     // task closure from capturing `this`, which holds the SparkSession.
     val (storeLocal, cfgLocal) = (store, cfg)
     val checked = Units.slices(spark, open) { it =>
@@ -66,7 +66,7 @@ final class IncrementalSession(
         if (pred.evalExact(r, m)) passed += r.mask_id
         if (index) built += r.mask_id -> ChiIndex.build(m, cfgLocal)
       }
-      (passed.toArray, ChiSlab.pack(cfgLocal, built))
+      (passed.toArray, ChiSlab.of(cfgLocal, built))
     }
     registry = new ChiRegistry(cfg, reg.masks.append(checked.map(_._2).toSeq), reg.aggregates)
 

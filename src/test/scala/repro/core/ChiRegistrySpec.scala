@@ -132,7 +132,7 @@ class ChiRegistrySpec extends SparkSpec {
     val wideCfg = ChiConfig(64, 64, 4)
     val idx = ChiIndex.build(Fixtures.wideMask, wideCfg)
     assert(ChiIndex.bits(300, 300) == 17 && idx.counts.max > 65535)
-    ChiRegistry.save(spark, ChiRegistry.empty(wideCfg) ++ Seq(idx), path)
+    ChiRegistry.save(spark, Fixtures.registryOf(wideCfg, Seq(idx)), path)
     val got = ChiRegistry.load(spark, path).get(idx.maskId).get
     assert(got.counts == idx.counts && got.words.toSeq == idx.words.toSeq)
     assert(got.counts.toSeq == idx.counts.toSeq)
@@ -191,6 +191,19 @@ class ChiRegistrySpec extends SparkSpec {
     Persisted.rewrite(spark, path)(edit)
   }
 
+  test("load rejects a slab whose keys repeat or leave [0, 2³¹ − 1)") {
+    val path = "target/testdata/chi-bad-keys"
+    def editKeys(slab: String)(edit: IndexedSeq[Long] => IndexedSeq[Long]): Unit = savedAndEdited(path) { r =>
+      if (r.getAs[String]("slab") == slab) Persisted.set(r, "keys", edit(r.getAs[scala.collection.Seq[Long]]("keys").toIndexedSeq)) else r
+    }
+    editKeys("masks")(ks => ks.updated(1, ks(0)))
+    val twice = intercept[IllegalArgumentException](ChiRegistry.load(spark, path)).getMessage
+    assert(twice.contains(s"CHI registry at $path, masks slab: ") && twice.contains(s"two CHIs for key ${registry.masks.keys(0)}"), twice)
+    editKeys("aggregates")(_.updated(0, 1L << 40))
+    val wide = intercept[IllegalArgumentException](ChiRegistry.load(spark, path)).getMessage
+    assert(wide.contains(s"CHI registry at $path, aggregates slab: ") && wide.contains(s"CHI key ${1L << 40} leaves [0, ${Int.MaxValue})"), wide)
+  }
+
   test("load rejects a registry whose rows disagree on the config") {
     val path = "target/testdata/chi-mixed-config"
     savedAndEdited(path)(r => if (r.getAs[String]("slab") == "aggregates") Persisted.set(r, "cell_w", cfg.cellW * 2) else r)
@@ -226,8 +239,9 @@ class ChiRegistrySpec extends SparkSpec {
     val spark0 = spark
     import spark0.implicits._
     val aggs = registry.aggregates
-    (registry.masks.indexes.map(i => (i.maskId, i, Option.empty[Array[Long]])) ++
-      aggs.indexes.map(i => (OldAggIdBase + i.maskId, i, aggs.membersOf(i.maskId).map(_.toArray))))
+    def views(slab: ChiSlab) = slab.keys.iterator.map(k => slab.get(k.toLong).get)
+    (views(registry.masks).map(i => (i.maskId, i, Option.empty[Array[Long]])) ++
+      views(aggs).map(i => (OldAggIdBase + i.maskId, i, aggs.membersOf(i.maskId).map(_.toArray))))
       .map { case (id, i, m) => (id, i.w, i.h, cfg.cellW, cfg.cellH, cfg.bins, ChiRegistry.BinningVersion, i.counts.toArray, m) }
       .toSeq
       .toDF("mask_id", "w", "h", "cell_w", "cell_h", "bins", "binning", "counts", "members")
@@ -310,7 +324,7 @@ class ChiRegistrySpec extends SparkSpec {
     assert(ChiRegistry.isCurrent(spark, path))
     val back = ChiRegistry.load(spark, path)
     assert(back.cfg == cfg && back.size == 0 && back.masks.size == 0 && back.aggregates.size == 0)
-    assert((back ++ Seq(registry.get(0L).get)).contains(0L))
+    assert(back.masks.append(Seq(ChiSlab.of(cfg, Seq(0L -> registry.get(0L).get)))).contains(0L))
     // A table of no rows is no registry: it fails loudly.
     val noRows = "target/testdata/chi-no-rows"
     spark.read.parquet(path).limit(0).write.mode("overwrite").parquet(noRows)
@@ -325,14 +339,17 @@ class ChiRegistrySpec extends SparkSpec {
   test("empty registry and incremental extension") {
     val e = ChiRegistry.empty(cfg)
     assert(e.size == 0 && e.totalBytes == 0L)
-    val ext = e ++ Seq(registry.get(0L).get, registry.get(1L).get)
+    val ext = new ChiRegistry(cfg, e.masks.append(Seq(ChiSlab.of(cfg, Seq(0L, 1L).map(id => id -> registry.get(id).get)))), e.aggregates)
     assert(ext.size == 2 && ext.contains(0L) && ext.contains(1L) && !ext.contains(2L))
+    assert(e.size == 0 && !e.contains(0L))
   }
 
   test("a registry rejects an index built with another config") {
     val other = ChiIndex.build(store.load(0L), ChiConfig(16, 16, 4))
-    val e = intercept[IllegalArgumentException](ChiRegistry.empty(cfg) ++ Seq(other))
+    val e = intercept[IllegalArgumentException](ChiRegistry.empty(cfg).masks.append(Seq(ChiSlab.of(other.cfg, Seq(0L -> other)))))
     assert(e.getMessage.contains("ChiConfig(16,16,4)"), e.getMessage)
+    val e2 = intercept[IllegalArgumentException](Fixtures.registryOf(cfg, Seq(other)))
+    assert(e2.getMessage.contains("ChiConfig(16,16,4)"), e2.getMessage)
   }
 
   test("broadcast registry resolves indexes inside tasks") {

@@ -8,8 +8,8 @@ import repro.store.CatalogRow
 
 /** Tests for the dense CHI slab and the compiled bounds over it: every view a
   * slab hands out is the index [[ChiIndex.build]] gives, the plans equal
-  * [[Fixtures.referenceBounds]] on every ROI kind, and appends never change
-  * what an older slab holds.
+  * [[Fixtures.referenceBounds]] on every ROI kind, and appends copy into
+  * exactly sized arrays and never change what an older slab holds.
   */
 class ChiSlabSpec extends AnyFunSuite {
   import Fixtures._
@@ -114,11 +114,11 @@ class ChiSlabSpec extends AnyFunSuite {
   test("appending never changes what an older slab holds, also when two slabs append to one") {
     val cfg = ChiConfig(4, 4, 4)
     val masks = (0 until 12).map(i => randomMask(i, 8, 8, 300L + i))
-    def packed(ms: Seq[Mask]) = Seq(ChiSlab.pack(cfg, ms.map(m => m.id -> ChiIndex.build(m, cfg))))
-    val a = ChiSlab.empty(cfg).append(packed(masks.take(4)))
-    val b = a.append(packed(masks.slice(4, 6)))  // may share a's arrays
-    val c = b.append(packed(masks.slice(6, 8)))  // in place, when b's arrays have room
-    val d = b.append(packed(masks.slice(8, 12))) // b is no longer the longest: copies
+    def piece(ms: Seq[Mask]) = Seq(slabOf(cfg, ms))
+    val a = ChiSlab.empty(cfg).append(piece(masks.take(4)))
+    val b = a.append(piece(masks.slice(4, 6)))
+    val c = b.append(piece(masks.slice(6, 8)))
+    val d = b.append(piece(masks.slice(8, 12))) // a second append to b
     assert(a.size == 4 && b.size == 6 && c.size == 8 && d.size == 10)
     assert((4 until 12).forall(k => !a.contains(k)))
     assert((6 until 12).forall(k => !b.contains(k)))
@@ -130,23 +130,26 @@ class ChiSlabSpec extends AnyFunSuite {
   test("append rejects a key already held, a repeated key and another mask shape") {
     val cfg = ChiConfig(4, 4, 4)
     val slab = slabOf(cfg, Seq(randomMask(1, 8, 8, 1), randomMask(2, 8, 8, 2)))
-    def pack(ms: Mask*) = ChiSlab.pack(cfg, ms.map(m => m.id -> ChiIndex.build(m, cfg)))
-    val held = intercept[IllegalArgumentException](slab.append(Seq(pack(randomMask(2, 8, 8, 3)))))
+    val held = intercept[IllegalArgumentException](slab.append(Seq(slabOf(cfg, Seq(randomMask(2, 8, 8, 3))))))
     assert(held.getMessage.contains("key 2 is already"), held.getMessage)
-    val twice = intercept[IllegalArgumentException](slab.append(Seq(pack(randomMask(5, 8, 8, 3)), pack(randomMask(5, 8, 8, 4)))))
+    val twice = intercept[IllegalArgumentException](
+      slab.append(Seq(slabOf(cfg, Seq(randomMask(5, 8, 8, 3))), slabOf(cfg, Seq(randomMask(5, 8, 8, 4))))))
     assert(twice.getMessage.contains("two CHIs for key 5"), twice.getMessage)
-    val shape = intercept[IllegalArgumentException](slab.append(Seq(pack(randomMask(6, 8, 12, 3)))))
+    val shape = intercept[IllegalArgumentException](slab.append(Seq(slabOf(cfg, Seq(randomMask(6, 8, 12, 3))))))
     assert(shape.getMessage.contains("8x12"), shape.getMessage)
     assert(slab.size == 2)
   }
 
+  // Appends copy into arrays of exactly the size they need: a slab grown by ten appends holds, and serialises as,
+  // what one built in a single piece does.
   test("a slab with room to grow serialises only its live slots and round-trips") {
     val cfg = ChiConfig(4, 4, 4)
     val masks = (0 until 40).map(i => randomMask(i, 8, 8, 500L + i))
-    def packed(ms: Seq[Mask]) = Seq(ChiSlab.pack(cfg, ms.map(m => m.id -> ChiIndex.build(m, cfg))))
-    val grown = (0 until 40 by 4).foldLeft(ChiSlab.empty(cfg))((s, i) => s.append(packed(masks.slice(i, i + 4))))
-    val older = grown.append(packed(Seq(randomMask(40, 8, 8, 9)))).append(packed(Seq(randomMask(41, 8, 8, 9))))
+    def piece(ms: Seq[Mask]) = Seq(slabOf(cfg, ms))
+    val grown = (0 until 40 by 4).foldLeft(ChiSlab.empty(cfg))((s, i) => s.append(piece(masks.slice(i, i + 4))))
+    val older = grown.append(piece(Seq(randomMask(40, 8, 8, 9)))).append(piece(Seq(randomMask(41, 8, 8, 9))))
     val exact = slabOf(cfg, masks)
+    assert(grown.words.length == exact.words.length && 8L * grown.words.length == grown.bytes, "no room to grow")
     def bytes(o: AnyRef) = { val b = new ByteArrayOutputStream(); val out = new ObjectOutputStream(b); out.writeObject(o); out.close(); b.size }
     assert(bytes(grown) == bytes(exact), "live slots and table only")
     val back = roundTrip(grown)

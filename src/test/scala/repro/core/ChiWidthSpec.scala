@@ -22,9 +22,6 @@ class ChiWidthSpec extends repro.SparkSpec {
     new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[A]
   }
 
-  private def pack(cfg: ChiConfig, masks: Seq[Mask]): ChiSlab.Packed =
-    ChiSlab.pack(cfg, masks.map(m => m.id -> ChiIndex.build(m, cfg)))
-
   /** `H(cx, cy)(b)` of `m` by brute force: per-bin prefix sums of `v ≥ boundary(b)`, decided as CP decides it. */
   private def bruteH(m: Mask, cfg: ChiConfig): (Int, Int, Int) => Long = {
     val (w, h) = (m.w, m.h)
@@ -94,7 +91,7 @@ class ChiWidthSpec extends repro.SparkSpec {
       val loaded = saveLoad(cfg, masks)
       masks.foreach(m => assert(loaded.get(m.id).get.counts == ChiIndex.build(m, cfg).counts, s"mask ${m.id}"))
       // A slab grown by two appends, and read back, holds every index at its word-aligned slot, after the ones before it.
-      val slab = ChiSlab.empty(cfg).append(Seq(pack(cfg, masks.take(2)))).append(Seq(pack(cfg, masks.drop(2))))
+      val slab = ChiSlab.empty(cfg).append(Seq(slabOf(cfg, masks.take(2)))).append(Seq(slabOf(cfg, masks.drop(2))))
       assert(slab.size == 4 && slab.bytes == masks.map(packedBytes(_, cfg)).sum)
       for (s <- Seq(slab, roundTrip(slab)); m <- masks) {
         assert(s.base(m.id) == masks.take(s.slot(m.id)).map(packedBytes(_, cfg) / 8).sum)
@@ -106,7 +103,7 @@ class ChiWidthSpec extends repro.SparkSpec {
   /** A registry of the indexes of `masks`, saved and loaded. */
   private def saveLoad(cfg: ChiConfig, masks: Seq[Mask]): ChiRegistry = {
     val path = "target/testdata/chi-width"
-    ChiRegistry.save(spark, ChiRegistry.empty(cfg) ++ masks.map(ChiIndex.build(_, cfg)), path)
+    ChiRegistry.save(spark, registryOf(cfg, masks.map(ChiIndex.build(_, cfg))), path)
     ChiRegistry.load(spark, path)
   }
 
@@ -173,15 +170,17 @@ class ChiWidthSpec extends repro.SparkSpec {
     )
     val sizes = masks.map(packedBytes(_, cfg) / 8)
     assert(sizes.distinct.size >= 5, s"slot sizes $sizes")
-    val a = ChiSlab.empty(cfg).append(Seq(pack(cfg, masks.take(2)), pack(cfg, masks.slice(2, 4))))
-    val b = a.append(Seq(pack(cfg, masks.slice(4, 5)))) // grows by half: room to spare
-    val c = b.append(Seq(pack(cfg, masks.slice(5, 6)))) // in place, in b's arrays
-    val d = b.append(Seq(pack(cfg, masks.slice(6, 8)))) // b is no longer the longest: copies
-    val e = c.append(Seq(pack(cfg, masks.slice(6, 7)))) // in place again, after c's slot
-    assert(c.words eq b.words, "c appends in place")
-    assert(!(d.words eq b.words), "d copies")
-    for ((slab, held) <- Seq(a -> Seq(0, 1, 2, 3), b -> (0 to 4), c -> (0 to 5), d -> Seq(0, 1, 2, 3, 4, 6, 7), e -> (0 to 6))) {
+    // Each append copies into words of exactly the size its slab holds, shared with no other slab.
+    val a = ChiSlab.empty(cfg).append(Seq(slabOf(cfg, masks.take(2)), slabOf(cfg, masks.slice(2, 4))))
+    val b = a.append(Seq(slabOf(cfg, masks.slice(4, 5))))
+    val c = b.append(Seq(slabOf(cfg, masks.slice(5, 6))))
+    val d = b.append(Seq(slabOf(cfg, masks.slice(6, 8)))) // a second append to b
+    val e = c.append(Seq(slabOf(cfg, masks.slice(6, 7))))
+    val slabs = Seq(a -> Seq(0, 1, 2, 3), b -> (0 to 4), c -> (0 to 5), d -> Seq(0, 1, 2, 3, 4, 6, 7), e -> (0 to 6))
+    assert(slabs.map(_._1.words).combinations(2).forall { case Seq(x, y) => !(x eq y) }, "two slabs share words")
+    for ((slab, held) <- slabs) {
       assert(slab.size == held.size && slab.bytes == 8L * held.map(sizes).sum, s"slab of ${held.mkString(",")}")
+      assert(slab.words.length == held.map(sizes).sum, s"words of the slab of ${held.mkString(",")}")
       assert((0 until 8).filterNot(held.contains).forall(k => !slab.contains(k)))
       for (s <- Seq(slab, roundTrip(slab)); k <- held) {
         assert(s.base(k) == held.takeWhile(_ != k).map(sizes).sum, s"base of $k")

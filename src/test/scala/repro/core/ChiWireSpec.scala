@@ -5,9 +5,10 @@ import java.io.{ByteArrayInputStream, ByteArrayOutputStream, InvalidObjectExcept
 import repro.store.CatalogRow
 
 /** Tests for the wire form of every Java-serialised CHI ([[CellCounts]]):
-  * indexes, slabs and packed build output read back with the same counts and
-  * bounds, in exactly the bits their pixels call for ([[Fixtures.wireBits]]:
-  * each per-cell count at the bit length of the cell's count one bin below),
+  * indexes and slabs, a build task's among them, read back with the same
+  * keys, counts and bounds, in exactly the bits their pixels call for
+  * ([[Fixtures.wireBits]]: each per-cell count at the bit length of the
+  * cell's count one bin below),
   * and counts no mask can have, or a stream whose words do not frame its
   * counts, are rejected with an error that names the problem, also when
   * [[ChiRegistry.load]] reads the stream from disk. And a [[ChiConfig]]
@@ -140,30 +141,33 @@ class ChiWireSpec extends repro.SparkSpec {
     val cfg = ChiConfig(8, 8, 10)
     val back = roundTrip(ChiSlab.empty(cfg))
     assert(back.size == 0 && back.cfg == cfg && !back.contains(0L))
-    assert(back.append(Seq(ChiSlab.pack(cfg, Seq(5L -> ChiIndex.build(randomMask(5, 8, 8, 1), cfg))))).contains(5L))
+    assert(back.append(Seq(slabOf(cfg, Seq(randomMask(5, 8, 8, 1))))).contains(5L))
   }
 
+  // A slab grown by appends holds exactly its own words, shared with no longer slab, and serialises as the slab
+  // built in one piece does.
   test("a slab with growth slack, sharing arrays with a longer slab, reads back only its live slots") {
     val cfg = ChiConfig(4, 4, 4)
     val masks = (0 until 24).map(i => randomMask(i, 8, 8, 700L + i))
-    def packed(ms: Seq[Mask]) = Seq(ChiSlab.pack(cfg, ms.map(m => m.id -> ChiIndex.build(m, cfg))))
-    val grown = (0 until 20 by 4).foldLeft(ChiSlab.empty(cfg))((s, i) => s.append(packed(masks.slice(i, i + 4))))
-    val longer = grown.append(packed(masks.slice(20, 24)))
+    val grown = (0 until 20 by 4).foldLeft(ChiSlab.empty(cfg))((s, i) => s.append(Seq(slabOf(cfg, masks.slice(i, i + 4)))))
+    val longer = grown.append(Seq(slabOf(cfg, masks.slice(20, 24))))
     val back = roundTrip(grown)
     sameSlab(back, grown, (0L until 24L))
     assert(back.size == 20 && !back.contains(20L) && longer.contains(20L))
+    assert(grown.words.length == slabOf(cfg, masks.take(20)).words.length && !(grown.words eq longer.words))
     assert(bytes(grown).length == bytes(slabOf(cfg, masks.take(20))).length)
     // The read slab appends like any other.
-    assert(back.append(packed(masks.slice(20, 22))).size == 22)
+    assert(back.append(Seq(slabOf(cfg, masks.slice(20, 22)))).size == 22)
   }
 
+  // A build task's output is a slab: keys in slot order (here not ascending) and members read back with it.
   test("packed build output reads back with its keys, counts and members") {
     val cfg = ChiConfig(8, 8, 10)
-    val masks = (0 until 5).map(i => randomMask(i, 56, 56, 40L + i))
-    val p = ChiSlab.pack(cfg, masks.map(m => (m.id + 100) -> ChiIndex.build(m, cfg)), masks.map(m => Seq(2 * m.id + 1, 2 * m.id)))
+    val masks = (0 until 5).map(i => randomMask(i, 56, 56, 40L + i)).reverse
+    val p = ChiSlab.of(cfg, masks.map(m => (m.id + 100) -> ChiIndex.build(m, cfg)), masks.map(m => Seq(2 * m.id + 1, 2 * m.id)))
     val back = roundTrip(p)
-    assert(back.cfg == cfg && back.keys.toSeq == p.keys.toSeq && back.w == 56 && back.h == 56)
-    assert(back.words.toSeq == p.words.toSeq)
+    assert(back.cfg == cfg && back.keys.toSeq == p.keys.toSeq && back.keys.toSeq == Seq(104, 103, 102, 101, 100))
+    assert(back.w == 56 && back.h == 56 && back.words.toSeq == p.words.toSeq)
     assert(back.members.map(_.toSeq).toSeq == masks.map(m => Seq(2 * m.id, 2 * m.id + 1)))
     val slab = ChiSlab.empty(cfg).append(Seq(back))
     masks.foreach { m =>
@@ -179,7 +183,7 @@ class ChiWireSpec extends repro.SparkSpec {
     val indexes = masks.map(m => ChiIndex.build(m, cfg))
     val bits = masks.map(m => wireBits(m, cfg))
     // Exactly: each further index adds its fixed fields and a stream of its own; each further slab slot adds its
-    // bits to the slab's one stream, and a slot-table entry (4 B).
+    // bits to the slab's one stream, and its key (4 B).
     val added = bytes(indexes.toArray).length - bytes(indexes.take(1).toArray).length
     assert(added == bits.tail.map(b => IndexBytes + streamBytes(b)).sum)
     val slab = slabOf(cfg, masks)
@@ -214,7 +218,7 @@ class ChiWireSpec extends repro.SparkSpec {
     assert(increase.contains("cell (0, 0) has 3 pixels at bin 2 but 0 at bin 1: per-cell counts increase over bins"), increase)
     val cfg = ChiConfig(8, 8, 4)
     val bad = edited(c => c(at(2, 2, 3)) = 1)
-    val slab = ChiSlab.empty(cfg).append(Seq(ChiSlab.pack(cfg, Seq(6L -> ChiIndex.build(Mask(6, 16, 16, Array.fill(256)(0.0f)), cfg), 7L -> bad))))
+    val slab = ChiSlab.of(cfg, Seq(6L -> ChiIndex.build(Mask(6, 16, 16, Array.fill(256)(0.0f)), cfg), 7L -> bad))
     val inSlab = intercept[IllegalArgumentException](bytes(slab)).getMessage
     assert(inSlab.contains("CHI in slot 1 of 2: cell (1, 1) has 1 pixels at bin 3 but 0 at bin 2"), inSlab)
   }
@@ -285,29 +289,49 @@ class ChiWireSpec extends repro.SparkSpec {
     assert(past.contains("its counts run past its 0 words, in slot 0"), past)
   }
 
-  /** A serialised slab of keys 0–4 whose slot table (0, 1, 2, 3, 4) has its last entry set to `slot`. */
-  private def slabWithLastSlot(slot: Int): Array[Byte] = {
-    val cfg = ChiConfig(4, 4, 4)
-    val bs = bytes(slabOf(cfg, (0 until 5).map(i => randomMask(i, 8, 8, i))))
-    val table = java.nio.ByteBuffer.allocate(20)
-    (0 until 5).foreach(table.putInt)
-    val at = bs.indexOfSlice(table.array.toSeq)
-    assert(at >= 0 && bs.indexOfSlice(table.array.toSeq, at + 1) < 0, "slot table not found once in the stream")
-    java.nio.ByteBuffer.wrap(bs).putInt(at + 16, slot)
+  private val fiveMasks = (0 until 5).map(i => randomMask(i, 8, 8, i))
+
+  /** A serialised slab of keys 0–4 in slot order, whose key array (0, 1, 2, 3, 4) has its last entry set to `key`. */
+  private def slabWithLastKey(key: Int): Array[Byte] = {
+    val bs = bytes(slabOf(ChiConfig(4, 4, 4), fiveMasks))
+    val keys = java.nio.ByteBuffer.allocate(20)
+    (0 until 5).foreach(keys.putInt)
+    val at = bs.indexOfSlice(keys.array.toSeq)
+    assert(at >= 0 && bs.indexOfSlice(keys.array.toSeq, at + 1) < 0, "key array not found once in the stream")
+    java.nio.ByteBuffer.wrap(bs).putInt(at + 16, key)
     bs
   }
 
+  // The wire carries keys in slot order: a key at or past the slab's size is a sparse key, whose index is the last
+  // slot's; a key outside [0, 2³¹ − 1) is rejected.
   test("the reader rejects a slot-table entry at or past the slab's size") {
-    assert(read[ChiSlab](slabWithLastSlot(4)).get(4L).isDefined)
-    for (bad <- Seq(5, 9)) {
-      val e = rejected(slabWithLastSlot(bad))
-      assert(e.contains(s"key 4 names slot $bad, outside [0, 5)"), e)
+    val want = ChiIndex.build(fiveMasks(4), ChiConfig(4, 4, 4)).counts.toSeq
+    for (k <- Seq(4, 5, 39999)) {
+      val back = read[ChiSlab](slabWithLastKey(k))
+      assert(back.size == 5 && back.slot(k.toLong) == 4 && back.get(k.toLong).get.counts.toSeq == want, s"key $k")
+      assert(k == 4 || !back.contains(4L))
+    }
+    for (bad <- Seq(-1, Int.MaxValue)) {
+      val e = rejected(slabWithLastKey(bad))
+      assert(e.contains(s"CHI key $bad leaves [0, ${Int.MaxValue})"), e)
     }
   }
 
   test("the reader rejects a slot table that names one slot twice") {
-    val e = rejected(slabWithLastSlot(1))
-    assert(e.contains("slot 1 is named twice, last by key 4"), e)
+    val e = rejected(slabWithLastKey(1))
+    assert(e.contains("two CHIs for key 1"), e)
+  }
+
+  test("one index serialises to the same bytes under key 0 and key 39,999, alone or in a sparse slab") {
+    val cfg = ChiConfig(8, 8, 10)
+    val idx = ChiIndex.build(randomMask(7, 56, 56, 7), cfg)
+    val (low, high) = (ChiSlab.of(cfg, Seq(0L -> idx)), ChiSlab.of(cfg, Seq(39999L -> idx)))
+    assert(bytes(low).length == bytes(high).length)
+    assert(roundTrip(high).get(39999L).get.counts.toSeq == idx.counts.toSeq && !roundTrip(high).contains(0L))
+    // An incremental snapshot's slab: two appends, the second of a key far above the first.
+    val other = ChiIndex.build(randomMask(8, 56, 56, 8), cfg)
+    def appended(k: Long) = ChiSlab.empty(cfg).append(Seq(ChiSlab.of(cfg, Seq(1L -> other)))).append(Seq(ChiSlab.of(cfg, Seq(k -> idx))))
+    assert(bytes(appended(2L)).length == bytes(appended(39999L)).length)
   }
 
   test("the reader rejects a truncated stream") {
@@ -328,7 +352,7 @@ class ChiWireSpec extends repro.SparkSpec {
 
   /** `idx` saved alone at `path`, its stream's words replaced by `edit`'s, then loaded. */
   private def loadedWith(idx: ChiIndex, path: String)(edit: Array[Long] => (Int, Seq[Long])): ChiRegistry = {
-    ChiRegistry.save(spark, ChiRegistry.empty(idx.cfg) ++ Seq(idx), path)
+    ChiRegistry.save(spark, registryOf(idx.cfg, Seq(idx)), path)
     Persisted.editWords(spark, path, "masks")(edit)
     ChiRegistry.load(spark, path)
   }

@@ -190,9 +190,12 @@ object Fixtures {
       (1 until cfg.bins).map(b => 32 - Integer.numberOfLeadingZeros(cell.count(_ >= cfg.boundary(b - 1)))).sum.toLong
     }).sum
 
-  /** A slab of the indexes of `masks`, each built with `cfg`, keyed by mask id. */
-  def slabOf(cfg: ChiConfig, masks: Seq[Mask]): ChiSlab =
-    ChiSlab.empty(cfg).append(Seq(ChiSlab.pack(cfg, masks.map(m => m.id -> ChiIndex.build(m, cfg)))))
+  /** A slab of the indexes of `masks`, each built with `cfg`, keyed by mask id in that order: a build task's piece. */
+  def slabOf(cfg: ChiConfig, masks: Seq[Mask]): ChiSlab = ChiSlab.of(cfg, masks.map(m => m.id -> ChiIndex.build(m, cfg)))
+
+  /** A registry of `indexes`, each built with `cfg`, keyed by mask id, with no aggregates. */
+  def registryOf(cfg: ChiConfig, indexes: Seq[ChiIndex]): ChiRegistry =
+    new ChiRegistry(cfg, ChiSlab.of(cfg, indexes.map(i => i.maskId -> i)), ChiSlab.empty(cfg))
 
   /** Deterministic random ROI within a w × h mask. */
   def randomRoi(r: java.util.Random, w: Int, h: Int): Roi = {

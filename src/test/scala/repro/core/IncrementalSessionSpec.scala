@@ -65,8 +65,7 @@ class IncrementalSessionSpec extends SparkSpec {
     val s = new IncrementalSession(spark, store, cfg)
     s.runFilter(allRows.take(20), pred(30))
     s.persist("target/testdata/chi-incremental")
-    val s2 = new IncrementalSession(spark, store, cfg)
-    s2.preload(ChiRegistry.load(spark, "target/testdata/chi-incremental"))
+    val s2 = new IncrementalSession(spark, store, cfg, ChiRegistry.load(spark, "target/testdata/chi-incremental"))
     assert(s2.indexedCount == 20)
     val res = s2.runFilter(allRows.take(20), pred(45))
     val sub = spark.createDataFrame(allRows.take(20))
@@ -98,9 +97,23 @@ class IncrementalSessionSpec extends SparkSpec {
 
   test("preloading a registry built with another config is rejected") {
     val other = ChiConfig(16, 16, 4)
+    val persisted = Fixtures.registryOf(other, Seq(ChiIndex.build(store.load(0L), other)))
+    val e = intercept[IllegalArgumentException](new IncrementalSession(spark, store, cfg, persisted))
+    assert(e.getMessage.contains(s"a session of $cfg cannot start from a CHI registry of $other"), e.getMessage)
+  }
+
+  test("a snapshot taken before a query is unchanged by it") {
     val s = new IncrementalSession(spark, store, cfg)
-    intercept[IllegalArgumentException](s.preload(ChiRegistry.empty(other) ++ Seq(ChiIndex.build(store.load(0L), other))))
-    assert(s.indexedCount == 0)
+    val (first, second) = (allRows.take(20), allRows.slice(10, 40))
+    s.runFilter(first, pred(30))
+    val snap = s.snapshot
+    val counts = first.map(r => snap.get(r.mask_id).get.counts.toVector)
+    s.runFilter(second, pred(30)) // indexes the masks of rows 20 to 39
+    assert(s.indexedCount == 40 && (s.snapshot ne snap))
+    assert(snap.size == 20 && snap.masks.size == 20)
+    assert(first.forall(r => snap.contains(r.mask_id)) && allRows.slice(20, 40).forall(r => !snap.contains(r.mask_id)))
+    first.zip(counts).foreach { case (r, c) => assert(snap.get(r.mask_id).get.counts.toVector == c, s"mask ${r.mask_id}") }
+    assert(snap.masks.keys.sorted.toSeq == first.map(_.mask_id.toInt))
   }
 
   test("indexes built by queries share the session's config instance") {
