@@ -157,8 +157,9 @@ final class ChiIndex(
   /** Size of this index in bytes: the words it holds, header included; at most [[ChiConfig.sizeBytes]]. */
   def sizeBytes: Long = 8L * (((ChiIndex.binStart(words, base, nCorners, cfg.bins, cfg.bins) + 63) >>> 6) - base)
 
-  /** An index, a view too, serialises as its own per-cell counts ([[CellCounts]]), not the whole slab. */
-  private def writeReplace(): AnyRef = new ChiIndex.Wire(maskId, CellCounts(cfg, w, h, 1, words, base))
+  /** An index, a view too, serialises as a stream of its own key and per-cell counts ([[CellCounts]]), not the slab's. */
+  private def writeReplace(): AnyRef =
+    new ChiIndex.Wire(CellCounts(cfg, w, h, Array(maskId), CellCounts.NoMembers, words, base))
 }
 
 /** A `[lower, upper]` interval that is guaranteed to contain the exact CP
@@ -221,15 +222,15 @@ object ChiIndex {
     private var acc = 0L
     private var used = 0
 
-    /** Append `v`, which must fit in `bits` bits. */
-    def put(v: Int, bits: Int): Unit = {
-      acc |= v.toLong << used
+    /** Append `v ≥ 0`, which must fit in `bits` ≤ 63 bits. */
+    def put(v: Long, bits: Int): Unit = {
+      acc |= v << used
       used += bits
       if (used >= 64) {
         words(at) = acc
         at += 1
         used -= 64
-        acc = if (used == 0) 0L else v.toLong >>> (bits - used) // the part of `v` that straddles into the next word
+        acc = if (used == 0) 0L else v >>> (bits - used) // the part of `v` that straddles into the next word
       }
     }
 
@@ -242,21 +243,15 @@ object ChiIndex {
 
   /** Bits per count of each stored bin of the counts `hs`, which hold bins
     * 1 … bins − 1 bin-major (bin `b`'s count at corner `k` at
-    * `hs((b − 1) · nCorners + k)`): the bit length of the bin's largest
-    * count, which for the counts of any mask is its total `T_b` at the last
-    * corner. Entry 0 is unused.
+    * `hs((b − 1) · nCorners + k)`): the bit length of the bin's total `T_b`,
+    * its count at the last corner. That is its largest count whenever the
+    * per-cell counts are non-negative, as [[build]] makes them and
+    * [[CellCounts]] checks them. Entry 0 is unused.
     */
   private[core] def widths(hs: Array[Int], nCorners: Int, bins: Int): Array[Int] = {
     val ws = new Array[Int](bins)
     var b = 1
-    while (b < bins) {
-      var any = 0 // the OR of the bin's counts has the bit length of their maximum
-      var i = (b - 1) * nCorners
-      val end = i + nCorners
-      while (i < end) { any |= hs(i); i += 1 }
-      ws(b) = 32 - Integer.numberOfLeadingZeros(any)
-      b += 1
-    }
+    while (b < bins) { ws(b) = 32 - Integer.numberOfLeadingZeros(hs(b * nCorners - 1)); b += 1 }
     ws
   }
 
@@ -311,8 +306,8 @@ object ChiIndex {
   }
 
   /** The index of mask `maskId` with the counts `hs`, bin-major as
-    * [[widths]] takes them, in words of its own. Checks nothing: its callers
-    * build or check the counts.
+    * [[widths]] takes them, in words of its own. Checks nothing: [[build]],
+    * its caller, makes non-negative per-cell counts.
     */
   private[core] def packed(maskId: Long, w: Int, h: Int, cfg: ChiConfig, hs: Array[Int]): ChiIndex = {
     val nCorners = nCells(w, cfg.cellW) * nCells(h, cfg.cellH)
@@ -336,11 +331,11 @@ object ChiIndex {
   /** Index of the first grid line at or after `v`, for 0 ≤ v ≤ dim. */
   def lineAtOrAbove(v: Int, dim: Int, cell: Int): Int = (v + cell - 1) / cell
 
-  /** The wire form of an index: its key and its per-cell counts. */
-  private final class Wire(maskId: Long, counts: CellCounts) extends Serializable {
+  /** The wire form of an index: one index under its key in a stream of its own. */
+  private final class Wire(counts: CellCounts) extends Serializable {
     private def readResolve(): AnyRef = {
-      if (counts.n != 1) throw new java.io.InvalidObjectException(s"CHI of mask $maskId holds ${counts.n} indexes")
-      new ChiIndex(maskId, counts.w, counts.h, counts.cfg, counts.words)
+      if (counts.n != 1) throw new java.io.InvalidObjectException(s"CHI stream of one index holds ${counts.n}")
+      new ChiIndex(counts.keys(0), counts.w, counts.h, counts.cfg, counts.words)
     }
   }
 
@@ -348,8 +343,8 @@ object ChiIndex {
     * a time: the row's per-cell histograms (checking that every pixel lies in
     * [0, 1)), their suffix sums along the bin axis (reverse cumulative), added
     * to running column sums, whose prefix sums along the row give `H`, which
-    * is then packed at its bins' widths. Bin 0, the rectangle's area, is not
-    * summed. O(w·h + cells·bins).
+    * is then packed at its bins' widths, each its total's bit length. Bin 0,
+    * the rectangle's area, is not summed. O(w·h + cells·bins).
     */
   def build(mask: Mask, cfg: ChiConfig): ChiIndex = {
     val w = mask.w

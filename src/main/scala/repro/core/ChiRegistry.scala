@@ -16,11 +16,11 @@ import repro.store.MaskStore
   * holds the words its bins' widths need ([[ChiIndex]]): on ImageNet-lite,
   * 375 B per 56×56 mask index and 279 B per INTERSECT index on average,
   * against at most 672 B ([[ChiConfig.sizeBytes]]); [[totalBytes]] sums
-  * them. A broadcast ships the two slabs as their per-cell counts, each at
-  * the bit length of its cell's count one bin below ([[CellCounts]]: 105 B
-  * per such mask index and 64 B per INTERSECT index), their keys in slot
-  * order and the aggregates' members; [[ChiRegistry.save]] writes the same
-  * streams, keys and members.
+  * them. A broadcast ships each slab as one stream ([[CellCounts]]): its
+  * keys, the aggregates' members, and its per-cell counts in a
+  * context-adaptive exp-Golomb code, 84 B per such mask index with its key
+  * (109 B in the bounded-integer code); [[ChiRegistry.save]] writes the same
+  * streams.
   */
 final class ChiRegistry(val cfg: ChiConfig, val masks: ChiSlab, val aggregates: ChiSlab) extends Serializable {
   require(masks.cfg == cfg && aggregates.cfg == cfg, s"slabs of ${masks.cfg} and ${aggregates.cfg} in a registry of $cfg")
@@ -84,75 +84,89 @@ object ChiRegistry {
     */
   val BinningVersion: Int = 2
 
-  /** One persisted slab: its name, mask shape, config and binning version,
-    * its keys in slot order, the ids of the masks each aggregate was
-    * built from (none for the mask slab), and its indexes' per-cell counts in
-    * that order ([[CellCounts]]).
+  /** Version of the stream layout ([[CellCounts]]) that persisted slabs
+    * were written in. Registries saved before the stream carried keys and
+    * members, in `keys`, `members` and `cells` columns, have no `format`
+    * column, and [[load]] rejects them.
+    */
+  val StreamFormat: Int = 1
+
+  /** One persisted slab: its name, mask shape, config, binning version and
+    * stream format, and its stream ([[CellCounts]]): its keys in slot order,
+    * the ids of the masks each aggregate was built from (none for the mask
+    * slab), and its indexes' per-cell counts in that order.
     */
   private[core] final case class SlabRow(slab: String, w: Int, h: Int, cell_w: Int, cell_h: Int, bins: Int, binning: Int,
-      keys: Array[Long], members: Option[Array[Array[Long]]], cells: Array[Byte])
+      format: Int, stream: Array[Byte])
 
   private val Masks = "masks"
   private val Aggregates = "aggregates"
 
   /** Persist a registry as Parquet, one [[SlabRow]] per slab, the mask slab
     * and the aggregate slab, whatever their size: the paper's "persisted to
-    * disk for future sessions" (§3.6). The counts take the form they take on
-    * the wire, each per-cell count at the bit length of its cell's count one
-    * bin below ([[CellCounts]]): 5.7 MB for ImageNet-lite's 60,000 indexes.
+    * disk for future sessions" (§3.6). Each slab takes the form it takes on
+    * the wire ([[CellCounts]]).
     */
   def save(spark: SparkSession, registry: ChiRegistry, path: String): Unit = {
     import spark.implicits._
     val cfg = registry.cfg
     def row(name: String, slab: ChiSlab): SlabRow =
-      SlabRow(name, slab.w, slab.h, cfg.cellW, cfg.cellH, cfg.bins, BinningVersion, slab.keys.map(_.toLong),
-        Option.when(name == Aggregates)(slab.members), CellCounts.bytes(cfg, slab.w, slab.h, slab.size, slab.words))
+      SlabRow(name, slab.w, slab.h, cfg.cellW, cfg.cellH, cfg.bins, BinningVersion, StreamFormat,
+        CellCounts.bytes(CellCounts(cfg, slab.w, slab.h, slab.keys.map(_.toLong), slab.members, slab.words)))
     Seq(row(Masks, registry.masks), row(Aggregates, registry.aggregates)).toDS().write.mode("overwrite").parquet(path)
   }
 
-  /** True iff the registry persisted at `path` carries a binning version,
-    * aggregate members and per-cell streams, i.e. was saved since the
-    * value-to-bin rule was defined once and in the form [[save]] writes.
+  /** True iff the registry persisted at `path` was saved with the current
+    * binning version and stream format, i.e. in the form [[save]] writes.
     */
   def isCurrent(spark: SparkSession, path: String): Boolean = {
-    val columns = spark.read.parquet(path).columns
-    Seq("binning", "members", "cells").forall(columns.contains)
+    val table = spark.read.parquet(path)
+    Seq("binning", "format", "stream").forall(table.columns.contains) &&
+      table.select("binning", "format").collect().forall(r => r.getInt(0) == BinningVersion && r.getInt(1) == StreamFormat)
   }
 
   /** Load a previously persisted registry. Fails unless it holds one mask
     * slab and one aggregate slab, both of the current binning version and
-    * the same config, every aggregate names its members, and each slab's
-    * stream holds counts some mask can have, as many as its keys and shape
-    * call for ([[CellCounts.read]]); then the checks every slab passes on its
-    * keys and members apply ([[ChiSlab.checked]]).
+    * stream format and the same config, and each slab's stream holds keys,
+    * members (one non-empty list per aggregate, none for masks) and counts
+    * some mask can have, as many as its keys and shape call for
+    * ([[CellCounts.read]]); then the checks every slab passes on its keys
+    * and members apply ([[ChiSlab.checked]]).
     */
   def load(spark: SparkSession, path: String): ChiRegistry = {
     import spark.implicits._
     val table = spark.read.parquet(path)
-    require(table.columns.contains("binning"),
+    val columns = table.columns
+    require(columns.contains("binning"),
       s"CHI registry at $path has no binning version: it was built with an older value-to-bin rule; rebuild it")
-    require(table.columns.contains("cells"),
-      s"CHI registry at $path holds int counts, saved before the registry was saved as per-cell streams; rebuild it")
+    require(columns.contains("format") && columns.contains("stream"),
+      s"CHI registry at $path " + (if (columns.contains("counts")) "holds int counts, saved before per-cell streams"
+        else "holds keys, members and per-cell counts in separate columns, saved before one stream held them") +
+        "; rebuild it")
     val rows = table.as[SlabRow].collect()
     require(rows.map(_.slab).sorted.sameElements(Seq(Aggregates, Masks)),
       s"CHI registry at $path holds the slabs [${rows.map(_.slab).mkString(", ")}], not one of $Masks and one of $Aggregates")
     val versions = rows.map(_.binning).distinct
     require(versions.sameElements(Seq(BinningVersion)),
       s"CHI registry at $path has binning version ${versions.mkString(", ")}, expected $BinningVersion; rebuild it")
+    val formats = rows.map(_.format).distinct
+    require(formats.sameElements(Seq(StreamFormat)),
+      s"CHI registry at $path has stream format ${formats.mkString(", ")}, expected $StreamFormat; rebuild it")
     val cfgs = rows.map(r => ChiConfig(r.cell_w, r.cell_h, r.bins)).distinct
     require(cfgs.length == 1, s"CHI registry at $path mixes configs ${cfgs.mkString(", ")}")
     val cfg = cfgs.head
     def slab(name: String): ChiSlab = {
       val r = rows.find(_.slab == name).get
-      val members = r.members.getOrElse(Array.empty[Array[Long]])
-      if (name == Aggregates) r.keys.indices.foreach { i =>
+      def fail(e: IllegalArgumentException) = new IllegalArgumentException(s"CHI registry at $path, $name slab: ${e.getMessage}", e)
+      val counts = try CellCounts.read(cfg, r.w, r.h, r.stream) catch { case e: IllegalArgumentException => throw fail(e) }
+      val (keys, members) = (counts.keys, counts.members)
+      if (name == Aggregates) keys.indices.foreach { i =>
         require(i < members.length && members(i).nonEmpty,
-          s"CHI registry at $path: the aggregate of image ${r.keys(i)} names no members; rebuild it")
+          s"CHI registry at $path: the aggregate of image ${keys(i)} names no members; rebuild it")
       }
-      require(members.length == (if (name == Aggregates) r.keys.length else 0),
-        s"CHI registry at $path: its $name slab records ${members.length} member lists for ${r.keys.length} indexes")
-      try ChiSlab(r.keys.map(ChiSlab.key), members, CellCounts.read(cfg, r.w, r.h, r.keys.length, r.cells))
-      catch { case e: IllegalArgumentException => throw new IllegalArgumentException(s"CHI registry at $path, $name slab: ${e.getMessage}", e) }
+      require(members.length == (if (name == Aggregates) keys.length else 0),
+        s"CHI registry at $path: its $name slab records ${members.length} member lists for ${keys.length} indexes")
+      try ChiSlab(counts) catch { case e: IllegalArgumentException => throw fail(e) }
     }
     new ChiRegistry(cfg, slab(Masks), slab(Aggregates))
   }

@@ -18,12 +18,13 @@ import repro.store.CatalogRow
   *
   * A slab is one immutable value of exactly the size it holds: build tasks
   * return one ([[ChiSlab.of]]), and [[append]] copies slabs into a new one.
-  * It serialises (as a task result or a broadcast ships it) as its keys in
-  * slot order, its members and its per-cell counts in one bitstream
-  * ([[CellCounts]], 105 B for a 56×56 index that holds 375 B in memory, on
-  * average over ImageNet-lite): no table sized by the largest key. Reading it
-  * back rebuilds the same words, starts and slot table, and runs the key and
-  * member checks every slab passes ([[ChiSlab.checked]]).
+  * It serialises (as a task result or a broadcast ships it) as one stream
+  * ([[CellCounts]]): its keys in slot order as varint gaps, its members, and
+  * its per-cell counts in one bitstream, 84 B for a 56×56 index that holds
+  * 375 B in memory, on average over ImageNet-lite; no table sized by the
+  * largest key. Reading it back rebuilds the same words, starts and slot
+  * table, and runs the key and member checks every slab passes
+  * ([[ChiSlab.checked]]).
   */
 final class ChiSlab private (
     val cfg: ChiConfig,
@@ -117,19 +118,17 @@ final class ChiSlab private (
     }
     st(s) = at
     ChiSlab.checked(cfg, first.w, first.h, Array.concat(parts.map(_.keys): _*), ws, st,
-      if (recorded) Array.concat(parts.map(_.members): _*) else ChiSlab.NoMembers, held = size)
+      if (recorded) Array.concat(parts.map(_.members): _*) else CellCounts.NoMembers, held = size)
   }
 
-  /** Its keys in slot order, its members and its per-cell counts. */
-  private def writeReplace(): AnyRef = new ChiSlab.Wire(keys, members, CellCounts(cfg, w, h, size, words))
+  /** One stream of its keys in slot order, its members and its per-cell counts. */
+  private def writeReplace(): AnyRef = new ChiSlab.Wire(CellCounts(cfg, w, h, keys.map(_.toLong), members, words))
 }
 
 object ChiSlab {
 
   def empty(cfg: ChiConfig): ChiSlab =
-    new ChiSlab(cfg, 0, 0, Array.emptyIntArray, Array.emptyLongArray, Array(0), NoMembers, Array.emptyIntArray)
-
-  private val NoMembers: Array[Array[Long]] = Array.empty
+    new ChiSlab(cfg, 0, 0, Array.emptyIntArray, Array.emptyLongArray, Array(0), CellCounts.NoMembers, Array.emptyIntArray)
 
   /** `key` as a slab key: in [0, 2³¹ − 1), so that a slot table of `key + 1` entries can be allocated. */
   private[core] def key(key: Long): Int = {
@@ -159,19 +158,17 @@ object ChiSlab {
     new ChiSlab(cfg, w, h, keys, words, starts, members, slots)
   }
 
-  /** The slab of `counts`'s indexes under `keys`, in slot order, with
-    * `members` when it records them: a serialised or persisted slab read
+  /** The slab of `counts`'s indexes under its keys, in slot order, with
+    * its members when it records them: a serialised or persisted slab read
     * back, checked as every slab is.
     */
-  private[core] def apply(keys: Array[Int], members: Array[Array[Long]], counts: CellCounts): ChiSlab = {
-    require(keys.length == counts.n, s"CHI slab of ${counts.n} indexes under ${keys.length} keys")
-    checked(counts.cfg, counts.w, counts.h, keys, counts.words, counts.starts, members, held = 0)
-  }
+  private[core] def apply(counts: CellCounts): ChiSlab =
+    checked(counts.cfg, counts.w, counts.h, counts.keys.map(key), counts.words, counts.starts, counts.members, held = 0)
 
-  /** A slab's wire form: keys in slot order, members and per-cell counts. */
-  private final class Wire(keys: Array[Int], members: Array[Array[Long]], counts: CellCounts) extends Serializable {
+  /** A slab's wire form: its stream. */
+  private final class Wire(counts: CellCounts) extends Serializable {
     private def readResolve(): AnyRef =
-      try ChiSlab(keys, members, counts)
+      try ChiSlab(counts)
       catch { case e: IllegalArgumentException => throw new java.io.InvalidObjectException(e.getMessage) }
   }
 

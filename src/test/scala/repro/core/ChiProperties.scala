@@ -45,6 +45,27 @@ object ChiProperties extends Properties("CHI") {
     a <- Gen.choose(0.0, 1.0); b <- Gen.choose(0.0, 1.0)
   } yield ValueRange(math.min(a, b), math.max(a, b))
 
+  /** A mask with every pixel in the top bin: every per-cell count equals the one a bin below. */
+  private val genTopBin: Gen[(Mask, ChiConfig)] = for {
+    w <- Gen.choose(4, 28)
+    h <- Gen.choose(4, 28)
+    cw <- Gen.choose(2, 10)
+    ch <- Gen.choose(2, 10)
+    bins <- Gen.choose(2, 16)
+    seed <- Gen.choose(0L, 1_000_000L)
+  } yield (Mask(seed, w, h, Array.fill(w * h)(0.999f)), ChiConfig(cw, ch, bins))
+
+  property("no stream is longer than the bounded-integer code plus its table") =
+    Prop.forAll(Gen.oneOf(genMaskAndCfg, genQuantised, genTopBin)) { case (mask, cfg) =>
+      val idx = ChiIndex.build(mask, cfg)
+      val back = CellCounts.read(cfg, mask.w, mask.h,
+        CellCounts.bytes(CellCounts(cfg, mask.w, mask.h, Array(mask.id), CellCounts.NoMembers, idx.words)))
+      val bound = Fixtures.plainBits(mask, cfg) + Fixtures.tableBits(cfg, mask.w, mask.h)
+      (back.bits <= bound) :| s"${back.bits} bits over $bound" &&
+        (back.bits == Fixtures.wireBits(mask, cfg)) :| s"${back.bits} bits, ${Fixtures.wireBits(mask, cfg)} worked out" &&
+        back.words.sameElements(idx.words) :| "words"
+    }
+
   property("bounds contain the exact CP value") = Prop.forAll(genMaskAndCfg) {
     case (mask, cfg) =>
       val idx = ChiIndex.build(mask, cfg)

@@ -193,8 +193,13 @@ class ChiRegistrySpec extends SparkSpec {
 
   test("load rejects a slab whose keys repeat or leave [0, 2³¹ − 1)") {
     val path = "target/testdata/chi-bad-keys"
-    def editKeys(slab: String)(edit: IndexedSeq[Long] => IndexedSeq[Long]): Unit = savedAndEdited(path) { r =>
-      if (r.getAs[String]("slab") == slab) Persisted.set(r, "keys", edit(r.getAs[scala.collection.Seq[Long]]("keys").toIndexedSeq)) else r
+    // The stream written again with the keys `edit` gives: the writer checks counts, not keys.
+    def editKeys(slab: String)(edit: IndexedSeq[Long] => IndexedSeq[Long]): Unit = {
+      ChiRegistry.save(spark, registry, path)
+      Persisted.editStream(spark, path, slab) { bs =>
+        val counts = CellCounts.read(cfg, ds.w, ds.h, bs)
+        Streams.written(cfg, ds.w, ds.h, edit(counts.keys.toIndexedSeq).toArray, counts.members, counts.words)
+      }
     }
     editKeys("masks")(ks => ks.updated(1, ks(0)))
     val twice = intercept[IllegalArgumentException](ChiRegistry.load(spark, path)).getMessage
@@ -214,17 +219,22 @@ class ChiRegistrySpec extends SparkSpec {
   test("load rejects an index with the wrong number of counts") {
     val path = "target/testdata/chi-short-counts"
     ChiRegistry.save(spark, registry, path)
-    Persisted.editCells(spark, path, "masks")(_.dropRight(8))
+    Persisted.editStream(spark, path, "masks")(_.dropRight(8))
     val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
     assert(e.getMessage.contains(s"truncated CHI stream: ${ds.nMasks} indexes of 32x32 masks"), e.getMessage)
   }
 
   test("load rejects a count below 0 or above w·h instead of truncating it") {
-    // Mask 0's first count, cell (0, 0) at bin 1, takes the 7 bits of the cell's 64 pixels: 65 to 127 fit them.
+    // The mask slab's counts in the plain form (Streams.plainWords), where mask 0's first count, cell (0, 0) at bin 1,
+    // takes the 7 bits of the cell's 64 pixels: 65 to 127 fit them.
     val path = "target/testdata/chi-bad-count"
+    val cells = registry.masks.keys.toSeq.map(k => Streams.perCell(registry.get(k.toLong).get))
     for (bad <- Seq(65, 70, 127)) {
       ChiRegistry.save(spark, registry, path)
-      Persisted.editWords(spark, path, "masks")(ws => (ws.length, ws.updated(0, ws(0) & ~0x7fL | bad).toSeq))
+      Persisted.editWords(spark, path, "masks") { _ =>
+        val ws = Streams.plainWords(cfg, ds.w, ds.h, cells.updated(0, cells(0).updated(0, cells(0)(0).updated(1, bad))))
+        (ws.length, ws.toSeq)
+      }
       val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
       assert(e.getMessage.contains(s"CHI in slot 0 of ${ds.nMasks}: cell (0, 0) has $bad pixels at bin 1, outside [0, 64]"),
         e.getMessage)
@@ -289,9 +299,13 @@ class ChiRegistrySpec extends SparkSpec {
     assert(!ChiRegistry.isCurrent(spark, path))
     val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
     assert(e.getMessage.contains("holds int counts") && e.getMessage.contains("rebuild it"), e.getMessage)
-    // Saved as per-cell streams, an aggregate slab without members is rejected too.
+    // Saved as one stream per slab, an aggregate slab written without members is rejected too.
     val current = "target/testdata/chi-no-members-current"
-    savedAndEdited(current)(r => if (r.getAs[String]("slab") == "aggregates") Persisted.set(r, "members", null) else r)
+    ChiRegistry.save(spark, registry, current)
+    Persisted.editStream(spark, current, "aggregates") { bs =>
+      val counts = CellCounts.read(cfg, ds.w, ds.h, bs)
+      Streams.written(cfg, ds.w, ds.h, counts.keys, CellCounts.NoMembers, counts.words)
+    }
     val e2 = intercept[IllegalArgumentException](ChiRegistry.load(spark, current))
     assert(e2.getMessage.contains("the aggregate of image 0 names no members"), e2.getMessage)
     var builds = 0
@@ -316,6 +330,38 @@ class ChiRegistrySpec extends SparkSpec {
     assert(builds == 1 && second.size == registry.size)
     (0L until ds.nMasks).foreach(id => assert(second.get(id).get.counts.toSeq == registry.get(id).get.counts.toSeq, s"mask $id"))
     assert(second.aggregates.membersOf(3L) == registry.aggregates.membersOf(3L))
+  }
+
+  test("a registry saved with separate keys, members and cells columns is not current; load says rebuild it") {
+    // The layout before one stream held keys, members and counts: a row per slab, with the keys as `bigint`s, the
+    // members as arrays of them, and the counts' stream alone in `cells`.
+    val path = "target/testdata/chi-cells-columns"
+    val spark0 = spark
+    import spark0.implicits._
+    Seq(("masks", Seq(0L, 1L), Option.empty[Seq[Seq[Long]]]), ("aggregates", Seq(0L), Some(Seq(Seq(0L, 1L)))))
+      .map { case (slab, keys, members) =>
+        (slab, ds.w, ds.h, cfg.cellW, cfg.cellH, cfg.bins, ChiRegistry.BinningVersion, keys, members, Array[Byte](0, 0, 0, 0))
+      }
+      .toDF("slab", "w", "h", "cell_w", "cell_h", "bins", "binning", "keys", "members", "cells")
+      .write.mode("overwrite").parquet(path)
+    assert(!ChiRegistry.isCurrent(spark, path))
+    val e = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
+    assert(e.getMessage.contains(s"CHI registry at $path holds keys, members and per-cell counts in separate columns") &&
+      e.getMessage.contains("rebuild it"), e.getMessage)
+    var builds = 0
+    def build = { builds += 1; registry }
+    assert(repro.bench.BenchData.cachedRegistry(spark, path)(build) eq registry)
+    assert(builds == 1 && ChiRegistry.isCurrent(spark, path))
+    val second = repro.bench.BenchData.cachedRegistry(spark, path)(build)
+    assert(builds == 1 && second.size == registry.size)
+    (0L until ds.nMasks).foreach(id => assert(second.get(id).get.counts.toSeq == registry.get(id).get.counts.toSeq, s"mask $id"))
+    assert(second.aggregates.membersOf(3L) == registry.aggregates.membersOf(3L))
+    // A stream of another format is not current either.
+    Persisted.rewrite(spark, path)(r => Persisted.set(r, "format", ChiRegistry.StreamFormat + 1))
+    assert(!ChiRegistry.isCurrent(spark, path))
+    val f = intercept[IllegalArgumentException](ChiRegistry.load(spark, path))
+    assert(f.getMessage.contains(s"has stream format ${ChiRegistry.StreamFormat + 1}, expected ${ChiRegistry.StreamFormat}; rebuild it"),
+      f.getMessage)
   }
 
   test("an empty registry, as a session persists it before its first query, saves and loads back empty") {

@@ -7,11 +7,11 @@ import repro.store.CatalogRow
 /** Tests for the wire form of every Java-serialised CHI ([[CellCounts]]):
   * indexes and slabs, a build task's among them, read back with the same
   * keys, counts and bounds, in exactly the bits their pixels call for
-  * ([[Fixtures.wireBits]]: each per-cell count at the bit length of the
-  * cell's count one bin below),
-  * and counts no mask can have, or a stream whose words do not frame its
-  * counts, are rejected with an error that names the problem, also when
-  * [[ChiRegistry.load]] reads the stream from disk. And a [[ChiConfig]]
+  * ([[Fixtures.wireBits]]: the stream's table, then each per-cell count in
+  * the exp-Golomb code its context's entry gives), and counts no mask can
+  * have, a table or varints no writer writes, or a stream whose words do not
+  * frame its counts, are rejected with an error that names the problem, also
+  * when [[ChiRegistry.load]] reads the stream from disk. And a [[ChiConfig]]
   * serialises without its derived arrays.
   */
 class ChiWireSpec extends repro.SparkSpec {
@@ -67,14 +67,22 @@ class ChiWireSpec extends repro.SparkSpec {
   private def blockBytes(payload: Long): Long =
     payload + 5 * (payload / 1024) + (payload % 1024 match { case 0 => 0; case r if r <= 255 => 2; case _ => 5 })
 
-  /** Serialised bytes of a stream of `bits` bits of counts: its word count, then its words, as block data. */
-  private def streamBytes(bits: Long): Long = blockBytes(4 + 8 * ((bits + 63) / 64))
+  /** Bytes of `v ≥ 0` as a varint. */
+  private def varBytes(v: Long): Int = math.max(1, (64 - java.lang.Long.numberOfLeadingZeros(v) + 6) / 7)
+
+  /** Serialised bytes of a stream whose `n`, members flag, keys and members take `head` bytes and whose counts'
+    * bitstream takes `bits` bits: the head, the word count and the words, as block data.
+    */
+  private def streamBytes(bits: Long, head: Long): Long = blockBytes(head + 4 + 8 * ((bits + 63) / 64))
+
+  /** The head of a lone index's stream: `n` = 1, the members flag and its key, a zigzag varint. */
+  private def loneHead(id: Long): Long = 2 + varBytes(2 * id)
 
   /** What an index adds to a serialised array after one of the same shape and config, besides its stream: the
-    * proxy's object and class back-reference (6 B), its mask id (8), the counts' object and class back-reference
-    * (6), w, h and n (12), a back-reference to the config (5) and the end of the block data (1).
+    * proxy's object and class back-reference (6 B), the stream object's and class back-reference (6), w and h (8),
+    * a back-reference to the config (5) and the end of the block data (1).
     */
-  private val IndexBytes = 38L
+  private val IndexBytes = 26L
 
   /** Bytes `idx` adds to a serialised array after `ref`, an index of the same shape and config. */
   private def addedBytes(ref: ChiIndex, idx: ChiIndex): Long = bytes(Array(ref, idx)).length - bytes(Array(ref)).length
@@ -106,22 +114,26 @@ class ChiWireSpec extends repro.SparkSpec {
   /** A `w × h` mask with every pixel in the top bin. */
   private def topBin(id: Long, w: Int, h: Int): Mask = Mask(id, w, h, Array.fill(w * h)(0.999f))
 
-  // (what it covers, cfg, masks, the first mask's wire bits worked out by hand)
+  // (what it covers, cfg, masks, the first mask's wire bits worked out by hand). A table entry takes bitLength(c) + 1
+  // bits: per bin, 24 bits for c = 1 … 7 (cells of up to 127 pixels), 29 up to c = 8, 34 up to 9, 70 up to 16 and 76
+  // up to 17. A count d = 0 under prev > 0 takes one bit at order 0 coding d, and so does d = prev coding prev − d.
   for ((what, cfg, masks, first) <- Seq[(String, ChiConfig, Seq[Mask], Option[Long])](
+      // 9 bins × 24 table bits, and 7·7 bin-1 counts of 0 in one bit each.
       ("an all-zero mask: bin 1's widths only", ChiConfig(8, 8, 10), Seq(Mask(1, 56, 56, Array.fill(56 * 56)(0f))),
-        Some(7L * 7 * 7)),
+        Some(9L * 24 + 7 * 7)),
+      // Every count equals its prev: one bit each.
       ("an all-top-bin mask: every count at its cell's width", ChiConfig(8, 8, 10), Seq(topBin(2, 56, 56)),
-        Some(7L * 7 * 9 * 7)),
-      ("cells of 255 pixels", ChiConfig(15, 17, 4), Seq(topBin(3, 30, 34), randomMask(4, 30, 34, 4)), Some(2L * 2 * 3 * 8)),
-      ("cells of 256 pixels", ChiConfig(16, 16, 4), Seq(topBin(5, 32, 32), randomMask(6, 32, 32, 6)), Some(2L * 2 * 3 * 9)),
+        Some(9L * 24 + 7 * 7 * 9)),
+      ("cells of 255 pixels", ChiConfig(15, 17, 4), Seq(topBin(3, 30, 34), randomMask(4, 30, 34, 4)), Some(3L * 29 + 2 * 2 * 3)),
+      ("cells of 256 pixels", ChiConfig(16, 16, 4), Seq(topBin(5, 32, 32), randomMask(6, 32, 32, 6)), Some(3L * 34 + 2 * 2 * 3)),
       ("cells of 65,535 pixels", ChiConfig(255, 257, 3), Seq(topBin(7, 255, 257), randomMask(8, 255, 257, 8)),
-        Some(2L * 16)),
+        Some(2L * 70 + 2)),
       ("cells of 65,536 pixels", ChiConfig(256, 256, 3), Seq(topBin(9, 256, 256), randomMask(10, 256, 256, 10)),
-        Some(2L * 17)),
-      // 6·4 cells of 64 pixels (7 bits), 4 of 2·8 (5), 6 of 8·5 (6) and one of 2·5 (4), each for 9 bins.
+        Some(2L * 76 + 2)),
+      // 6·4 cells of 64 pixels, 4 of 2·8, 6 of 8·5 and one of 2·5, each for 9 bins at one bit.
       ("partial last cells", ChiConfig(8, 8, 10),
         Seq(topBin(11, 50, 37), randomMask(12, 50, 37, 12), quantisedMask(13, 50, 37, 10, 13)),
-        Some((24L * 7 + 4 * 5 + 6 * 6 + 4) * 9)),
+        Some(9L * 24 + 35 * 9)),
       ("b = 1: no payload", ChiConfig(8, 8, 1), Seq(randomMask(14, 56, 56, 14)), Some(0L)),
       ("b = 20", ChiConfig(8, 8, 20), Seq(randomMask(15, 56, 56, 15), quantisedMask(16, 56, 56, 20, 16)), None),
     )) {
@@ -131,7 +143,8 @@ class ChiWireSpec extends repro.SparkSpec {
         val idx = ChiIndex.build(m, cfg)
         val ref = ChiIndex.build(Mask(0, m.w, m.h, Array.fill(m.w * m.h)(0f)), cfg)
         val bits = wireBits(m, cfg)
-        assert(addedBytes(ref, idx) == IndexBytes + streamBytes(bits), s"mask ${m.id}: $bits bits")
+        assert(bits <= plainBits(m, cfg) + tableBits(cfg, m.w, m.h), s"mask ${m.id}: $bits bits")
+        assert(addedBytes(ref, idx) == IndexBytes + streamBytes(bits, loneHead(m.id)), s"mask ${m.id}: $bits bits")
         sameIndex(roundTrip(idx), idx, m.id)
       }
     }
@@ -182,13 +195,14 @@ class ChiWireSpec extends repro.SparkSpec {
     val masks = (0 until 101).map(i => randomMask(i, 56, 56, 900L + i))
     val indexes = masks.map(m => ChiIndex.build(m, cfg))
     val bits = masks.map(m => wireBits(m, cfg))
-    // Exactly: each further index adds its fixed fields and a stream of its own; each further slab slot adds its
-    // bits to the slab's one stream, and its key (4 B).
+    // Exactly: each further index adds its fixed fields and a stream of its own; the slab's one stream takes the bits
+    // of all its counts under one table, and a key (a gap of 1) of one byte per further slot.
     val added = bytes(indexes.toArray).length - bytes(indexes.take(1).toArray).length
-    assert(added == bits.tail.map(b => IndexBytes + streamBytes(b)).sum)
+    assert(added == masks.tail.map(m => IndexBytes + streamBytes(wireBits(m, cfg), loneHead(m.id))).sum)
     val slab = slabOf(cfg, masks)
     val addedSlots = bytes(slab).length - bytes(slabOf(cfg, masks.take(1))).length
-    assert(addedSlots == streamBytes(bits.sum) - streamBytes(bits.head) + 4 * 100)
+    assert(addedSlots == streamBytes(wireBits(masks, cfg), 2 + 101) - streamBytes(bits.head, 3))
+    assert(wireBits(masks, cfg) <= masks.map(plainBits(_, cfg)).sum + tableBits(cfg, 56, 56))
     // The envelope of a count per byte.
     assert(added / 100 <= 7 * 7 * 9 + 48, s"${added / 100} bytes per serialised index")
     assert(addedSlots / 100 <= 7 * 7 * 9 + 8, s"${addedSlots / 100} bytes per slab slot")
@@ -201,8 +215,12 @@ class ChiWireSpec extends repro.SparkSpec {
     val cfg = ChiConfig(8, 8, 4)
     val wide = ChiIndex.build(Mask(7, 16, 16, Array.fill(256)(0.0f)), cfg).counts.toArray
     edit(wide)
-    // Bins 1 … 3 of the 4 corners, bin-major, packed unchecked.
-    ChiIndex.packed(7, 16, 16, cfg, Array.tabulate(4 * 3)(i => wide((i % 4) * 4 + i / 4 + 1)))
+    // Bins 1 … 3 of the 4 corners, bin-major, packed unchecked, each bin at the bit length of its largest count.
+    val hs = Array.tabulate(4 * 3)(i => wide((i % 4) * 4 + i / 4 + 1))
+    val ws = 0 +: (0 until 3).map(b => 32 - Integer.numberOfLeadingZeros(hs.slice(4 * b, 4 * b + 4).reduce(_ | _))).toArray
+    val words = new Array[Long](ChiIndex.packedWords(ws, 4))
+    ChiIndex.pack(hs, ws, 4, words, 0)
+    new ChiIndex(7, 16, 16, cfg, words)
   }
 
   /** Offset of corner `(cx, cy)`'s bin `b` in a 2x2-cell, 4-bin index. */
@@ -223,83 +241,143 @@ class ChiWireSpec extends repro.SparkSpec {
     assert(inSlab.contains("CHI in slot 1 of 2: cell (1, 1) has 1 pixels at bin 3 but 0 at bin 2"), inSlab)
   }
 
-  /** `idx` serialised, with the word count and words of its stream, its last block data, replaced by `edit`'s: what
-    * a writer that checked nothing would write. The new stream must fit in one short block (at most 31 words).
+  /** `o` serialised, with its stream, the last block data, replaced by `edit`'s: what a writer that checked nothing
+    * would write. Both streams must fit in one short block (at most 255 bytes).
     */
-  private def restreamed(idx: ChiIndex)(edit: Array[Long] => (Int, Seq[Long])): Array[Byte] = {
-    import java.nio.ByteBuffer
-    val bs = bytes(idx)
-    def count(q: Int) = ByteBuffer.wrap(bs, q + 2, 4).getInt
-    val q = (bs.length - 7 to 0 by -1)
-      .find(q => bs(q) == 0x77 && q + 3 + (bs(q + 1) & 0xff) == bs.length && (bs(q + 1) & 0xff) == 4 + 8 * count(q)).get
-    val (n, words) = edit(Array.tabulate(count(q))(i => ByteBuffer.wrap(bs, q + 6 + 8 * i, 8).getLong))
-    val stream = ByteBuffer.allocate(4 + 8 * words.length).putInt(n)
-    words.foreach(stream.putLong)
-    bs.take(q) ++ Array[Byte](0x77, (4 + 8 * words.length).toByte) ++ stream.array :+ 0x78.toByte
+  private def restreamed(o: AnyRef)(edit: Array[Byte] => Array[Byte]): Array[Byte] = {
+    val bs = bytes(o)
+    def frames(q: Int) = bs(q) == 0x77 && q + 3 + (bs(q + 1) & 0xff) == bs.length &&
+      scala.util.Try { val (head, ws) = Streams.split(bs.slice(q + 2, bs.length - 1)); head.length + 4 + 8 * ws.length }
+        .toOption.contains(bs(q + 1) & 0xff)
+    val q = (bs.length - 3 to 0 by -1).find(frames).get
+    val stream = edit(bs.slice(q + 2, bs.length - 1))
+    assert(stream.length <= 255)
+    bs.take(q) ++ Array[Byte](0x77, stream.length.toByte) ++ stream :+ 0x78.toByte
   }
+
+  /** `o` serialised, with its stream's word count and words replaced by `edit`'s. */
+  private def rewords(o: AnyRef)(edit: Array[Long] => (Int, Seq[Long])): Array[Byte] = restreamed(o)(Streams.rewords(_)(edit))
+
+  /** `idx` serialised with its counts' words in the plain form ([[Streams.plainWords]]) of its per-cell counts as
+    * `edit` changes them.
+    */
+  private def plainly(idx: ChiIndex)(edit: IndexedSeq[IndexedSeq[Int]] => IndexedSeq[IndexedSeq[Int]]): Array[Byte] =
+    rewords(idx) { _ =>
+      val ws = Streams.plainWords(idx.cfg, idx.w, idx.h, Seq(edit(Streams.perCell(idx))))
+      (ws.length, ws.toSeq)
+    }
 
   /** A 16x16 mask whose only pixels above 0 are two of cell (0, 0) in bin 2 of 4, and its index with 8x8 cells. */
   private val twoInBin2Mask = Mask(7, 16, 16, Array.tabulate(256)(i => if (i < 2) 0.6f else 0.0f))
   private val twoInBin2: ChiIndex = ChiIndex.build(twoInBin2Mask, ChiConfig(8, 8, 4))
 
-  /** The all-zero index of [[edited]]: four cells of 64 pixels at 7 bits each for bin 1, none above, in one word. */
+  /** The all-zero index of [[edited]]: four cells of 64 pixels, 0 at bin 1 and none above. */
   private val allZero: ChiIndex = edited(_ => ())
 
-  test("a stream holds each count at the bit length of its cell's count one bin below, and nothing else") {
-    // Cell (0, 0): 2 at bin 1 (7 bits, under 64), 2 at bin 2 (2 bits, under 2), 0 at bin 3 (2 bits); then three
-    // cells with 0 at bin 1 (7 bits each) and nothing above.
-    assert(restreamed(twoInBin2) { ws => assert(ws.toSeq == Seq(2L | 2L << 7)); (1, ws.toSeq) }.toSeq == bytes(twoInBin2).toSeq)
-    assert(restreamed(allZero) { ws => assert(ws.toSeq == Seq(0L)); (1, ws.toSeq) }.toSeq == bytes(allZero).toSeq)
-    assert(wireBits(twoInBin2Mask, twoInBin2.cfg) == 7 + 2 + 2 + 3 * 7)
+  /** The table of a 16x16 index with 8x8 cells and 4 bins, 72 bits ([[Streams.table]]), with `entries`. */
+  private def table16(entries: ((Int, Int), (Int, Int))*): Seq[(Int, Int)] = Streams.table(ChiConfig(8, 8, 4), 16, 16, entries.toMap)
+
+  test("a stream holds its table, then each count in its context's code, and nothing else") {
+    // allZero: 4 bin-1 counts of 0 under 64, context (1, 7). At order 0 coding d, v = 1 has one bit and is not of the
+    // last class (bitLength(64 + 1) = 7): no zero bits, then v, "1". Every other entry keeps order c and d.
+    val zero = Streams.pack(table16((1, 7) -> (0, 0)) ++ Seq.fill(4)((1, 1)))
+    assert(restreamed(allZero) { s => assert(Streams.split(s)._2.toSeq == zero.toSeq); s }.toSeq == bytes(allZero).toSeq)
+    assert(wireBits(Mask(7, 16, 16, Array.fill(256)(0f)), allZero.cfg) == 72 + 4)
+    // twoInBin2, cell (0, 0): 2 at bin 1 under 64 (order 0 coding d: v = 3, one zero bit, then its 1 and its low
+    // bit 1), 2 at bin 2 under 2 (order 0 coding prev − d = 0: "1"), 0 at bin 3 under 2 (order 0 coding d: "1");
+    // then three cells with 0 at bin 1 ("1" each) and nothing above.
+    val two = Streams.pack(table16((1, 7) -> (0, 0), (2, 2) -> (0, 1), (3, 2) -> (0, 0)) ++
+      Seq((2, 2), (1, 1), (1, 1), (1, 1)) ++ Seq.fill(3)((1, 1)))
+    assert(restreamed(twoInBin2) { s => assert(Streams.split(s)._2.toSeq == two.toSeq); s }.toSeq == bytes(twoInBin2).toSeq)
+    assert(wireBits(twoInBin2Mask, twoInBin2.cfg) == 72 + 3 + 1 + 1 + 3)
+    // Order c coding d is the bounded-integer code: a stream of the plain table and each count at the bit length of
+    // its cell's count one bin below reads back the same index.
+    for (idx <- Seq(allZero, twoInBin2))
+      assert(read[ChiIndex](plainly(idx)(identity)).counts.toSeq == idx.counts.toSeq)
   }
 
   test("the reader rejects a per-cell count outside [0, the cell's pixels]") {
     // Cell (0, 0) holds 64 pixels; 70 of them cannot be ≥ boundary(1), and 70 fits in bin 1's 7 bits.
-    val e = rejected(restreamed(allZero)(ws => (1, Seq(ws(0) | 70L))))
+    val e = rejected(plainly(allZero)(cs => cs.updated(0, cs(0).updated(1, 70))))
     assert(e.contains("cell (0, 0) has 70 pixels at bin 1, outside [0, 64]"), e)
+    // In the writer's own table, order 0 coding d: 70 is v = 71 of the last class, six zero bits and v's low six bits.
+    val coded = rejected(rewords(allZero)(_ => { val ws = Streams.pack(table16((1, 7) -> (0, 0)) ++
+      Seq((0, 6), (7, 6)) ++ Seq.fill(3)((1, 1))); (ws.length, ws.toSeq) }))
+    assert(coded.contains("cell (0, 0) has 70 pixels at bin 1, outside [0, 64]"), coded)
+    // Coding prev − d, a decoded 70 above the cell's 64 is a count of −6.
+    val down = rejected(rewords(allZero)(_ => { val ws = Streams.pack(table16((1, 7) -> (0, 1)) ++
+      Seq((0, 6), (7, 6)) ++ Seq.fill(3)((1, 1))); (ws.length, ws.toSeq) }))
+    assert(down.contains("cell (0, 0) has -6 pixels at bin 1, outside [0, 64]"), down)
   }
 
   test("the reader rejects per-cell counts that increase over bins") {
-    // Bin 2's 2 bits of cell (0, 0), from bit 7, read 3 over bin 1's 2.
-    val e = rejected(restreamed(twoInBin2)(ws => (1, Seq(ws(0) | 1L << 7))))
+    // Bin 2 of cell (0, 0), in 2 bits under bin 1's 2, reads 3.
+    val e = rejected(plainly(twoInBin2)(cs => cs.updated(0, cs(0).updated(2, 3))))
     assert(e.contains("cell (0, 0) has 3 pixels at bin 2 but 2 at bin 1: per-cell counts increase over bins"), e)
   }
 
+  test("the reader rejects a table entry whose order exceeds its context's bits") {
+    // Context (1, 2) holds its order in 2 bits, which can say 3.
+    val e = rejected(rewords(allZero)(_ => { val ws = Streams.pack(table16((1, 2) -> (3, 0), (1, 7) -> (0, 0)) ++
+      Seq.fill(4)((1, 1))); (ws.length, ws.toSeq) }))
+    assert(e.contains("its table gives the counts of bin 1 under 2 bits order 3, above 2"), e)
+  }
+
+  test("the reader rejects malformed varints in the keys and the members") {
+    // A lone index's stream opens with n = 1, the members flag 0 and its key 7 (zigzag 14); 11 bytes say more than 64 bits.
+    val long = Array.fill[Byte](10)(0xff.toByte) :+ 1.toByte
+    val key = rejected(restreamed(allZero) { s => assert(s.take(3).toSeq == Seq[Byte](1, 0, 14)); Array[Byte](1, 0) ++ long ++ s.drop(3) })
+    assert(key.contains("malformed varint in key 0, longer than 64 bits"), key)
+    // A slab of one aggregate under key 5 built from masks 1 and 2: n, flag 1, key (10), 2 members (gaps 1 and 1).
+    val cfg = allZero.cfg
+    val agg = ChiSlab.of(cfg, Seq(5L -> allZero), Seq(Seq(1L, 2L)))
+    val member = rejected(restreamed(agg) { s =>
+      assert(s.take(6).toSeq == Seq[Byte](1, 1, 10, 2, 2, 2)); s.take(5) ++ long ++ s.drop(6)
+    })
+    assert(member.contains("malformed varint in a member of slot 0, longer than 64 bits"), member)
+    val flag = rejected(restreamed(allZero)(s => s.updated(1, 2.toByte)))
+    assert(flag.contains("members flag 2"), flag)
+  }
+
   test("the reader rejects a word count above the worst case before allocating") {
-    // The worst case is 4 cells × 3 bins × 7 bits = 84 bits, 2 words: two words pass this check and fail the next.
-    assert(rejected(restreamed(allZero)(ws => (2, Seq(ws(0), 0L)))).contains("after its last count"))
-    for (n <- Seq(3, Int.MaxValue, -1)) {
-      val e = rejected(restreamed(allZero)(ws => (n, ws.toSeq)))
-      assert(e.contains(s"CHI stream of 1 indexes of 16x16 masks and ${allZero.cfg}: $n words, outside [0, 2]"), e)
+    // The worst case is a 72-bit table and 4 cells × 3 bins × 2 · 7 bits = 240 bits, 4 words: four words pass this
+    // check and fail the next.
+    assert(rejected(rewords(allZero)(ws => (4, ws.toSeq ++ Seq(0L, 0L)))).contains("after its last count"))
+    for (n <- Seq(5, Int.MaxValue, -1)) {
+      val e = rejected(rewords(allZero)(ws => (n, ws.toSeq)))
+      assert(e.contains(s"CHI stream of 1 indexes of 16x16 masks and ${allZero.cfg}: $n words, outside [0, 4]"), e)
     }
   }
 
   test("the reader rejects non-zero bits after the last count") {
-    // The counts take bits 0–27 of the one word.
-    for (bit <- Seq(28, 63)) {
-      val e = rejected(restreamed(allZero)(ws => (1, Seq(ws(0) | 1L << bit))))
+    // The table takes bits 0–71 and the counts bits 72–75: bits 0–11 of the second word.
+    for (bit <- Seq(12, 63)) {
+      val e = rejected(rewords(allZero)(ws => (2, Seq(ws(0), ws(1) | 1L << bit))))
       assert(e.contains("non-zero bits after its last count"), s"bit $bit: $e")
     }
   }
 
   test("the reader rejects words after the last count, and counts past the last word") {
-    val after = rejected(restreamed(allZero)(ws => (2, Seq(ws(0), 0L))))
-    assert(after.contains("1 of its 2 words lie after its last count"), after)
-    val past = rejected(restreamed(allZero)(_ => (0, Nil)))
-    assert(past.contains("its counts run past its 0 words, in slot 0"), past)
+    val after = rejected(rewords(allZero)(ws => (3, ws.toSeq :+ 0L)))
+    assert(after.contains("1 of its 3 words lie after its last count"), after)
+    val table = rejected(rewords(allZero)(_ => (0, Nil)))
+    assert(table.contains("its table runs past its 0 words"), table)
+    // Zero bits where the counts were: each bin-1 count is a run of zeros, read as the last class, x = 63 in 12 bits,
+    // and its bin 2 under 63 takes 6 bits more, so the four cells need 72 bits after the table's 72, past 128.
+    val past = rejected(rewords(allZero)(ws => (2, Seq(ws(0), ws(1) & 0xffL))))
+    assert(past.contains("its counts run past its 2 words, in slot 0"), past)
   }
 
   private val fiveMasks = (0 until 5).map(i => randomMask(i, 8, 8, i))
 
-  /** A serialised slab of keys 0–4 in slot order, whose key array (0, 1, 2, 3, 4) has its last entry set to `key`. */
-  private def slabWithLastKey(key: Int): Array[Byte] = {
-    val bs = bytes(slabOf(ChiConfig(4, 4, 4), fiveMasks))
-    val keys = java.nio.ByteBuffer.allocate(20)
-    (0 until 5).foreach(keys.putInt)
-    val at = bs.indexOfSlice(keys.array.toSeq)
-    assert(at >= 0 && bs.indexOfSlice(keys.array.toSeq, at + 1) < 0, "key array not found once in the stream")
-    java.nio.ByteBuffer.wrap(bs).putInt(at + 16, key)
-    bs
+  /** A serialised slab of keys 0–4 in slot order, the last one set to `key`: its stream opens with n = 5, the members
+    * flag 0 and the keys' zigzag gaps 0, 2, 2, 2, 2, of which the last becomes `key − 3`'s.
+    */
+  private def slabWithLastKey(key: Int): Array[Byte] = restreamed(slabOf(ChiConfig(4, 4, 4), fiveMasks)) { s =>
+    assert(s.take(7).toSeq == Seq[Byte](5, 0, 0, 2, 2, 2, 2), "keys 0–4")
+    val gap = new java.io.ByteArrayOutputStream()
+    CellCounts.putVar(new java.io.DataOutputStream(gap), CellCounts.zigzag(key - 3L))
+    s.take(6) ++ gap.toByteArray ++ s.drop(7)
   }
 
   // The wire carries keys in slot order: a key at or past the slab's size is a sparse key, whose index is the last
@@ -322,29 +400,32 @@ class ChiWireSpec extends repro.SparkSpec {
     assert(e.contains("two CHIs for key 1"), e)
   }
 
-  test("one index serialises to the same bytes under key 0 and key 39,999, alone or in a sparse slab") {
+  test("one index serialises under key 0 and key 39,999 in bytes that differ by its key's varint only") {
     val cfg = ChiConfig(8, 8, 10)
     val idx = ChiIndex.build(randomMask(7, 56, 56, 7), cfg)
     val (low, high) = (ChiSlab.of(cfg, Seq(0L -> idx)), ChiSlab.of(cfg, Seq(39999L -> idx)))
-    assert(bytes(low).length == bytes(high).length)
+    // Zigzag 0 takes one byte, zigzag 39,999 = 79,998 three.
+    assert(bytes(high).length - bytes(low).length == 2)
     assert(roundTrip(high).get(39999L).get.counts.toSeq == idx.counts.toSeq && !roundTrip(high).contains(0L))
-    // An incremental snapshot's slab: two appends, the second of a key far above the first.
+    // An incremental snapshot's slab: two appends, the second of a key far above the first (a gap of 39,998).
     val other = ChiIndex.build(randomMask(8, 56, 56, 8), cfg)
     def appended(k: Long) = ChiSlab.empty(cfg).append(Seq(ChiSlab.of(cfg, Seq(1L -> other)))).append(Seq(ChiSlab.of(cfg, Seq(k -> idx))))
-    assert(bytes(appended(2L)).length == bytes(appended(39999L)).length)
+    assert(bytes(appended(39999L)).length - bytes(appended(2L)).length == 2)
   }
 
   test("the reader rejects a truncated stream") {
     val cfg = ChiConfig(8, 8, 10)
     val masks = (0 until 20).map(i => randomMask(i, 56, 56, i))
     val bs = bytes(slabOf(cfg, masks))
-    // The stream opens with a 1,024-byte block's header and its word count.
-    val bits = masks.map(wireBits(_, cfg)).sum
-    val head = java.nio.ByteBuffer.allocate(9).put(0x7a.toByte).putInt(1024).putInt(((bits + 63) / 64).toInt).array.toSeq
+    // The stream opens with a 1,024-byte block's header, n = 20, the members flag, the keys (zigzag gaps 0, then 2)
+    // and its word count.
+    val bits = wireBits(masks, cfg)
+    val head = (java.nio.ByteBuffer.allocate(5).put(0x7a.toByte).putInt(1024).array ++ Array[Byte](20, 0, 0) ++
+      Array.fill[Byte](19)(2) ++ java.nio.ByteBuffer.allocate(4).putInt(((bits + 63) / 64).toInt).array).toSeq
     val start = bs.indexOfSlice(head)
     assert(start >= 0 && bs.indexOfSlice(head, start + 1) < 0, "stream not found once")
     for (cut <- Seq(bs.length / 3, bs.length / 2, bs.length - 600)) {
-      assert(cut > start + head.length && cut < start + streamBytes(bits), s"cut $cut outside the counts")
+      assert(cut > start + head.length && cut < start + streamBytes(bits, 22), s"cut $cut outside the counts")
       val e = rejected(bs.take(cut))
       assert(e.contains("truncated CHI stream: 20 indexes of 56x56 masks"), e)
     }
@@ -367,15 +448,22 @@ class ChiWireSpec extends repro.SparkSpec {
     }
   }
 
+  /** The words of `idx`'s stream in the plain form ([[Streams.plainWords]]) of its per-cell counts as `edit` changes them. */
+  private def plainWords(idx: ChiIndex)(edit: IndexedSeq[IndexedSeq[Int]] => IndexedSeq[IndexedSeq[Int]]): (Int, Seq[Long]) = {
+    val ws = Streams.plainWords(idx.cfg, idx.w, idx.h, Seq(edit(Streams.perCell(idx))))
+    (ws.length, ws.toSeq)
+  }
+
   test("fromCounts rejects per-cell counts that increase over bins") {
     val path = "target/testdata/chi-wire-increase"
-    val e = intercept[IllegalArgumentException](loadedWith(twoInBin2, path)(ws => (1, Seq(ws(0) | 1L << 7))))
+    val e = intercept[IllegalArgumentException](loadedWith(twoInBin2, path)(_ => plainWords(twoInBin2)(cs => cs.updated(0, cs(0).updated(2, 3)))))
     assert(e.getMessage.contains(s"CHI registry at $path, masks slab: CHI in slot 0 of 1: cell (0, 0) has 3 pixels at bin 2 " +
       "but 2 at bin 1: per-cell counts increase over bins"), e.getMessage)
   }
 
   test("fromCounts rejects a per-cell count outside its cell") {
-    val e = intercept[IllegalArgumentException](loadedWith(allZero, "target/testdata/chi-wire-outside")(ws => (1, Seq(ws(0) | 70L))))
+    val e = intercept[IllegalArgumentException](
+      loadedWith(allZero, "target/testdata/chi-wire-outside")(_ => plainWords(allZero)(cs => cs.updated(0, cs(0).updated(1, 70)))))
     assert(e.getMessage.contains("cell (0, 0) has 70 pixels at bin 1, outside [0, 64]"), e.getMessage)
   }
 

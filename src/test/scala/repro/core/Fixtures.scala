@@ -178,17 +178,85 @@ object Fixtures {
     8L * (math.ceil((cfg.bins - 1) / 12.0).toLong + (corners * bits + 63) / 64)
   }
 
-  /** Bits of `m`'s per-cell counts on the wire with `cfg`, worked out from its
-    * pixels: in each cell, bin `b`'s count (the cell's pixels at or above
-    * `boundary(b)`) takes the bit length of the cell's count at bin `b − 1`,
-    * its pixel count for `b = 1`.
+  /** `m`'s per-cell counts with `cfg`, worked out from its pixels: per cell
+    * in order (cx, cy), the pixels at or above `boundary(b)` for each bin
+    * `b = 0 … bins − 1`, bin 0 being the cell's pixel count.
     */
-  def wireBits(m: Mask, cfg: ChiConfig): Long =
-    (for (x0 <- 0 until m.w by cfg.cellW; y0 <- 0 until m.h by cfg.cellH) yield {
+  def perCell(m: Mask, cfg: ChiConfig): Seq[IndexedSeq[Int]] =
+    for (x0 <- 0 until m.w by cfg.cellW; y0 <- 0 until m.h by cfg.cellH) yield {
       val cell = for (x <- x0 until math.min(x0 + cfg.cellW, m.w); y <- y0 until math.min(y0 + cfg.cellH, m.h))
         yield m.data(x * m.h + y)
-      (1 until cfg.bins).map(b => 32 - Integer.numberOfLeadingZeros(cell.count(_ >= cfg.boundary(b - 1)))).sum.toLong
-    }).sum
+      (0 until cfg.bins).map(b => cell.count(_ >= cfg.boundary(b)))
+    }
+
+  private def bitLength(v: Long): Int = 64 - java.lang.Long.numberOfLeadingZeros(v)
+
+  /** Bits of `m`'s per-cell counts in the bounded-integer code: each count
+    * takes the bit length of its cell's count one bin below.
+    */
+  def plainBits(m: Mask, cfg: ChiConfig): Long =
+    perCell(m, cfg).map(cs => (1 until cfg.bins).map(b => bitLength(cs(b - 1))).sum.toLong).sum
+
+  /** Bits of the table of a stream of `w × h` masks' indexes with `cfg`:
+    * for each bin `b ≥ 1` and each `c` from 1 to the bit length of the
+    * largest cell's pixels, an order in `bitLength(c)` bits and a direction
+    * bit.
+    */
+  def tableBits(cfg: ChiConfig, w: Int, h: Int): Long =
+    (cfg.bins - 1).toLong * (1 to bitLength(math.min(cfg.cellW, w).toLong * math.min(cfg.cellH, h))).map(c => bitLength(c) + 1).sum
+
+  /** Bits of `x ∈ [0, prev]` in the truncated exp-Golomb code of order `k`:
+    * with `v = x + 2^k`, `bitLength(v) − k − 1` zero bits, then `v`, without
+    * its leading 1 when `v` has as many bits as `prev + 2^k`.
+    */
+  def codeBits(x: Long, k: Int, prev: Long): Int = {
+    val (v, last) = (x + (1L << k), prev + (1L << k))
+    bitLength(v) - k - 1 + bitLength(v) - (if (bitLength(v) == bitLength(last)) 1 else 0)
+  }
+
+  /** Bits of the counts' bitstream of one stream of the indexes of `masks`
+    * with `cfg` (all of one shape), worked out from their pixels: the table
+    * ([[tableBits]]), and per context `(b, c)` of a count at bin `b` whose
+    * cell holds `prev` pixels one bin below, `c = bitLength(prev) ≥ 1`, the
+    * fewest bits that one order `k ∈ [0, c]` codes all its counts `d` in,
+    * applied to `d` or to `prev − d`.
+    */
+  def wireBits(masks: Seq[Mask], cfg: ChiConfig): Long = {
+    val contexts = (for (m <- masks; cs <- perCell(m, cfg); b <- 1 until cfg.bins if cs(b - 1) > 0)
+      yield (b, bitLength(cs(b - 1))) -> (cs(b - 1), cs(b))).groupMap(_._1)(_._2)
+    val counts = contexts.toSeq.map { case ((_, c), pairs) =>
+      (for (k <- 0 to c; down <- Seq(false, true))
+        yield pairs.map { case (prev, d) => codeBits(if (down) prev - d else d, k, prev).toLong }.sum).min
+    }.sum
+    (if (masks.isEmpty) 0L else tableBits(cfg, masks.head.w, masks.head.h)) + counts
+  }
+
+  /** [[wireBits]] of `m`'s index alone. */
+  def wireBits(m: Mask, cfg: ChiConfig): Long = wireBits(Seq(m), cfg)
+
+  /** The floats at the edges of `cfg`'s bins: 0, the float below 1, and for
+    * each interior edge the smallest float at or above it and the float
+    * just below that.
+    */
+  def edgeFloats(cfg: ChiConfig): IndexedSeq[Float] =
+    Vector(0f, Math.nextDown(1f)) ++ (1 until cfg.bins).flatMap { b =>
+      val f0 = cfg.boundary(b).toFloat
+      val f = if (f0.toDouble < cfg.boundary(b)) Math.nextUp(f0) else f0
+      Seq(Math.nextDown(f), f)
+    }
+
+  /** Every `w × h` mask whose pixels take values from `values`:
+    * `values.size^(w·h)` masks, mask `i` holding in pixel `p` the value at
+    * digit `p` of `i` in base `values.size`. A universe small enough to
+    * enumerate, for checks that must hold on every mask of a domain.
+    */
+  def universe(w: Int, h: Int, values: IndexedSeq[Float]): Iterator[Mask] = {
+    val n = values.size
+    Iterator.iterate(0L)(_ + 1).take(math.pow(n.toDouble, (w * h).toDouble).toInt).map { i =>
+      var rest = i
+      Mask(i, w, h, Array.fill(w * h) { val v = values((rest % n).toInt); rest /= n; v })
+    }
+  }
 
   /** A slab of the indexes of `masks`, each built with `cfg`, keyed by mask id in that order: a build task's piece. */
   def slabOf(cfg: ChiConfig, masks: Seq[Mask]): ChiSlab = ChiSlab.of(cfg, masks.map(m => m.id -> ChiIndex.build(m, cfg)))
