@@ -2,6 +2,8 @@ package repro.core
 
 import java.io._
 
+import scala.collection.mutable.ArrayBuilder
+
 /** `n` CHIs of `w × h` masks indexed with `cfg`, under their keys, with the
   * ids of the masks each was built from when `members` records them: the one
   * form in which every CHI is serialised. A [[ChiIndex]] and a [[ChiSlab]]
@@ -122,27 +124,52 @@ private[core] final class CellCounts(
       ms.foreach { m => CellCounts.putVar(out, zigzag(m - last)); last = m }
     }
     val code = new CellCounts.Code(cfg.bins, cMax)
-    eachCount(code, null)
+    val plain = perCell(code)
     val bits = tableBits(n) + code.choose()
     require(bits <= 64L * (Int.MaxValue - 8), s"a CHI stream of $bits bits")
     val stream = new ChiIndex.Packer(new Array[Long](((bits + 63) >>> 6).toInt), 0)
     if (n > 0) code.putTable(stream)
-    eachCount(code, stream)
+    val per = cfg.bins - 1
+    val top = cMax
+    val cells = areas
+    var p = 0L
+    var s = 0
+    while (s < n) {
+      var i = 0
+      while (i < cells.length) {
+        var prev = cells(i)
+        var b = 1
+        while (b <= per && prev > 0) {
+          val c = bitLength(prev)
+          val d = ChiIndex.count(plain, p, c)
+          p += c
+          code.put(stream, (b - 1) * top + c - 1, prev, d)
+          prev = d
+          b += 1
+        }
+        i += 1
+      }
+      s += 1
+    }
     stream.flush()
     out.writeInt(stream.end)
     var i = 0; while (i < stream.end) { out.writeLong(stream.words(i)); i += 1 }
   }
 
-  /** Every per-cell count of the `n` indexes, in stream order: checked and tallied by `code` when `out` is null,
-    * else coded to `out`.
+  /** Every per-cell count of the `n` indexes, in stream order, checked and tallied by `code`: unpacked and
+    * differenced once, and kept in the bounded-integer code (each count under `prev > 0` in `bitLength(prev)` bits),
+    * which [[write]] recodes once `code` has chosen its table.
     */
-  private def eachCount(code: CellCounts.Code, out: ChiIndex.Packer): Unit = {
+  private def perCell(code: CellCounts.Code): Array[Long] = {
     val per = cfg.bins - 1
     val ny = nCy
     val corners = nCx * ny
     val top = cMax
     val cells = areas
-    val hs = new Array[Int](corners * per) // the index's stored counts, bin-major, unpacked once
+    val hs = new Array[Int](corners * per) // the index's stored counts, bin-major
+    val worst = (n.toLong * corners * per * top + 63) >>> 6
+    require(worst < Int.MaxValue - 8, s"$n CHIs of ${corners * per} counts of up to $top bits")
+    val plain = new ChiIndex.Packer(new Array[Long](worst.toInt + 1), 0)
     var at = base
     var s = 0
     while (s < n) {
@@ -160,12 +187,10 @@ private[core] final class CellCounts(
           if (up) d -= hs(k - 1)
           if (left && up) d += hs(k - ny - 1)
           if (prev > 0) {
+            if (!cellOk(d, prev)) throw CellCounts.cellError(s"CHI in slot $s of $n", i / ny, i % ny, b, d, prev, cells(i))
             val c = bitLength(prev)
-            if (out != null) code.put(out, (b - 1) * top + c - 1, prev, d)
-            else {
-              if (!cellOk(d, prev)) throw CellCounts.cellError(s"CHI in slot $s of $n", i / ny, i % ny, b, d, prev, cells(i))
-              code.tally((b - 1) * top + c - 1, c, prev, d)
-            }
+            code.tally((b - 1) * top + c - 1, c, prev, d)
+            plain.put(d, c)
           } else if (d != 0) throw CellCounts.cellError(s"CHI in slot $s of $n", i / ny, i % ny, b, d, prev, cells(i))
           prev = d
           b += 1
@@ -174,6 +199,8 @@ private[core] final class CellCounts(
       }
       s += 1
     }
+    plain.flush()
+    plain.words
   }
 
   private def readObject(in: ObjectInputStream): Unit = {
@@ -206,9 +233,9 @@ private[core] final class CellCounts(
     val flag = in.readByte()
     if (flag != 0 && flag != 1) throw new InvalidObjectException(s"CHI stream of ${w}x$h masks and $cfg: members flag $flag")
     val where = s"CHI stream of $n indexes of ${w}x$h masks and $cfg"
-    val keys = new CellCounts.Longs
+    val keys = new ArrayBuilder.ofLong
     var prev = 0L
-    while (keys.size < n) { prev += CellCounts.unzigzag(CellCounts.getVar(in, where, s"key ${keys.size}")); keys += prev }
+    while (keys.length < n) { prev += CellCounts.unzigzag(CellCounts.getVar(in, where, s"key ${keys.length}")); keys += prev }
     ids = keys.result()
     lists = if (flag == 0) CellCounts.NoMembers else {
       prev = 0L
@@ -217,8 +244,8 @@ private[core] final class CellCounts(
       while (s < n) {
         val count = CellCounts.getVar(in, where, s"the member count of slot $s")
         if (count > Int.MaxValue - 8) throw invalid(s": slot $s names $count members")
-        val ms = new CellCounts.Longs
-        while (ms.size < count) { prev += CellCounts.unzigzag(CellCounts.getVar(in, where, s"a member of slot $s")); ms += prev }
+        val ms = new ArrayBuilder.ofLong
+        while (ms.length < count) { prev += CellCounts.unzigzag(CellCounts.getVar(in, where, s"a member of slot $s")); ms += prev }
         ls(s) = ms.result()
         s += 1
       }
@@ -364,14 +391,6 @@ private[core] object CellCounts {
       shift += 7
     }
     v
-  }
-
-  /** A growable array of longs. */
-  private final class Longs {
-    private var a = new Array[Long](16)
-    var size = 0
-    def +=(v: Long): Unit = { if (size == a.length) a = java.util.Arrays.copyOf(a, 2 * size); a(size) = v; size += 1 }
-    def result(): Array[Long] = java.util.Arrays.copyOf(a, size)
   }
 
   /** The table and code of a stream's counts, for `bins` bins and contexts `c` from 1 to `cMax`: context `(b, c)` is
